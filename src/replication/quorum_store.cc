@@ -24,6 +24,18 @@ constexpr sim::NodeId kNoHint = UINT32_MAX;
 constexpr size_t kMigrateChunkKeys = 16;
 // Retry pause for failed migration chunks and unacked catch-up reports.
 constexpr sim::Time kMigrateRetryPause = 500 * sim::kMillisecond;
+// Per-attempt timeout of every quorum leg, hint and migration RPC.
+constexpr sim::Time kRpcTimeout = 250 * sim::kMillisecond;
+// Overall deadline of a client op, in kRpcTimeout multiples.
+constexpr int kClientDeadlineBudget = 4;
+// Elastic mode: period of each server's view-refresh pull from the config
+// service (push broadcasts cover the common case; the pull covers servers
+// that were crashed or partitioned during the push).
+constexpr sim::Time kViewRefreshInterval = 2 * sim::kSecond;
+// Background senders (hint delivery, migration streaming) yield when the
+// destination's piggybacked load signal reaches this percent (0..100; values
+// above 50 mean its admission queue has started to fill).
+constexpr uint32_t kBackgroundYieldLoad = 75;
 
 bool Contains(const std::vector<sim::NodeId>& nodes, sim::NodeId node) {
   return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
@@ -450,17 +462,17 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       });
 }
 
-// Client calls keep the seed's overall 4*rpc_timeout budget, but spend it as
-// two resilient attempts (2*rpc_timeout each, backoff between) under an
+// Client calls keep the seed's overall 4*kRpcTimeout budget, but spend it as
+// two resilient attempts (2*kRpcTimeout each, backoff between) under an
 // absolute deadline instead of one long-shot RPC. A retried put is safe: the
 // coordinator mints a fresh version whose vector dominates the first mint's
 // (same context, higher coordinator counter), so re-execution converges to a
 // single sibling rather than duplicating state.
 resilience::CallOptions DynamoCluster::ClientCallOptions() const {
   resilience::CallOptions opts;
-  opts.attempt_timeout = 2 * config_.rpc_timeout;
-  opts.deadline = rpc_->simulator()->Now() +
-                  config_.client_deadline_budget * config_.rpc_timeout;
+  opts.attempt_timeout = 2 * kRpcTimeout;
+  opts.deadline =
+      rpc_->simulator()->Now() + kClientDeadlineBudget * kRpcTimeout;
   opts.max_attempts = config_.client_attempts;
   return opts;
 }
@@ -612,7 +624,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
   // already tolerates missing acks, and WriteTargets skipped unusable
   // peers up front.
   resilience::CallOptions leg;
-  leg.attempt_timeout = config_.rpc_timeout;
+  leg.attempt_timeout = kRpcTimeout;
   leg.max_attempts = 1;
   leg.respect_breaker = false;
   // The quorum math already bounds fan-out; starving a leg on the retry
@@ -714,7 +726,7 @@ void DynamoCluster::CoordinateGet(
         // target's epoch flips while the push is in flight.
         repair.cross_epoch = true;
         rpc_->Call(coordinator->node, node, m_store_, std::move(repair),
-                   config_.rpc_timeout, [](Result<sim::Payload>) {});
+                   kRpcTimeout, [](Result<sim::Payload>) {});
         ++stats_.read_repairs;
         c_read_repairs_->Inc();
         result.repaired = true;
@@ -748,7 +760,7 @@ void DynamoCluster::CoordinateGet(
   };
 
   resilience::CallOptions leg;
-  leg.attempt_timeout = config_.rpc_timeout;
+  leg.attempt_timeout = kRpcTimeout;
   leg.max_attempts = 1;
   leg.respect_breaker = false;
   leg.respect_limits = false;  // see CoordinatePut
@@ -791,13 +803,13 @@ void DynamoCluster::DeliverHints(Server* server) {
     // (piggybacked on its replies). Hints are best-effort background work;
     // adding them to an overloaded node's queue only deepens the overload.
     if (rpc_->PeerLoad(server->node, intended) >=
-        config_.background_yield_load) {
+        kBackgroundYieldLoad) {
       ++stats_.hints_deferred;
       ++it;
       continue;
     }
     resilience::CallOptions leg;
-    leg.attempt_timeout = config_.rpc_timeout;
+    leg.attempt_timeout = kRpcTimeout;
     leg.max_attempts = 1;
     leg.respect_breaker = false;
     leg.respect_limits = false;  // see CoordinatePut
@@ -1011,7 +1023,7 @@ void DynamoCluster::RefreshView(Server* server) {
 }
 
 void DynamoCluster::ScheduleRefreshTick(Server* server) {
-  rpc_->simulator()->ScheduleAfter(config_.view_refresh_interval,
+  rpc_->simulator()->ScheduleAfter(kViewRefreshInterval,
                                    [this, server] {
                                      RefreshView(server);
                                      ScheduleRefreshTick(server);
@@ -1062,7 +1074,7 @@ void DynamoCluster::StreamNextChunk(Server* server) {
   // reports load, pause the stream and retry after the standard pause
   // instead of deepening its queue. Catch-up latency is the price of not
   // amplifying an overload.
-  if (rpc_->PeerLoad(server->node, target) >= config_.background_yield_load) {
+  if (rpc_->PeerLoad(server->node, target) >= kBackgroundYieldLoad) {
     ++stats_.migrate_deferred;
     const uint64_t deferred_epoch = task->epoch;
     rpc_->simulator()->ScheduleAfter(
@@ -1089,7 +1101,7 @@ void DynamoCluster::StreamNextChunk(Server* server) {
   task->chunk_inflight = true;
   const uint64_t epoch = task->epoch;
   resilience::CallOptions opts;
-  opts.attempt_timeout = config_.rpc_timeout;
+  opts.attempt_timeout = kRpcTimeout;
   opts.max_attempts = 3;
   server->resilient->Call(
       target, m_migrate_, std::move(chunk), opts,
@@ -1161,7 +1173,7 @@ void DynamoCluster::RedirectHints(Server* server) {
     // back would pend forever (the static-membership bug this PR fixes).
     // Re-aim each hint at the key's new primary under the current epoch.
     resilience::CallOptions leg;
-    leg.attempt_timeout = config_.rpc_timeout;
+    leg.attempt_timeout = kRpcTimeout;
     leg.max_attempts = 1;
     leg.respect_breaker = false;
     leg.respect_limits = false;  // see CoordinatePut
@@ -1239,7 +1251,7 @@ Status DynamoCluster::RemoveServerLive(sim::NodeId node,
     return Status::FailedPrecondition("reconfiguration in flight");
   }
   if (static_cast<int>(config_service_->committed().members.size()) <=
-      config_.min_members) {
+      kMinElasticMembers) {
     return Status::FailedPrecondition("member floor reached");
   }
   return config_service_->ProposeLeave(node, std::move(prepared));

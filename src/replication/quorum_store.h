@@ -35,13 +35,16 @@
 namespace evc::repl {
 
 /// Quorum configuration (Dynamo's N/R/W).
+/// Elastic mode (EnableElastic): floor below which RemoveServerLive refuses
+/// to shrink the member set.
+constexpr int kMinElasticMembers = 3;
+
 struct QuorumConfig {
   int replication_factor = 3;  ///< N: replicas per key
   int read_quorum = 2;         ///< R: replies required for a read
   int write_quorum = 2;        ///< W: acks required for a write
   bool sloppy = true;          ///< divert to fallback nodes with hints
   bool read_repair = true;     ///< push merged versions to stale replicas
-  sim::Time rpc_timeout = 250 * sim::kMillisecond;
   /// Placement: modulo ring walk (false) or consistent hashing with
   /// virtual nodes (true; see HashRing). Ablation 3 compares them.
   bool use_hash_ring = false;
@@ -62,13 +65,6 @@ struct QuorumConfig {
   /// Hedge client reads: a slow coordinator gets raced against the next
   /// server after a latency-percentile delay (first reply wins).
   bool hedge_reads = false;
-  /// Elastic mode (EnableElastic): floor below which RemoveServerLive
-  /// refuses to shrink the member set.
-  int min_members = 3;
-  /// Elastic mode: period of each server's view-refresh pull from the
-  /// config service (push broadcasts cover the common case; the pull covers
-  /// servers that were crashed or partitioned during the push).
-  sim::Time view_refresh_interval = 2 * sim::kSecond;
   /// Retry/hedge/detector tuning shared by all servers and clients.
   resilience::ResilienceOptions resilience;
   /// Server-side admission control (overload defense, DESIGN.md §4.5):
@@ -77,15 +73,10 @@ struct QuorumConfig {
   /// migration streaming are background; ping probes bypass the queue.
   bool admission_enabled = false;
   resilience::AdmissionOptions admission;
-  /// Background senders (hint delivery, migration streaming) yield when the
-  /// destination's piggybacked load signal reaches this percent (0..100;
-  /// values above 50 mean its admission queue has started to fill).
-  uint32_t background_yield_load = 75;
-  /// Client-op shape: attempts and overall deadline (in rpc_timeout
-  /// multiples) for the resilient client call. Defaults keep the historical
-  /// two-attempts-in-4x-budget behavior.
+  /// Client-op attempts for the resilient client call, inside a fixed
+  /// overall deadline. The default keeps the historical two-attempts-in-4x-
+  /// budget behavior.
   int client_attempts = 2;
-  int client_deadline_budget = 4;
 };
 
 /// Result of a quorum read.
@@ -360,7 +351,7 @@ class DynamoCluster : private sim::CrashParticipant {
   /// Reuses the server's instance when `client` is also a server node.
   resilience::ResilientRpc* ClientRpc(sim::NodeId client);
   /// Per-call options for client ops: two attempts inside the same overall
-  /// 4*rpc_timeout budget the seed spent on one long-shot RPC.
+  /// 4*kRpcTimeout budget the seed spent on one long-shot RPC.
   resilience::CallOptions ClientCallOptions() const;
   /// Global metrics registry of the owning simulator (dyn.* instruments).
   obs::MetricsRegistry& Obs();

@@ -24,12 +24,11 @@
 // observed event rate of the previous window, and the bucket count doubles
 // when a window would pack too many events per bucket. Both decisions are
 // pure functions of the event history, so two same-seed runs resize at the
-// same instants (calendar_queue_test pins resize behavior; the 25-seed
-// differential harness in simcore_diff_test pins equivalence with the
-// legacy heap on full protocol workloads).
+// same instants (calendar_queue_test pins resize behavior; the golden
+// export digests in golden_digest_test pin full protocol workloads).
 //
-// Ordering contract (identical to the legacy heap): strict (when, seq) order
-// with seq assigned at push, i.e. FIFO among same-time events.
+// Ordering contract: strict (when, seq) order with seq assigned at push,
+// i.e. FIFO among same-time events.
 
 #ifndef EVC_SIM_CALENDAR_QUEUE_H_
 #define EVC_SIM_CALENDAR_QUEUE_H_

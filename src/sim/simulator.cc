@@ -1,29 +1,10 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 namespace evc::sim {
 
-EventId Simulator::ScheduleLegacy(Time when, LegacyFn fn) {
-  const EventId id = next_id_++;
-  heap_.push_back(LegacyEvent{when, next_seq_++, id, std::move(fn)});
-  std::push_heap(heap_.begin(), heap_.end(), EventOrder{});
-  pending_ids_.insert(id);
-  return id;
-}
-
-bool Simulator::Cancel(EventId id) {
-  if (sched_ == SchedulerKind::kCalendar) return calq_.Cancel(id);
-  // Only a genuinely pending event can be cancelled; ids that already ran
-  // (or were already cancelled) report false and leave no tombstone behind,
-  // keeping pending_events() exact.
-  if (pending_ids_.erase(id) == 0) return false;
-  cancelled_.insert(id);
-  return true;
-}
+bool Simulator::Cancel(EventId id) { return calq_.Cancel(id); }
 
 bool Simulator::Step() {
-  if (sched_ != SchedulerKind::kCalendar) return StepLegacy();
   if (calq_.empty()) return false;
   Time when = 0;
   Task fn = calq_.PopMin(&when);
@@ -31,21 +12,6 @@ bool Simulator::Step() {
   ++events_executed_;
   fn.Run();
   return true;
-}
-
-bool Simulator::StepLegacy() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-    LegacyEvent ev = std::move(heap_.back());
-    heap_.pop_back();
-    if (cancelled_.erase(ev.id) > 0) continue;
-    pending_ids_.erase(ev.id);
-    now_ = ev.when;
-    ++events_executed_;
-    ev.fn();
-    return true;
-  }
-  return false;
 }
 
 void Simulator::Run() {
@@ -78,27 +44,8 @@ void Simulator::NotifyRestart(uint32_t node) {
 }
 
 void Simulator::RunUntil(Time deadline) {
-  if (sched_ == SchedulerKind::kCalendar) {
-    Time when = 0;
-    while (calq_.PeekWhen(&when) && when <= deadline) {
-      Task fn = calq_.PopMin(&when);
-      now_ = when;
-      ++events_executed_;
-      fn.Run();
-    }
-  } else {
-    while (!heap_.empty()) {
-      const LegacyEvent& top = heap_.front();
-      if (cancelled_.count(top.id) > 0) {
-        cancelled_.erase(top.id);
-        std::pop_heap(heap_.begin(), heap_.end(), EventOrder{});
-        heap_.pop_back();
-        continue;
-      }
-      if (top.when > deadline) break;
-      StepLegacy();
-    }
-  }
+  Time when = 0;
+  while (calq_.PeekWhen(&when) && when <= deadline) Step();
   if (now_ < deadline) now_ = deadline;
 }
 

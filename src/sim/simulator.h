@@ -6,23 +6,13 @@
 // identical. This replaces the real geo-distributed testbeds used by the
 // systems the tutorial surveys (see DESIGN.md, substitution table).
 //
-// Two interchangeable schedulers implement the same ordering contract:
-//
-//   * SchedulerKind::kCalendar (default): a calendar queue (bucketed timing
-//     wheel + sorted overflow heap, sim/calendar_queue.h) with slab-backed
-//     event closures. This is the hot path for 1000-node runs.
-//   * SchedulerKind::kLegacyHeap: the seed scheduler — a binary heap of
-//     per-event heap-allocated closures with hash-set cancellation
-//     bookkeeping. Kept as the baseline for bench_perf_simcore and as the
-//     reference implementation for the 25-seed differential harness
-//     (tests/simcore_diff_test.cc), which asserts byte-identical metric and
-//     trace exports across the two.
-//
-// Both run events in strict (when, seq) order with seq assigned at schedule
-// time, so same-time events are FIFO. EventId values differ between the two
-// schedulers (the calendar queue encodes slot/generation; the heap counts
-// up) but are opaque to callers; both are nonzero, preserving callers'
-// `id == 0` "no event" sentinels.
+// The scheduler is a calendar queue (bucketed timing wheel + sorted overflow
+// heap, sim/calendar_queue.h) with slab-backed event closures. It runs
+// events in strict (when, seq) order with seq assigned at schedule time, so
+// same-time events are FIFO. EventIds are opaque and always nonzero,
+// preserving callers' `id == 0` "no event" sentinels. Behaviour is pinned
+// byte for byte by the golden export digests (tests/golden_digest_test.cc);
+// calendar_queue_test checks the queue against a naive sorted model.
 
 #ifndef EVC_SIM_SIMULATOR_H_
 #define EVC_SIM_SIMULATOR_H_
@@ -30,8 +20,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <type_traits>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,67 +45,6 @@ constexpr Time kSecond = 1000 * 1000;
 /// as a "no event" sentinel.
 using EventId = uint64_t;
 
-/// Event-scheduler implementation selector; see the file comment.
-enum class SchedulerKind {
-  kCalendar,    ///< timing wheel + slab closures (default, hot path)
-  kLegacyHeap,  ///< seed binary heap + per-event heap allocation (baseline)
-};
-
-/// Minimal move-only closure for the legacy scheduler. Mirrors the seed
-/// std::function cost profile — one heap allocation per event — while
-/// accepting the move-only captures (Payload handles) std::function cannot
-/// hold. The closure stays alive for the duration of operator() and is
-/// destroyed when the LegacyFn is (i.e. after the event returns).
-class LegacyFn {
- public:
-  LegacyFn() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, LegacyFn>>>
-  explicit LegacyFn(F&& fn) {
-    using Fn = std::decay_t<F>;
-    obj_ = new Fn(std::forward<F>(fn));
-    invoke_ = [](void* obj) { (*static_cast<Fn*>(obj))(); };
-    destroy_ = [](void* obj) { delete static_cast<Fn*>(obj); };
-  }
-
-  LegacyFn(LegacyFn&& other) noexcept { MoveFrom(other); }
-  LegacyFn& operator=(LegacyFn&& other) noexcept {
-    if (this != &other) {
-      Reset();
-      MoveFrom(other);
-    }
-    return *this;
-  }
-  LegacyFn(const LegacyFn&) = delete;
-  LegacyFn& operator=(const LegacyFn&) = delete;
-  ~LegacyFn() { Reset(); }
-
-  void operator()() {
-    EVC_CHECK(obj_ != nullptr);
-    invoke_(obj_);
-  }
-
- private:
-  void MoveFrom(LegacyFn& other) {
-    obj_ = other.obj_;
-    invoke_ = other.invoke_;
-    destroy_ = other.destroy_;
-    other.obj_ = nullptr;
-  }
-  void Reset() {
-    if (obj_ != nullptr) {
-      destroy_(obj_);
-      obj_ = nullptr;
-    }
-  }
-
-  void* obj_ = nullptr;
-  void (*invoke_)(void*) = nullptr;
-  void (*destroy_)(void*) = nullptr;
-};
-
 /// Interface for components that own per-node state with crash semantics.
 /// When the fault layer crashes a node it calls OnCrash (drop everything
 /// volatile: caches, buffers, in-memory indexes); when the node restarts it
@@ -139,9 +66,7 @@ class CrashParticipant {
 class Simulator {
  public:
   /// `seed` drives the simulator-owned RNG; forked per component.
-  explicit Simulator(uint64_t seed = 1,
-                     SchedulerKind scheduler = SchedulerKind::kCalendar)
-      : sched_(scheduler), calq_(&slab_), rng_(seed) {}
+  explicit Simulator(uint64_t seed = 1) : calq_(&slab_), rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -149,18 +74,13 @@ class Simulator {
   /// Current virtual time.
   Time Now() const { return now_; }
 
-  SchedulerKind scheduler() const { return sched_; }
-
   /// Schedules `fn` (any nullary callable, move-only captures allowed) to
   /// run at absolute virtual time `when` (>= Now()). Returns a nonzero id
   /// usable with Cancel().
   template <typename F>
   EventId ScheduleAt(Time when, F&& fn) {
     EVC_CHECK(when >= now_);
-    if (sched_ == SchedulerKind::kCalendar) {
-      return calq_.Push(when, Task(&slab_, std::forward<F>(fn)));
-    }
-    return ScheduleLegacy(when, LegacyFn(std::forward<F>(fn)));
+    return calq_.Push(when, Task(&slab_, std::forward<F>(fn)));
   }
 
   /// Schedules `fn` to run `delay` after Now().
@@ -192,13 +112,8 @@ class Simulator {
   /// Number of events executed so far (diagnostic).
   uint64_t events_executed() const { return events_executed_; }
   /// Number of events currently pending: scheduled, not yet executed, not
-  /// cancelled. Exact in both schedulers (the calendar queue counts live
-  /// slots; the legacy heap tracks ids in `pending_ids_`, not
-  /// `queue size - tombstones`, which could undercount).
-  size_t pending_events() const {
-    return sched_ == SchedulerKind::kCalendar ? calq_.pending()
-                                              : pending_ids_.size();
-  }
+  /// cancelled (the calendar queue counts live slots).
+  size_t pending_events() const { return calq_.pending(); }
 
   /// Event-closure and payload arena. Network/RPC box message payloads here;
   /// the allocator is freed wholesale when the simulator dies, so anything
@@ -241,43 +156,13 @@ class Simulator {
   std::weak_ptr<void> liveness() const { return liveness_; }
 
  private:
-  struct LegacyEvent {
-    Time when;
-    uint64_t seq;  // tie-break: FIFO among same-time events
-    EventId id;
-    LegacyFn fn;
-  };
-  // Heap comparator: "greater" keys sink, so std::pop_heap surfaces the
-  // smallest (when, seq) — the same order the seed priority_queue produced.
-  struct EventOrder {
-    bool operator()(const LegacyEvent& a, const LegacyEvent& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  EventId ScheduleLegacy(Time when, LegacyFn fn);
-  bool StepLegacy();
-
-  SchedulerKind sched_;
   Time now_ = 0;
   uint64_t events_executed_ = 0;
 
-  // Calendar scheduler. slab_ must outlive calq_ (declared first): pending
-  // closures free into it when the queue destructs.
+  // slab_ must outlive calq_ (declared first): pending closures free into
+  // it when the queue destructs.
   Slab slab_;
   CalendarQueue calq_;
-
-  // Legacy scheduler: a binary heap over heap_ via std::push_heap/pop_heap.
-  // (The seed used std::priority_queue, whose const top() forced a
-  // const_cast to move the closure out; an explicit heap pops mutably —
-  // identical order, no cast.) Cancellation leaves a tombstone in
-  // cancelled_; pending_ids_ keeps pending_events() exact.
-  std::vector<LegacyEvent> heap_;
-  uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::unordered_set<EventId> cancelled_;
-  std::unordered_set<EventId> pending_ids_;
 
   Rng rng_;
   obs::Metrics metrics_;

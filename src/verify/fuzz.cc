@@ -4,6 +4,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -63,84 +64,93 @@ std::vector<FuzzStore> AllFuzzStores() {
 
 FuzzOptions DefaultFuzzOptions(FuzzStore store, uint64_t seed) {
   FuzzOptions o;
-  o.seed = seed;
-  o.store = store;
   switch (store) {
     case FuzzStore::kPaxos:
       // Single register, few ops: the linearizability search is exponential.
-      o.servers = 3;
-      o.sessions = 3;
-      o.ops_per_session = 10;
-      o.keyspace = 1;
-      o.quiescence_timeout = 60 * kSecond;
+      o = {.servers = 3, .sessions = 3, .ops_per_session = 10, .keyspace = 1};
       break;
     case FuzzStore::kQuorumStrict:
     case FuzzStore::kQuorumWeak:
-      o.servers = 5;
-      o.sessions = 4;
-      o.ops_per_session = 25;
-      o.keyspace = 4;
-      o.quiescence_timeout = 60 * kSecond;
+      o = {.servers = 5, .sessions = 4, .ops_per_session = 25, .keyspace = 4};
       break;
     case FuzzStore::kTimeline:
     case FuzzStore::kCausal:
-      o.servers = 3;
-      o.sessions = 3;
-      o.ops_per_session = 25;
-      o.keyspace = 4;
-      o.quiescence_timeout = 15 * kSecond;
+      o = {.servers = 3, .sessions = 3, .ops_per_session = 25, .keyspace = 4,
+           .quiescence_timeout = 15 * kSecond};
       break;
     case FuzzStore::kGCounter:
     case FuzzStore::kOrSet:
-      o.servers = 4;
-      o.sessions = 4;
-      o.ops_per_session = 30;
-      o.keyspace = 8;  // element pool size for the or-set
-      o.quiescence_timeout = 20 * kSecond;
+      // The keyspace is the or-set's element pool.
+      o = {.servers = 4, .sessions = 4, .ops_per_session = 30, .keyspace = 8,
+           .quiescence_timeout = 20 * kSecond};
       break;
     case FuzzStore::kEdgeCache:
       // Small keyspace so sessions collide on keys and writes actually meet
       // outstanding leases (the revoke path is the thing under test).
-      o.servers = 3;
-      o.sessions = 4;
-      o.ops_per_session = 25;
-      o.keyspace = 3;
-      o.quiescence_timeout = 15 * kSecond;
+      o = {.servers = 3, .sessions = 4, .ops_per_session = 25, .keyspace = 3,
+           .quiescence_timeout = 15 * kSecond};
       break;
     case FuzzStore::kQuorumElastic:
-      // Live membership changes under a strict quorum. The schedule is the
-      // "elastic" shape: no partitions or hard crashes (reconfiguration is
-      // the fault under test; availability through it is the claim), but
-      // gray degradation, rolling restarts, and add/remove draws all on.
-      o.servers = 4;
-      o.sessions = 3;
-      o.ops_per_session = 25;
-      o.keyspace = 4;
-      o.quiescence_timeout = 60 * kSecond;
+      // Live membership changes under a strict quorum, on the "elastic"
+      // schedule: no partitions or hard crashes (reconfiguration is the
+      // fault under test; availability through it is the claim), but gray
+      // degradation, rolling restarts, and add/remove draws all on.
+      o = {.servers = 4, .sessions = 3, .ops_per_session = 25, .keyspace = 4};
       o.nemesis.duration = 25 * kSecond;
-      o.nemesis.mean_fault_interval = 2 * kSecond;
-      o.nemesis.allow_partitions = false;
-      o.nemesis.allow_crashes = false;
-      o.nemesis.allow_loss = false;
-      o.nemesis.allow_duplication = false;
-      o.nemesis.allow_slow_links = true;
-      o.nemesis.allow_flaky_links = true;
-      o.nemesis.allow_slow_nodes = true;
-      o.nemesis.allow_membership = true;
-      o.nemesis.allow_rolling_restart = true;
+      ApplyFuzzProfile("elastic", &o);
       break;
   }
+  o.seed = seed;
+  o.store = store;
   return o;
 }
 
-bool FuzzReport::AnomalyDetected() const {
-  if (lin_checked && !linearizable && !lin_exhausted) return true;
-  if (conv_checked && conv_applicable && !convergence.ok()) return true;
-  if (sess_checked && session.total() > 0) return true;
-  if (causal_checked && !causal.ok()) return true;
-  if (fork_checked && fork_violations > 0) return true;
-  if (crdt_value_checked && !crdt_value_ok) return true;
+bool ApplyFuzzProfile(const std::string& profile, FuzzOptions* options) {
+  sim::NemesisScheduleOptions& n = options->nemesis;
+  if (profile.empty()) return true;
+  if (profile == "crash-heavy") {
+    n.allow_loss = n.allow_duplication = false;
+    n.mean_fault_interval = kSecond;
+    return true;
+  }
+  if (profile == "gray-heavy" || profile == "edge-cache") {
+    // A durable lease table would make the edge cache's recovery fence
+    // dead code, so its profile forces amnesia on.
+    if (profile == "edge-cache") options->amnesia = true;
+    n.allow_partitions = n.allow_loss = n.allow_duplication = false;
+    n.allow_slow_links = n.allow_flaky_links = n.allow_slow_nodes = true;
+    n.mean_fault_interval = kSecond;
+    return true;
+  }
+  if (profile == "overload") {
+    // Load is the fault under test: every shed or failed op traces back to
+    // overload, never to an unreachable replica. Shedding and failing fast
+    // are legal; corrupting state or failing to converge is not.
+    options->overload = true;
+    n.allow_load_spikes = true;
+    n.allow_partitions = n.allow_crashes = false;
+    n.allow_loss = n.allow_duplication = false;
+    n.mean_fault_interval = 2 * kSecond;
+    return true;
+  }
+  if (profile == "elastic") {
+    // Reconfiguration is the fault under test, so every anomaly traces back
+    // to a membership boundary. Stores without a membership actuator log
+    // the add/remove draws as skipped.
+    n.allow_partitions = n.allow_crashes = false;
+    n.allow_loss = n.allow_duplication = false;
+    n.allow_slow_links = n.allow_flaky_links = n.allow_slow_nodes = true;
+    n.allow_membership = n.allow_rolling_restart = true;
+    n.mean_fault_interval = 2 * kSecond;
+    return true;
+  }
   return false;
+}
+
+bool FuzzReport::AnomalyDetected() const {
+  // Every claim a store can break, plus the session anomalies weak stores
+  // are allowed.
+  return !MeetsClaims() || (sess_checked && session.total() > 0);
 }
 
 bool FuzzReport::MeetsClaims(std::string* why) const {
@@ -190,11 +200,8 @@ std::string FuzzReport::Summary() const {
        << "(" << lin_ops << "ops)";
   }
   if (conv_checked) {
-    if (!conv_applicable) {
-      os << " conv=n/a";
-    } else {
-      os << " conv=" << (convergence.ok() ? "ok" : "FAIL");
-    }
+    os << " conv="
+       << (!conv_applicable ? "n/a" : convergence.ok() ? "ok" : "FAIL");
   }
   if (sess_checked) {
     os << " sess=ryw" << session.ryw_violations << ",mr"
@@ -205,15 +212,9 @@ std::string FuzzReport::Summary() const {
          << session.cached_reads;
     }
   }
-  if (causal_checked) {
-    os << " causal=" << (causal.ok() ? "ok" : "FAIL");
-  }
-  if (fork_checked) {
-    os << " forks=" << fork_violations;
-  }
-  if (crdt_value_checked) {
-    os << " value=" << (crdt_value_ok ? "ok" : "FAIL");
-  }
+  if (causal_checked) os << " causal=" << (causal.ok() ? "ok" : "FAIL");
+  if (fork_checked) os << " forks=" << fork_violations;
+  if (crdt_value_checked) os << " value=" << (crdt_value_ok ? "ok" : "FAIL");
   if (store == FuzzStore::kEdgeCache) {
     os << " cache=" << cache_hits << "h," << cache_misses << "m,"
        << cache_revokes_sent << "rev," << cache_writes_fenced << "fence";
@@ -223,8 +224,7 @@ std::string FuzzReport::Summary() const {
        << keys_migrated << "mig," << stale_epoch_rejects << "fence,"
        << hints_redirected << "redir";
   }
-  std::string why;
-  os << " claims=" << (MeetsClaims(&why) ? "ok" : "VIOLATED");
+  os << " claims=" << (MeetsClaims() ? "ok" : "VIOLATED");
   return os.str();
 }
 
@@ -239,7 +239,7 @@ uint64_t NemesisSeed(uint64_t seed) {
 /// Simulator + network + rpc, wired identically for every store.
 struct SimStack {
   explicit SimStack(const FuzzOptions& o)
-      : sim(o.seed, o.scheduler),
+      : sim(o.seed),
         net(&sim,
             std::make_unique<sim::UniformLatency>(2 * kMillisecond,
                                                   12 * kMillisecond)),
@@ -253,21 +253,35 @@ std::string UniqueValue(int session, int n) {
   return "s" + std::to_string(session) + "." + std::to_string(n);
 }
 
+std::string KeyName(uint64_t k) { return "k" + std::to_string(k); }
+
 /// Drives the common phases of every runner: unleash the nemesis, run the
 /// client sessions to completion, heal, then quiesce (optionally breaking
 /// early once `settled` reports the store repaired).
 class Driver : public sim::LoadActuator {
  public:
-  Driver(SimStack* s, sim::Nemesis* nemesis, const FuzzOptions& options)
-      : s_(s), nemesis_(nemesis), options_(options) {
+  /// Continuation an op calls exactly once, when it completes: sleeps the
+  /// session's think time, then issues its next op.
+  using Done = std::function<void()>;
+  /// Issues op `n` of session `i`, drawing from the session's `rng`. Each
+  /// store keeps its own issue/record code and RNG draw order.
+  using Issue = std::function<void(int i, int n, Rng* rng, Done done)>;
+
+  /// The nemesis attacks `targets`.
+  Driver(SimStack* s, std::vector<sim::NodeId> targets,
+         const FuzzOptions& options)
+      : s_(s),
+        nemesis_(&s->net, std::move(targets), NemesisSeed(options.seed)),
+        options_(options) {
     // Wire the load faults into this driver's pacing. Consumes no
     // randomness and is inert unless the schedule draws kFlashCrowd /
     // kLoadSpike (the load family is off by default), so historical
     // schedules replay bit-identically.
-    nemesis_->SetLoadActuator(this);
+    nemesis_.SetLoadActuator(this);
   }
 
-  bool stopped() const { return stopped_; }
+  sim::Nemesis& nemesis() { return nemesis_; }
+
   /// Exponential think time targeting ops_per_session ops over the fault
   /// window; an active flash crowd divides the mean gap (multiplies the
   /// offered rate).
@@ -283,28 +297,49 @@ class Driver : public sim::LoadActuator {
   /// "k<NextBounded(keyspace)>" draw.
   std::string Key(Rng* rng, int keyspace) const {
     const uint64_t drawn = rng->NextBounded(keyspace);
-    const uint64_t shifted =
-        (drawn + key_shift_) % static_cast<uint64_t>(std::max(1, keyspace));
-    return "k" + std::to_string(shifted);
+    return KeyName((drawn + key_shift_) %
+                   static_cast<uint64_t>(std::max(1, keyspace)));
   }
 
   // sim::LoadActuator:
   void SetLoadFactor(double factor) override { load_factor_ = factor; }
   void ShiftHotKeys() override { ++key_shift_; }
 
-  void SessionDone() { --live_; }
-
-  /// `live` sessions must call SessionDone() when their op chain finishes.
-  void RunWorkload(int live) {
-    live_ = live;
-    nemesis_->Execute(nemesis_->GeneratePlan(options_.nemesis));
+  /// Runs the options' client sessions as closed loops (session i draws
+  /// from Rng(seed ^ salt).Fork(i)) under the nemesis schedule until each
+  /// has issued ops_per_session ops or the fault window is over, then heals.
+  void RunWorkload(uint64_t salt, Issue issue) {
+    issue_ = std::move(issue);
+    Rng root(options_.seed ^ salt);
+    for (int i = 0; i < options_.sessions; ++i) {
+      rngs_.push_back(root.Fork(static_cast<uint64_t>(i)));
+    }
+    issued_.assign(options_.sessions, 0);
+    live_ = options_.sessions;
+    for (int i = 0; i < options_.sessions; ++i) ScheduleNext(i);
+    nemesis_.Execute(nemesis_.GeneratePlan(options_.nemesis));
     const sim::Time deadline =
         s_->sim.Now() + options_.nemesis.duration + 30 * kSecond;
     while (live_ > 0 && s_->sim.Now() < deadline) {
       s_->sim.RunFor(50 * kMillisecond);
     }
     stopped_ = true;
-    nemesis_->HealAll();
+    nemesis_.HealAll();
+  }
+
+  /// Fills the report fields every store shares, and the export captures.
+  void FillCommon(FuzzReport* rep) const {
+    rep->store = options_.store;
+    rep->seed = options_.seed;
+    rep->faults_injected = nemesis_.stats().total();
+    rep->messages_dropped = s_->net.messages_dropped();
+    if (options_.capture_metrics_json != nullptr) {
+      *options_.capture_metrics_json =
+          obs::MetricsToJson(s_->sim.metrics()).Dump(2);
+    }
+    if (options_.capture_trace_csv != nullptr) {
+      *options_.capture_trace_csv = obs::TraceToCsv(s_->sim.tracer());
+    }
   }
 
   void Quiesce(const std::function<bool()>& settled = nullptr) {
@@ -318,28 +353,30 @@ class Driver : public sim::LoadActuator {
   }
 
  private:
+  void ScheduleNext(int i) {
+    s_->sim.ScheduleAfter(NextGap(&rngs_[i]), [this, i] { Next(i); });
+  }
+
+  void Next(int i) {
+    if (stopped_ || issued_[i] >= options_.ops_per_session) {
+      --live_;
+      return;
+    }
+    const int n = issued_[i]++;
+    issue_(i, n, &rngs_[i], [this, i] { ScheduleNext(i); });
+  }
+
   SimStack* s_;
-  sim::Nemesis* nemesis_;
+  sim::Nemesis nemesis_;
   const FuzzOptions& options_;
+  Issue issue_;
+  std::vector<Rng> rngs_;    ///< per-session streams
+  std::vector<int> issued_;  ///< ops issued per session
   int live_ = 0;
   bool stopped_ = false;
   double load_factor_ = 1.0;  ///< kFlashCrowd multiplier (1.0 = nominal)
   uint64_t key_shift_ = 0;    ///< hot-key rotations applied (kLoadSpike)
 };
-
-void FillCommon(FuzzReport* rep, const FuzzOptions& o, const SimStack& s,
-                const sim::Nemesis& nemesis) {
-  rep->store = o.store;
-  rep->seed = o.seed;
-  rep->faults_injected = nemesis.stats().total();
-  rep->messages_dropped = s.net.messages_dropped();
-  if (o.capture_metrics_json != nullptr) {
-    *o.capture_metrics_json = obs::MetricsToJson(s.sim.metrics()).Dump(2);
-  }
-  if (o.capture_trace_csv != nullptr) {
-    *o.capture_trace_csv = obs::TraceToCsv(s.sim.tracer());
-  }
-}
 
 // --------------------------------------------------------------------------
 // Paxos: linearizability + post-heal state-machine agreement.
@@ -355,45 +392,36 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
   cluster.Start();
   s.sim.RunFor(2 * kSecond);  // let the first leader emerge before faults
 
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
-  Driver driver(&s, &nemesis, o);
+  Driver driver(&s, servers, o);
 
   const std::string kKey = "reg";
   std::vector<Operation> history;
-  struct Session {
-    std::unique_ptr<consensus::PaxosKvClient> client;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x5e5510ULL);
+  std::vector<std::unique_ptr<consensus::PaxosKvClient>> clients;
+  for (int i = 0; i < o.sessions; ++i) {
+    clients.push_back(std::make_unique<consensus::PaxosKvClient>(
+        &cluster, &s.sim, s.net.AddNode(), servers));
+  }
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
+  driver.RunWorkload(0x5e5510ULL, [&](int i, int n, Rng* rng,
+                                      const Driver::Done& done) {
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
       // Record at issue with an open interval: a timed-out proposal may
       // still commit, so it must stay a candidate for every later time.
       history.push_back(Write(value, invoke, kOpenInterval));
       const size_t slot = history.size() - 1;
-      sess.client->Put(kKey, value, [&, i, slot](Result<uint64_t> r) {
+      clients[i]->Put(kKey, value, [&, slot, done](Result<uint64_t> r) {
         if (r.ok()) {
           history[slot].response = s.sim.Now();
           ++rep.writes_acked;
         } else {
           ++rep.writes_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     } else {
-      sess.client->Get(kKey, [&, i, invoke](Result<std::string> r) {
+      clients[i]->Get(kKey, [&, invoke, done](Result<std::string> r) {
         const int64_t response = s.sim.Now();
         if (r.ok()) {
           history.push_back(Read(*r, invoke, response));
@@ -404,32 +432,17 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
         } else {
           ++rep.reads_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    const sim::NodeId node = s.net.AddNode();
-    sess->client = std::make_unique<consensus::PaxosKvClient>(
-        &cluster, &s.sim, node, servers);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
-  auto applied_agree = [&] {
+  });
+  driver.Quiesce([&] {  // until the applied state machines agree
     const uint64_t index0 = cluster.AppliedIndex(servers[0]);
     for (sim::NodeId srv : servers) {
       if (cluster.AppliedIndex(srv) != index0) return false;
     }
     return index0 > 0;
-  };
-  driver.Quiesce(applied_agree);
+  });
 
   rep.lin_checked = true;
   rep.lin_ops = history.size();
@@ -449,23 +462,69 @@ FuzzReport RunPaxos(const FuzzOptions& o) {
   rep.conv_checked = true;
   rep.convergence = CheckConvergence(states, {});
 
-  FillCommon(&rep, o, s, nemesis);
+  driver.FillCommon(&rep);
   return rep;
 }
 
 // --------------------------------------------------------------------------
-// Dynamo-style quorum store (strict R+W>N and weak R=W=1 configurations).
+// Dynamo-style quorum store: strict R+W>N, weak R=W=1, and elastic (R+W>N
+// with Paxos-backed live membership changes). In elastic mode the nemesis
+// adds, removes, and rolling-restarts data servers mid-workload; the
+// checkers then assert the static-cluster claims (convergence, session
+// guarantees, hint ledger) ACROSS every reconfiguration boundary.
 // --------------------------------------------------------------------------
 
-FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
+/// Drives nemesis kAddNode/kRemoveNode draws into DynamoCluster live
+/// reconfigurations. Refusals (reconfig already in flight, member floor) are
+/// reported back so the nemesis records the op as skipped.
+class ElasticActuator : public sim::MembershipActuator {
+ public:
+  explicit ElasticActuator(repl::DynamoCluster* cluster) : cluster_(cluster) {}
+
+  bool AddNode() override {
+    return cluster_->AddServerLive([](Status) {}).ok();
+  }
+  std::vector<sim::NodeId> RemovableNodes() override {
+    std::vector<sim::NodeId> members = cluster_->CommittedMembers();
+    if (static_cast<int>(members.size()) <= repl::kMinElasticMembers) {
+      return {};
+    }
+    return members;
+  }
+  bool RemoveNode(sim::NodeId node) override {
+    return cluster_->RemoveServerLive(node, [](Status) {}).ok();
+  }
+
+ private:
+  repl::DynamoCluster* cluster_;
+};
+
+FuzzReport RunQuorum(const FuzzOptions& o) {
   FuzzReport rep;
   SimStack s(o);
+  const bool elastic = o.store == FuzzStore::kQuorumElastic;
+  const bool strict = o.store != FuzzStore::kQuorumWeak;
+
+  // The configuration service's Paxos group lives on its own nodes, OUTSIDE
+  // the nemesis target set: the config core's availability is an assumption
+  // of the design (exactly as in the paper's primary-copy protocols); what
+  // the schedule attacks is the data plane through membership churn.
+  std::optional<consensus::PaxosCluster> paxos;
+  std::optional<membership::ConfigService> config;
+  if (elastic) {
+    paxos.emplace(&s.rpc, consensus::PaxosOptions{});
+    const std::vector<sim::NodeId> paxos_servers = paxos->AddServers(3);
+    paxos->Start();
+    config.emplace(&s.rpc, &*paxos, paxos_servers);
+  }
+
   repl::QuorumConfig cfg;
   cfg.replication_factor = 3;
   cfg.read_quorum = strict ? 2 : 1;
   cfg.write_quorum = strict ? 2 : 1;
-  cfg.sloppy = !strict;
+  cfg.sloppy = elastic ? o.elastic_sloppy : !strict;
   cfg.read_repair = true;
+  cfg.use_hash_ring = elastic;
   cfg.crash_amnesia = o.amnesia;
   cfg.use_oracle_detector = o.use_oracle_detector;
   if (o.overload) {
@@ -499,40 +558,76 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
   repl::AntiEntropy ae(&s.net, servers, storages, ae_options);
   ae.Start();
 
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
-  Driver driver(&s, &nemesis, o);
+  std::set<sim::NodeId> gossiping(servers.begin(), servers.end());
+  if (elastic) {
+    // Membership wiring: a live-joined server starts gossiping before any
+    // data moves; a committed removal marks the node departed so peer draws
+    // skip it.
+    cluster.SetServerCreatedCallback(
+        [&](sim::NodeId node, ReplicaStorage* storage) {
+          ae.AddMember(node, storage);
+          gossiping.insert(node);
+        });
+    cluster.SetCommitCallback([&](const membership::MembershipView& view) {
+      ++rep.epochs_committed;
+      std::erase_if(gossiping, [&](sim::NodeId node) {
+        if (view.Contains(node)) return false;
+        ae.MarkDeparted(node);
+        return true;
+      });
+    });
+
+    // Bootstrap epoch 1 with the initial server set, then hand the cluster
+    // its view-driven membership.
+    s.sim.RunFor(2 * kSecond);  // let the config group elect a leader
+    bool bootstrapped = false;
+    config->Bootstrap(servers, [&](Status st) {
+      EVC_CHECK_OK(st);
+      bootstrapped = true;
+    });
+    const sim::Time boot_deadline = s.sim.Now() + 30 * kSecond;
+    while (!bootstrapped && s.sim.Now() < boot_deadline) {
+      s.sim.RunFor(100 * kMillisecond);
+    }
+    EVC_CHECK(bootstrapped);
+    cluster.EnableElastic(&*config);
+  }
+
+  Driver driver(&s, servers, o);
+  ElasticActuator actuator(&cluster);
+  if (elastic) driver.nemesis().SetMembershipActuator(&actuator);
+  // Elastic coordinators are drawn from the CURRENT committed membership —
+  // the client-visible contract of the config service. A request can still
+  // race a commit (pick a server that departs in flight); it then fails
+  // cleanly at the epoch fence and is simply counted as unavailable.
+  auto members = [&] {
+    return elastic ? cluster.CommittedMembers() : servers;
+  };
 
   std::vector<RecordedOp> history;
   std::vector<AckedWrite> acked;
   std::map<std::string, VersionVector> acked_vv;  // value -> stored vv
   struct Session {
     sim::NodeId node = 0;
-    Rng rng{0};
-    int issued = 0;
     std::map<std::string, VersionVector> context;  // last read context
   };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x0d15c0ULL);
+  std::vector<Session> sessions(o.sessions);
+  for (Session& sess : sessions) sess.node = s.net.AddNode();
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    const sim::NodeId coord =
-        servers[sess.rng.NextBounded(servers.size())];
+  driver.RunWorkload(0x0d15c0ULL, [&](int i, int n, Rng* rng,
+                                      const Driver::Done& done) {
+    Session& sess = sessions[i];
+    const std::string key = driver.Key(rng, o.keyspace);
+    const std::vector<sim::NodeId> coords = members();
+    const sim::NodeId coord = coords[rng->NextBounded(coords.size())];
     const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
       history.push_back(RecWrite(i, key, value, invoke, invoke,
                                  /*acked=*/false));
       const size_t slot = history.size() - 1;
-      VersionVector context = sess.context[key];
-      cluster.Put(sess.node, coord, key, value, context,
-                  [&, i, key, value, slot](Result<Version> r) {
+      cluster.Put(sess.node, coord, key, value, sess.context[key],
+                  [&, key, value, slot, done](Result<Version> r) {
                     if (r.ok()) {
                       history[slot].acked = true;
                       history[slot].response = s.sim.Now();
@@ -542,19 +637,18 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
                     } else {
                       ++rep.writes_failed;
                     }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
+                    done();
                   });
     } else {
       cluster.Get(sess.node, coord, key,
-                  [&, i, key, invoke](Result<repl::ReadResult> r) {
+                  [&, i, key, invoke, done](Result<repl::ReadResult> r) {
                     const int64_t response = s.sim.Now();
                     if (r.ok()) {
                       std::vector<std::string> observed;
                       for (const Version& v : r->versions) {
                         observed.push_back(v.value);
                       }
-                      sessions[i]->context[key] = r->context;
+                      sessions[i].context[key] = r->context;
                       history.push_back(
                           RecRead(i, key, std::move(observed), invoke,
                                   response));
@@ -562,38 +656,35 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
                     } else {
                       ++rep.reads_failed;
                     }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
+                    done();
                   });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
-  driver.Quiesce(
-      [&] { return ae.Converged() && cluster.pending_hints() == 0; });
+  });
+  // Quiesce until hints have drained and anti-entropy reports the replicas
+  // identical — in elastic mode also until the last reconfiguration has
+  // fully settled (prepare → catch-up → commit → every server on the
+  // committed epoch).
+  driver.Quiesce([&] {
+    return (!elastic || !cluster.Migrating()) &&
+           cluster.pending_hints() == 0 && ae.Converged();
+  });
 
   // Final state: anti-entropy replicates every key to every server, so all
-  // server states must agree in full.
+  // server states must agree in full. Elastic convergence is asserted over
+  // the FINAL committed membership: departed servers keep their stale
+  // shadow copies (harmless — nothing routes to them), live-joined servers
+  // must hold the full acked history.
+  const std::vector<sim::NodeId> final_members = members();
   std::vector<ReplicaState> states;
-  for (sim::NodeId srv : servers) {
+  for (sim::NodeId srv : final_members) {
     ReplicaState state;
     for (int k = 0; k < o.keyspace; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::vector<Version> versions = cluster.storage(srv)->Get(key);
+      std::vector<Version> versions = cluster.storage(srv)->Get(KeyName(k));
       if (versions.empty()) continue;
       std::vector<std::string> values;
       for (const Version& v : versions) values.push_back(v.value);
       std::sort(values.begin(), values.end());
-      state[key] = std::move(values);
+      state[KeyName(k)] = std::move(values);
     }
     states.push_back(std::move(state));
   }
@@ -601,8 +692,8 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
   // a surviving sibling (read-modify-write supersession).
   std::map<std::string, std::vector<Version>> final_versions;
   for (int k = 0; k < o.keyspace; ++k) {
-    const std::string key = "k" + std::to_string(k);
-    final_versions[key] = cluster.storage(servers[0])->GetRaw(key);
+    final_versions[KeyName(k)] =
+        cluster.storage(final_members[0])->GetRaw(KeyName(k));
   }
   auto covered = [&](const AckedWrite& w,
                      const std::vector<std::string>& final_values) {
@@ -619,274 +710,9 @@ FuzzReport RunQuorum(const FuzzOptions& o, bool strict) {
   rep.conv_checked = true;
   rep.convergence = CheckConvergence(states, acked, covered);
 
-  rep.sess_checked = true;
-  rep.session = CheckSessionGuarantees(history);
-
-  rep.hints_stored = cluster.stats().hints_stored;
-  rep.hints_delivered = cluster.stats().hints_delivered;
-  rep.hints_lost = cluster.stats().hints_lost;
-  rep.hints_pending = cluster.pending_hints();
-  rep.detector_false_positives =
-      s.sim.metrics()
-          .global()
-          .CounterFor("resilience.detector.false_positives")
-          .value();
-
-  FillCommon(&rep, o, s, nemesis);
-  return rep;
-}
-
-// --------------------------------------------------------------------------
-// Elastic quorum: strict R+W>N with Paxos-backed live membership changes.
-// The nemesis adds, removes, and rolling-restarts data servers mid-workload;
-// the checkers then assert the static-cluster claims (convergence, session
-// guarantees, hint ledger) ACROSS every reconfiguration boundary.
-// --------------------------------------------------------------------------
-
-/// Drives nemesis kAddNode/kRemoveNode draws into DynamoCluster live
-/// reconfigurations. Refusals (reconfig already in flight, member floor) are
-/// reported back so the nemesis records the op as skipped.
-class ElasticActuator : public sim::MembershipActuator {
- public:
-  explicit ElasticActuator(repl::DynamoCluster* cluster) : cluster_(cluster) {}
-
-  bool AddNode() override {
-    Result<sim::NodeId> added = cluster_->AddServerLive([](Status) {});
-    return added.ok();
-  }
-  std::vector<sim::NodeId> RemovableNodes() override {
-    std::vector<sim::NodeId> members = cluster_->CommittedMembers();
-    if (static_cast<int>(members.size()) <= cluster_->config().min_members) {
-      return {};
-    }
-    return members;
-  }
-  bool RemoveNode(sim::NodeId node) override {
-    return cluster_->RemoveServerLive(node, [](Status) {}).ok();
-  }
-
- private:
-  repl::DynamoCluster* cluster_;
-};
-
-FuzzReport RunQuorumElastic(const FuzzOptions& o) {
-  FuzzReport rep;
-  SimStack s(o);
-
-  // The configuration service's Paxos group lives on its own nodes, OUTSIDE
-  // the nemesis target set: the config core's availability is an assumption
-  // of the design (exactly as in the paper's primary-copy protocols); what
-  // the schedule attacks is the data plane through membership churn.
-  consensus::PaxosCluster paxos(&s.rpc, consensus::PaxosOptions{});
-  const std::vector<sim::NodeId> paxos_servers = paxos.AddServers(3);
-  paxos.Start();
-  membership::ConfigService config(&s.rpc, &paxos, paxos_servers);
-
-  repl::QuorumConfig cfg;
-  cfg.replication_factor = 3;
-  cfg.read_quorum = 2;
-  cfg.write_quorum = 2;
-  cfg.sloppy = o.elastic_sloppy;
-  cfg.read_repair = true;
-  cfg.use_hash_ring = true;
-  cfg.crash_amnesia = o.amnesia;
-  cfg.use_oracle_detector = o.use_oracle_detector;
-  if (o.overload) {
-    cfg.admission_enabled = true;
-    cfg.resilience.retry_budget.enabled = true;
-    cfg.resilience.aimd.enabled = true;
-  }
-  repl::DynamoCluster cluster(&s.rpc, cfg);
-  const std::vector<sim::NodeId> servers = cluster.AddServers(o.servers);
-  cluster.StartHintDelivery(500 * kMillisecond);
-  cluster.StartFailureDetection();  // no-op in oracle mode
-
-  std::vector<ReplicaStorage*> storages;
-  for (sim::NodeId srv : servers) storages.push_back(cluster.storage(srv));
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 250 * kMillisecond;
-  if (!o.use_oracle_detector) {
-    ae_options.peer_usable = [&cluster](sim::NodeId self, sim::NodeId peer) {
-      return cluster.PeerUsable(self, peer);
-    };
-  }
-  if (o.overload) {
-    ae_options.load_of = [&s](sim::NodeId self, sim::NodeId peer) {
-      return s.rpc.PeerLoad(self, peer);
-    };
-  }
-  repl::AntiEntropy ae(&s.net, servers, storages, ae_options);
-  ae.Start();
-
-  // Membership wiring: a live-joined server starts gossiping before any data
-  // moves; a committed removal marks the node departed so peer draws skip it.
-  std::set<sim::NodeId> gossiping(servers.begin(), servers.end());
-  cluster.SetServerCreatedCallback(
-      [&](sim::NodeId node, ReplicaStorage* storage) {
-        ae.AddMember(node, storage);
-        gossiping.insert(node);
-      });
-  cluster.SetCommitCallback([&](const membership::MembershipView& view) {
-    ++rep.epochs_committed;
-    for (auto it = gossiping.begin(); it != gossiping.end();) {
-      if (view.Contains(*it)) {
-        ++it;
-      } else {
-        ae.MarkDeparted(*it);
-        it = gossiping.erase(it);
-      }
-    }
-  });
-
-  // Bootstrap epoch 1 with the initial server set, then hand the cluster its
-  // view-driven membership.
-  s.sim.RunFor(2 * kSecond);  // let the config group elect a leader
-  bool bootstrapped = false;
-  config.Bootstrap(servers, [&](Status st) {
-    EVC_CHECK_OK(st);
-    bootstrapped = true;
-  });
-  const sim::Time boot_deadline = s.sim.Now() + 30 * kSecond;
-  while (!bootstrapped && s.sim.Now() < boot_deadline) {
-    s.sim.RunFor(100 * kMillisecond);
-  }
-  EVC_CHECK(bootstrapped);
-  cluster.EnableElastic(&config);
-
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
-  ElasticActuator actuator(&cluster);
-  nemesis.SetMembershipActuator(&actuator);
-  Driver driver(&s, &nemesis, o);
-
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, VersionVector> acked_vv;  // value -> stored vv
-  struct Session {
-    sim::NodeId node = 0;
-    Rng rng{0};
-    int issued = 0;
-    std::map<std::string, VersionVector> context;  // last read context
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x0d15c0ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    // Coordinators are drawn from the CURRENT committed membership — the
-    // client-visible contract of the config service. A request can still
-    // race a commit (pick a server that departs in flight); it then fails
-    // cleanly at the epoch fence and is simply counted as unavailable.
-    const std::vector<sim::NodeId> members = cluster.CommittedMembers();
-    const sim::NodeId coord = members[sess.rng.NextBounded(members.size())];
-    const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
-      const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      VersionVector context = sess.context[key];
-      cluster.Put(sess.node, coord, key, value, context,
-                  [&, i, key, value, slot](Result<Version> r) {
-                    if (r.ok()) {
-                      history[slot].acked = true;
-                      history[slot].response = s.sim.Now();
-                      acked.push_back({key, value});
-                      acked_vv[value] = r->vv;
-                      ++rep.writes_acked;
-                    } else {
-                      ++rep.writes_failed;
-                    }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
-                  });
-    } else {
-      cluster.Get(sess.node, coord, key,
-                  [&, i, key, invoke](Result<repl::ReadResult> r) {
-                    const int64_t response = s.sim.Now();
-                    if (r.ok()) {
-                      std::vector<std::string> observed;
-                      for (const Version& v : r->versions) {
-                        observed.push_back(v.value);
-                      }
-                      sessions[i]->context[key] = r->context;
-                      history.push_back(
-                          RecRead(i, key, std::move(observed), invoke,
-                                  response));
-                      ++rep.reads_ok;
-                    } else {
-                      ++rep.reads_failed;
-                    }
-                    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                        [&, i] { next(i); });
-                  });
-    }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
-  // Quiesce until the last reconfiguration has fully settled (prepare →
-  // catch-up → commit → every server on the committed epoch), hints have
-  // drained, and anti-entropy reports the live members identical.
-  driver.Quiesce([&] {
-    return !cluster.Migrating() && cluster.pending_hints() == 0 &&
-           ae.Converged();
-  });
-
-  // Convergence is asserted over the FINAL committed membership: departed
-  // servers keep their stale shadow copies (harmless — nothing routes to
-  // them), live-joined servers must hold the full acked history.
-  const std::vector<sim::NodeId> final_members = cluster.CommittedMembers();
-  std::vector<ReplicaState> states;
-  for (sim::NodeId srv : final_members) {
-    ReplicaState state;
-    for (int k = 0; k < o.keyspace; ++k) {
-      const std::string key = "k" + std::to_string(k);
-      std::vector<Version> versions = cluster.storage(srv)->Get(key);
-      if (versions.empty()) continue;
-      std::vector<std::string> values;
-      for (const Version& v : versions) values.push_back(v.value);
-      std::sort(values.begin(), values.end());
-      state[key] = std::move(values);
-    }
-    states.push_back(std::move(state));
-  }
-  std::map<std::string, std::vector<Version>> final_versions;
-  for (int k = 0; k < o.keyspace; ++k) {
-    const std::string key = "k" + std::to_string(k);
-    final_versions[key] = cluster.storage(final_members[0])->GetRaw(key);
-  }
-  auto covered = [&](const AckedWrite& w,
-                     const std::vector<std::string>& final_values) {
-    for (const std::string& v : final_values) {
-      if (v == w.value) return true;
-    }
-    auto vv_it = acked_vv.find(w.value);
-    if (vv_it == acked_vv.end()) return false;
-    for (const Version& v : final_versions[w.key]) {
-      if (v.vv.Descends(vv_it->second)) return true;
-    }
-    return false;
-  };
-  rep.conv_checked = true;
-  rep.convergence = CheckConvergence(states, acked, covered);
-
-  if (!o.elastic_sloppy) {
-    // Only the strict configuration claims session guarantees; the sloppy
-    // variant exists to drive hint traffic for the ledger sweep.
+  // The sloppy elastic variant exists to drive hint traffic for the ledger
+  // sweep; it claims no session guarantees, so none are recorded.
+  if (!(elastic && o.elastic_sloppy)) {
     rep.sess_checked = true;
     rep.session = CheckSessionGuarantees(history);
   }
@@ -895,155 +721,107 @@ FuzzReport RunQuorumElastic(const FuzzOptions& o) {
   rep.hints_delivered = cluster.stats().hints_delivered;
   rep.hints_lost = cluster.stats().hints_lost;
   rep.hints_pending = cluster.pending_hints();
-  rep.detector_false_positives =
-      s.sim.metrics()
-          .global()
-          .CounterFor("resilience.detector.false_positives")
-          .value();
-  rep.membership_ops = nemesis.stats().membership_ops;
-  rep.keys_migrated = cluster.stats().keys_migrated;
-  rep.stale_epoch_rejects = cluster.stats().stale_epoch_rejects;
-  rep.hints_redirected = cluster.stats().hints_redirected;
+  rep.detector_false_positives = s.sim.metrics().global().CounterFor(
+      "resilience.detector.false_positives").value();
+  if (elastic) {
+    rep.membership_ops = driver.nemesis().stats().membership_ops;
+    rep.keys_migrated = cluster.stats().keys_migrated;
+    rep.stale_epoch_rejects = cluster.stats().stale_epoch_rejects;
+    rep.hints_redirected = cluster.stats().hints_redirected;
+  }
 
-  FillCommon(&rep, o, s, nemesis);
+  driver.FillCommon(&rep);
   return rep;
 }
 
 // --------------------------------------------------------------------------
-// Timeline (PNUTS primary-copy): fork-freedom + monotonic reads.
+// Timeline (PNUTS primary-copy) and the edge cache over it.
 // --------------------------------------------------------------------------
 
-FuzzReport RunTimeline(const FuzzOptions& o) {
-  FuzzReport rep;
-  SimStack s(o);
-  repl::TimelineOptions topt;
-  topt.replication_factor = o.servers;
-  topt.crash_amnesia = o.amnesia;
-  repl::TimelineCluster cluster(&s.rpc, topt);
-  const std::vector<sim::NodeId> servers = cluster.AddServers(o.servers);
+bool FromCache(const repl::TimelineRead&) { return false; }
+bool FromCache(const cache::CachedRead& r) { return r.from_cache; }
 
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
-  Driver driver(&s, &nemesis, o);
+/// Timeline bookkeeping shared by the timeline and edge-cache runners: the
+/// client-side history, a fork observer over every (key, seqno) a client
+/// saw, and the seqno convergence check beneath it.
+class TimelineRecorder {
+ public:
+  TimelineRecorder(SimStack* s, FuzzReport* rep) : s_(s), rep_(rep) {}
 
   std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, uint64_t> seqno_of;  // value -> timeline position
-  // Timeline forks: (key, seqno) -> the unique value every observer must see.
-  std::map<std::pair<std::string, uint64_t>, std::string> timeline;
-  auto observe = [&](const std::string& key, uint64_t seqno,
-                     const std::string& value) {
-    auto [it, inserted] = timeline.try_emplace({key, seqno}, value);
-    if (!inserted && it->second != value) ++rep.fork_violations;
-    seqno_of.emplace(value, seqno);
-  };
 
-  struct Session {
-    sim::NodeId node = 0;
-    sim::NodeId replica = 0;  // pinned read replica
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0x7191e1ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
-      const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      cluster.Write(sess.node, key, value,
-                    [&, i, key, value, slot](Result<uint64_t> r) {
-                      if (r.ok()) {
-                        history[slot].acked = true;
-                        history[slot].response = s.sim.Now();
-                        acked.push_back({key, value});
-                        observe(key, *r, value);
-                        ++rep.writes_acked;
-                      } else {
-                        ++rep.writes_failed;
-                      }
-                      s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                          [&, i] { next(i); });
-                    });
-    } else {
-      cluster.Read(sess.node, sess.replica, key,
-                   repl::TimelineReadLevel::kAny, 0,
-                   [&, i, key, invoke](Result<repl::TimelineRead> r) {
-                     const int64_t response = s.sim.Now();
-                     if (r.ok()) {
-                       std::vector<std::string> observed;
-                       if (r->found) {
-                         observed.push_back(r->value);
-                         observe(key, r->seqno, r->value);
-                       }
-                       history.push_back(RecRead(i, key, std::move(observed),
-                                                 invoke, response));
-                       ++rep.reads_ok;
-                     } else {
-                       ++rep.reads_failed;
-                     }
-                     s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                         [&, i] { next(i); });
-                   });
-    }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->replica = servers[i % servers.size()];
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
+  /// Records a write issued now; returns its completion callback, which
+  /// records the outcome and then calls `done`.
+  std::function<void(Result<uint64_t>)> Write(int session,
+                                              const std::string& key,
+                                              const std::string& value,
+                                              const Driver::Done& done) {
+    const int64_t invoke = s_->sim.Now();
+    history.push_back(RecWrite(session, key, value, invoke, invoke,
+                               /*acked=*/false));
+    return [this, slot = history.size() - 1, done](Result<uint64_t> r) {
+      if (r.ok()) {
+        RecordedOp& op = history[slot];
+        op.acked = true;
+        op.response = s_->sim.Now();
+        acked_.push_back({op.key, op.value});
+        Observe(op.key, *r, op.value);
+        ++rep_->writes_acked;
+      } else {
+        ++rep_->writes_failed;
+      }
+      done();
+    };
   }
 
-  driver.RunWorkload(o.sessions);
-  driver.Quiesce();
+  /// Completion callback for a read issued now: records what it returned
+  /// (a value at a seqno, or nothing), then calls `done`.
+  template <typename ReadResult>
+  std::function<void(Result<ReadResult>)> Read(int session,
+                                               const std::string& key,
+                                               const Driver::Done& done) {
+    return [this, session, key, invoke = s_->sim.Now(),
+            done](Result<ReadResult> r) {
+      if (r.ok()) {
+        std::vector<std::string> observed;
+        if (r->found) {
+          observed.push_back(r->value);
+          Observe(key, r->seqno, r->value);
+        }
+        history.push_back(RecRead(session, key, std::move(observed), invoke,
+                                  s_->sim.Now(), FromCache(*r)));
+        ++rep_->reads_ok;
+      } else {
+        ++rep_->reads_failed;
+      }
+      done();
+    };
+  }
 
-  rep.fork_checked = true;
-
-  // Reads at a pinned replica never go backwards: monotonic reads only (a
-  // lagging replica legitimately misses the session's own master writes).
-  rep.sess_checked = true;
-  SessionCheckOptions sess_options;
-  sess_options.check_ryw = false;
-  sess_options.check_mw = false;
-  sess_options.check_wfr = false;
-  rep.session = CheckSessionGuarantees(history, sess_options);
-
-  // Replication is fire-and-forget: convergence is only promised when the
-  // schedule dropped no messages.
-  rep.conv_checked = true;
-  rep.conv_applicable = s.net.messages_dropped() == 0;
-  if (rep.conv_applicable) {
+  /// Fork-freedom is checked as the run goes; convergence is only promised
+  /// when the schedule dropped no messages (replication is fire-and-forget).
+  /// Replicas must then agree on per-key seqnos, and an acked write is
+  /// covered when the final timeline position is at least its own.
+  void Finish(repl::TimelineCluster* cluster,
+              const std::vector<sim::NodeId>& servers, int keyspace) {
+    rep_->fork_checked = true;
+    rep_->conv_checked = true;
+    rep_->conv_applicable = s_->net.messages_dropped() == 0;
+    if (!rep_->conv_applicable) return;
     std::vector<ReplicaState> states;
     for (sim::NodeId srv : servers) {
       ReplicaState state;
-      for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        // Synchronous local read through the test hook pair.
-        const uint64_t seqno = cluster.VisibleSeqno(srv, key);
-        if (seqno == 0) continue;
-        state[key] = {std::to_string(seqno)};
+      for (int k = 0; k < keyspace; ++k) {
+        // Synchronous local read through the test hook.
+        const uint64_t seqno = cluster->VisibleSeqno(srv, KeyName(k));
+        if (seqno != 0) state[KeyName(k)] = {std::to_string(seqno)};
       }
       states.push_back(std::move(state));
     }
-    // Agreement on per-key seqnos; an acked write is covered when the final
-    // timeline position is at least its own.
     std::vector<AckedWrite> acked_seqnos;
-    for (const AckedWrite& w : acked) {
-      auto it = seqno_of.find(w.value);
-      if (it == seqno_of.end()) continue;
+    for (const AckedWrite& w : acked_) {
+      auto it = seqno_of_.find(w.value);
+      if (it == seqno_of_.end()) continue;
       acked_seqnos.push_back({w.key, std::to_string(it->second)});
     }
     auto covered = [](const AckedWrite& w,
@@ -1054,17 +832,69 @@ FuzzReport RunTimeline(const FuzzOptions& o) {
       }
       return false;
     };
-    rep.convergence = CheckConvergence(states, acked_seqnos, covered);
+    rep_->convergence = CheckConvergence(states, acked_seqnos, covered);
   }
 
-  FillCommon(&rep, o, s, nemesis);
+ private:
+  /// (key, seqno) must map to one value for every observer.
+  void Observe(const std::string& key, uint64_t seqno,
+               const std::string& value) {
+    auto [it, inserted] = timeline_.try_emplace({key, seqno}, value);
+    if (!inserted && it->second != value) ++rep_->fork_violations;
+    seqno_of_.emplace(value, seqno);
+  }
+
+  SimStack* s_;
+  FuzzReport* rep_;
+  std::vector<AckedWrite> acked_;
+  std::map<std::string, uint64_t> seqno_of_;  // value -> timeline position
+  std::map<std::pair<std::string, uint64_t>, std::string> timeline_;
+};
+
+// Timeline: fork-freedom + monotonic reads at a pinned replica.
+FuzzReport RunTimeline(const FuzzOptions& o) {
+  FuzzReport rep;
+  SimStack s(o);
+  repl::TimelineOptions topt;
+  topt.replication_factor = o.servers;
+  topt.crash_amnesia = o.amnesia;
+  repl::TimelineCluster cluster(&s.rpc, topt);
+  const std::vector<sim::NodeId> servers = cluster.AddServers(o.servers);
+
+  Driver driver(&s, servers, o);
+
+  TimelineRecorder rec(&s, &rep);
+  std::vector<sim::NodeId> nodes;
+  for (int i = 0; i < o.sessions; ++i) nodes.push_back(s.net.AddNode());
+
+  driver.RunWorkload(0x7191e1ULL, [&](int i, int n, Rng* rng,
+                                      const Driver::Done& done) {
+    const std::string key = driver.Key(rng, o.keyspace);
+    if (rng->NextBool(0.5)) {
+      const std::string value = UniqueValue(i, n);
+      cluster.Write(nodes[i], key, value, rec.Write(i, key, value, done));
+    } else {
+      // Each session reads at a pinned replica.
+      cluster.Read(nodes[i], servers[i % servers.size()], key,
+                   repl::TimelineReadLevel::kAny, 0,
+                   rec.Read<repl::TimelineRead>(i, key, done));
+    }
+  });
+  driver.Quiesce();
+
+  // Reads at a pinned replica never go backwards: monotonic reads only (a
+  // lagging replica legitimately misses the session's own master writes).
+  rep.sess_checked = true;
+  rep.session = CheckSessionGuarantees(
+      rec.history, {.check_ryw = false, .check_mw = false, .check_wfr = false});
+  rec.Finish(&cluster, servers, o.keyspace);
+
+  driver.FillCommon(&rep);
   return rep;
 }
 
-// --------------------------------------------------------------------------
 // Edge cache over timeline: all four session guarantees through the cache.
-// --------------------------------------------------------------------------
-
+//
 // The lease protocol's claim is strong: a cached entry is served only under
 // a live lease, and a write acks only after every lease on its key was
 // revoked or expired — so a served entry is never behind ANY acked write on
@@ -1092,147 +922,45 @@ FuzzReport RunEdgeCache(const FuzzOptions& o) {
   copt.crash_amnesia = o.amnesia;
   cache::EdgeCacheTier tier(&s.rpc, &cluster, copt);
 
-  std::vector<RecordedOp> history;
-  std::vector<AckedWrite> acked;
-  std::map<std::string, uint64_t> seqno_of;  // value -> timeline position
-  std::map<std::pair<std::string, uint64_t>, std::string> timeline;
-  auto observe = [&](const std::string& key, uint64_t seqno,
-                     const std::string& value) {
-    auto [it, inserted] = timeline.try_emplace({key, seqno}, value);
-    if (!inserted && it->second != value) ++rep.fork_violations;
-    seqno_of.emplace(value, seqno);
-  };
-
-  struct Session {
-    sim::NodeId node = 0;
-    cache::EdgeCacheClient* client = nullptr;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
+  TimelineRecorder rec(&s, &rep);
+  std::vector<cache::EdgeCacheClient*> clients;
   std::vector<sim::NodeId> client_nodes;
-  Rng root(o.seed ^ 0xedcecaULL);
   for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->node = s.net.AddNode();
-    sess->client = tier.AddClient(sess->node);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    client_nodes.push_back(sess->node);
-    sessions.push_back(std::move(sess));
+    client_nodes.push_back(s.net.AddNode());
+    clients.push_back(tier.AddClient(client_nodes.back()));
   }
 
-  sim::Nemesis nemesis(&s.net, servers, NemesisSeed(o.seed));
+  Driver driver(&s, servers, o);
   // Clients are fair game for gray degradation (a slow or flaky cache
   // holder is exactly the hard case for revocation) but never for
   // partitions or crashes, which would just silence their workload.
-  nemesis.SetGrayTargets(client_nodes);
-  Driver driver(&s, &nemesis, o);
+  driver.nemesis().SetGrayTargets(client_nodes);
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    const int64_t invoke = s.sim.Now();
-    if (sess.rng.NextBool(0.5)) {
+  driver.RunWorkload(0xedcecaULL, [&](int i, int n, Rng* rng,
+                                      const Driver::Done& done) {
+    const std::string key = driver.Key(rng, o.keyspace);
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
-      history.push_back(RecWrite(i, key, value, invoke, invoke,
-                                 /*acked=*/false));
-      const size_t slot = history.size() - 1;
-      sess.client->Put(key, value,
-                       [&, i, key, value, slot](Result<uint64_t> r) {
-                         if (r.ok()) {
-                           history[slot].acked = true;
-                           history[slot].response = s.sim.Now();
-                           acked.push_back({key, value});
-                           observe(key, *r, value);
-                           ++rep.writes_acked;
-                         } else {
-                           ++rep.writes_failed;
-                         }
-                         s.sim.ScheduleAfter(
-                             driver.NextGap(&sessions[i]->rng),
-                             [&, i] { next(i); });
-                       });
+      clients[i]->Put(key, value, rec.Write(i, key, value, done));
     } else {
-      sess.client->Get(
-          key, /*min_seqno=*/0,
-          [&, i, key, invoke](Result<cache::CachedRead> r) {
-            const int64_t response = s.sim.Now();
-            if (r.ok()) {
-              std::vector<std::string> observed;
-              if (r->found) {
-                observed.push_back(r->value);
-                observe(key, r->seqno, r->value);
-              }
-              history.push_back(RecRead(i, key, std::move(observed), invoke,
-                                        response, r->from_cache));
-              ++rep.reads_ok;
-            } else {
-              ++rep.reads_failed;
-            }
-            s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                                [&, i] { next(i); });
-          });
+      clients[i]->Get(key, /*min_seqno=*/0,
+                      rec.Read<cache::CachedRead>(i, key, done));
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   driver.Quiesce();
-
-  rep.fork_checked = true;
 
   // The whole point: ALL FOUR session guarantees, cached serves included.
   rep.sess_checked = true;
-  rep.session = CheckSessionGuarantees(history);
-
-  // Replica convergence beneath the cache (same claim as timeline:
-  // replication is fire-and-forget, so only when nothing was dropped).
-  rep.conv_checked = true;
-  rep.conv_applicable = s.net.messages_dropped() == 0;
-  if (rep.conv_applicable) {
-    std::vector<ReplicaState> states;
-    for (sim::NodeId srv : servers) {
-      ReplicaState state;
-      for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        const uint64_t seqno = cluster.VisibleSeqno(srv, key);
-        if (seqno == 0) continue;
-        state[key] = {std::to_string(seqno)};
-      }
-      states.push_back(std::move(state));
-    }
-    std::vector<AckedWrite> acked_seqnos;
-    for (const AckedWrite& w : acked) {
-      auto it = seqno_of.find(w.value);
-      if (it == seqno_of.end()) continue;
-      acked_seqnos.push_back({w.key, std::to_string(it->second)});
-    }
-    auto covered = [](const AckedWrite& w,
-                      const std::vector<std::string>& final_values) {
-      const uint64_t want = std::stoull(w.value);
-      for (const std::string& v : final_values) {
-        if (std::stoull(v) >= want) return true;
-      }
-      return false;
-    };
-    rep.convergence = CheckConvergence(states, acked_seqnos, covered);
-  }
+  rep.session = CheckSessionGuarantees(rec.history);
+  // Replica convergence beneath the cache: the same claim as timeline.
+  rec.Finish(&cluster, servers, o.keyspace);
 
   rep.cache_hits = tier.stats().hits;
   rep.cache_misses = tier.stats().misses;
   rep.cache_revokes_sent = tier.stats().revokes_sent;
   rep.cache_writes_fenced = tier.stats().writes_fenced;
 
-  FillCommon(&rep, o, s, nemesis);
+  driver.FillCommon(&rep);
   return rep;
 }
 
@@ -1248,64 +976,46 @@ FuzzReport RunCausal(const FuzzOptions& o) {
   causal::CausalCluster cluster(&s.rpc, copt);
   const std::vector<sim::NodeId> dcs = cluster.AddDatacenters(o.servers);
 
-  sim::Nemesis nemesis(&s.net, dcs, NemesisSeed(o.seed));
-  Driver driver(&s, &nemesis, o);
+  Driver driver(&s, dcs, o);
 
   std::vector<CausalRecordedOp> history;
   std::vector<AckedWrite> acked;
   std::map<std::string, causal::WriteId> id_of;  // value -> write id
-  struct Session {
-    std::unique_ptr<causal::CausalClient> client;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0xca05a1ULL);
+  std::vector<std::unique_ptr<causal::CausalClient>> clients;
+  for (int i = 0; i < o.sessions; ++i) {
+    clients.push_back(std::make_unique<causal::CausalClient>(
+        &cluster, s.net.AddNode(), dcs[i % dcs.size()]));
+  }
 
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    const int n = sess.issued++;
-    const std::string key = driver.Key(&sess.rng, o.keyspace);
-    if (sess.rng.NextBool(0.5)) {
+  driver.RunWorkload(0xca05a1ULL, [&](int i, int n, Rng* rng,
+                                      const Driver::Done& done) {
+    causal::CausalClient& client = *clients[i];
+    const std::string key = driver.Key(rng, o.keyspace);
+    if (rng->NextBool(0.5)) {
       const std::string value = UniqueValue(i, n);
       // The dependency context the client will attach to this write.
       std::vector<causal::Dependency> deps;
-      for (const auto& [dep_key, dep_id] : sess.client->context()) {
+      for (const auto& [dep_key, dep_id] : client.context()) {
         deps.push_back({dep_key, dep_id});
       }
-      sess.client->Put(key, value,
-                       [&, i, key, value,
-                        deps](Result<causal::WriteId> r) {
-                         if (r.ok()) {
-                           CausalRecordedOp op;
-                           op.kind = CausalRecordedOp::Kind::kWrite;
-                           op.session = i;
-                           op.key = key;
-                           op.id = *r;
-                           op.deps = deps;
-                           history.push_back(std::move(op));
-                           acked.push_back({key, value});
-                           id_of[value] = *r;
-                           ++rep.writes_acked;
-                         } else {
-                           ++rep.writes_failed;
-                         }
-                         s.sim.ScheduleAfter(
-                             driver.NextGap(&sessions[i]->rng),
-                             [&, i] { next(i); });
-                       });
+      client.Put(key, value,
+                 [&, i, key, value, deps, done](Result<causal::WriteId> r) {
+                   if (r.ok()) {
+                     history.push_back(
+                         {CausalRecordedOp::Kind::kWrite, i, key, *r, deps});
+                     acked.push_back({key, value});
+                     id_of[value] = *r;
+                     ++rep.writes_acked;
+                   } else {
+                     ++rep.writes_failed;
+                   }
+                   done();
+                 });
     } else {
-      sess.client->Get(key, [&, i, key](Result<causal::CausalRead> r) {
+      client.Get(key, [&, i, key, done](Result<causal::CausalRead> r) {
         if (r.ok()) {
-          CausalRecordedOp op;
-          op.kind = CausalRecordedOp::Kind::kRead;
-          op.session = i;
-          op.key = key;
-          op.found = r->found;
+          CausalRecordedOp op{CausalRecordedOp::Kind::kRead, i, key, {}, {},
+                              r->found};
           if (r->found) {
             op.id = r->id;
             op.deps = r->deps;
@@ -1316,24 +1026,10 @@ FuzzReport RunCausal(const FuzzOptions& o) {
         } else {
           ++rep.reads_failed;
         }
-        s.sim.ScheduleAfter(driver.NextGap(&sessions[i]->rng),
-                            [&, i] { next(i); });
+        done();
       });
     }
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    const sim::NodeId node = s.net.AddNode();
-    sess->client = std::make_unique<causal::CausalClient>(
-        &cluster, node, dcs[i % dcs.size()]);
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+  });
   driver.Quiesce();
 
   rep.causal_checked = true;
@@ -1350,9 +1046,8 @@ FuzzReport RunCausal(const FuzzOptions& o) {
     for (sim::NodeId dc : dcs) {
       ReplicaState state;
       for (int k = 0; k < o.keyspace; ++k) {
-        const std::string key = "k" + std::to_string(k);
-        const causal::CausalRead r = cluster.LocalRead(dc, key);
-        if (r.found) state[key] = {r.value};
+        const causal::CausalRead r = cluster.LocalRead(dc, KeyName(k));
+        if (r.found) state[KeyName(k)] = {r.value};
       }
       states.push_back(std::move(state));
     }
@@ -1372,7 +1067,7 @@ FuzzReport RunCausal(const FuzzOptions& o) {
     rep.convergence = CheckConvergence(states, acked, covered);
   }
 
-  FillCommon(&rep, o, s, nemesis);
+  driver.FillCommon(&rep);
   return rep;
 }
 
@@ -1434,52 +1129,28 @@ FuzzReport RunCrdt(const FuzzOptions& o, std::vector<State> replicas,
   };
   s.sim.ScheduleAfter(100 * kMillisecond, gossip);
 
-  sim::Nemesis nemesis(&s.net, nodes, NemesisSeed(o.seed));
-  Driver driver(&s, &nemesis, o);
+  Driver driver(&s, nodes, o);
 
-  struct Session {
-    int replica = 0;
-    Rng rng{0};
-    int issued = 0;
-  };
-  std::vector<std::unique_ptr<Session>> sessions;
-  Rng root(o.seed ^ 0xc4d700ULL);
-
-  std::function<void(int)> next = [&](int i) {
-    Session& sess = *sessions[i];
-    if (driver.stopped() || sess.issued >= o.ops_per_session) {
-      driver.SessionDone();
-      return;
-    }
-    ++sess.issued;
+  driver.RunWorkload(0xc4d700ULL, [&](int i, int, Rng* rng,
+                                      const Driver::Done& done) {
     // Ops execute locally, but only against a live replica.
-    if (s.net.IsNodeUp(nodes[sess.replica])) {
+    const int replica = i % n;
+    if (s.net.IsNodeUp(nodes[replica])) {
       if (o.amnesia) {
         // Commit to the durable copy, then fold into the live replica. All
         // tags/components a replica mints live in its durable copy, so a
         // crash can only lose state that peers still hold.
-        apply_op(&rep, &sess.rng, sess.replica, &durable[sess.replica]);
-        replicas[sess.replica].Merge(durable[sess.replica]);
+        apply_op(rng, replica, &durable[replica]);
+        replicas[replica].Merge(durable[replica]);
       } else {
-        apply_op(&rep, &sess.rng, sess.replica, &replicas[sess.replica]);
+        apply_op(rng, replica, &replicas[replica]);
       }
       ++rep.writes_acked;
     } else {
       ++rep.writes_failed;
     }
-    s.sim.ScheduleAfter(driver.NextGap(&sess.rng), [&, i] { next(i); });
-  };
-
-  for (int i = 0; i < o.sessions; ++i) {
-    auto sess = std::make_unique<Session>();
-    sess->replica = i % n;
-    sess->rng = root.Fork(static_cast<uint64_t>(i));
-    sessions.push_back(std::move(sess));
-    s.sim.ScheduleAfter(driver.NextGap(&sessions.back()->rng),
-                        [&, i] { next(i); });
-  }
-
-  driver.RunWorkload(o.sessions);
+    done();
+  });
   driver.Quiesce([&] {
     for (int i = 1; i < n; ++i) {
       if (!(replicas[i] == replicas[0])) return false;
@@ -1489,15 +1160,14 @@ FuzzReport RunCrdt(const FuzzOptions& o, std::vector<State> replicas,
 
   if (o.amnesia) s.sim.UnregisterCrashParticipant(&hook);
   finalize(&rep, replicas);
-  FillCommon(&rep, o, s, nemesis);
+  driver.FillCommon(&rep);
   return rep;
 }
 
 FuzzReport RunGCounter(const FuzzOptions& o) {
   std::vector<crdt::GCounter> replicas(o.servers);
   uint64_t total = 0;
-  auto apply_op = [&total](FuzzReport*, Rng* rng, int replica,
-                           crdt::GCounter* state) {
+  auto apply_op = [&total](Rng* rng, int replica, crdt::GCounter* state) {
     const uint64_t amount = rng->NextBounded(3) + 1;
     state->Increment(static_cast<uint32_t>(replica), amount);
     total += amount;
@@ -1511,10 +1181,9 @@ FuzzReport RunGCounter(const FuzzOptions& o) {
     rep->conv_checked = true;
     rep->convergence = CheckConvergence(states, {});
     rep->crdt_value_checked = true;
-    rep->crdt_value_ok = true;
-    for (const crdt::GCounter& r : replicas) {
-      if (r.Value() != total) rep->crdt_value_ok = false;
-    }
+    rep->crdt_value_ok = std::all_of(
+        replicas.begin(), replicas.end(),
+        [&](const crdt::GCounter& r) { return r.Value() == total; });
   };
   return RunCrdt(o, std::move(replicas), "gcounter-gossip", apply_op,
                  finalize);
@@ -1527,7 +1196,7 @@ FuzzReport RunOrSet(const FuzzOptions& o) {
   }
   std::set<std::string> added;
   std::set<std::string> removed_any;
-  auto apply_op = [&](FuzzReport*, Rng* rng, int, crdt::OrSet* state) {
+  auto apply_op = [&](Rng* rng, int, crdt::OrSet* state) {
     const std::string elem =
         "e" + std::to_string(rng->NextBounded(o.keyspace));
     if (rng->NextBool(0.65)) {
@@ -1563,14 +1232,14 @@ FuzzReport RunOrSet(const FuzzOptions& o) {
 FuzzReport RunFuzzSeed(const FuzzOptions& options) {
   switch (options.store) {
     case FuzzStore::kPaxos: return RunPaxos(options);
-    case FuzzStore::kQuorumStrict: return RunQuorum(options, true);
-    case FuzzStore::kQuorumWeak: return RunQuorum(options, false);
+    case FuzzStore::kQuorumStrict:
+    case FuzzStore::kQuorumWeak:
+    case FuzzStore::kQuorumElastic: return RunQuorum(options);
     case FuzzStore::kTimeline: return RunTimeline(options);
     case FuzzStore::kCausal: return RunCausal(options);
     case FuzzStore::kGCounter: return RunGCounter(options);
     case FuzzStore::kOrSet: return RunOrSet(options);
     case FuzzStore::kEdgeCache: return RunEdgeCache(options);
-    case FuzzStore::kQuorumElastic: return RunQuorumElastic(options);
   }
   return {};
 }

@@ -26,9 +26,15 @@
 //   edge-cache       | ALL FOUR session guarantees through the cache (a
 //                    | served lease implies no newer acked write), timeline
 //                    | fork-freedom, convergence when no message was dropped
+//   quorum-elastic   | the strict quorum's claims across live membership
+//                    | changes (convergence over the final membership)
 //
 // Every run is a pure function of (store, seed): a failing seed replays
-// bit-identically (tools/evc_fuzz --store=... --seed=...).
+// bit-identically (tools/evc_fuzz --store=... --seed=...). Every store
+// shares one driver loop (closed-loop client sessions, nemesis, heal,
+// quiesce) and keeps only its own wiring, issue/record code and checks.
+// tests/golden_digest_test.cc pins the report and the metric/trace exports
+// of every CI cell (six profiles x seeds 1..25) byte for byte.
 
 #ifndef EVC_VERIFY_FUZZ_H_
 #define EVC_VERIFY_FUZZ_H_
@@ -70,7 +76,7 @@ struct FuzzOptions {
   int sessions = 3;
   int ops_per_session = 30;
   int keyspace = 4;
-  sim::NemesisScheduleOptions nemesis;
+  sim::NemesisScheduleOptions nemesis{};
   /// Virtual time allowed for post-heal repair before the convergence check.
   sim::Time quiescence_timeout = 60 * sim::kSecond;
   /// Amnesia crashes: register every store as a simulator CrashParticipant,
@@ -98,11 +104,6 @@ struct FuzzOptions {
   /// The claims checked are unchanged: shedding and failing fast are legal
   /// under overload; corrupting state or failing to converge is not.
   bool overload = false;
-  /// Event-scheduler implementation for the run's simulator. The two
-  /// schedulers promise identical (when, seq) execution order; the 25-seed
-  /// differential harness (tests/simcore_diff_test.cc) runs every seed
-  /// under both and asserts byte-identical exports.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kCalendar;
   /// When non-null, filled at end-of-run with the deterministic metric /
   /// trace exports (obs/export.h) for byte-for-byte comparison.
   std::string* capture_metrics_json = nullptr;
@@ -111,6 +112,24 @@ struct FuzzOptions {
 
 /// Per-store defaults (server counts, op counts sized to each checker).
 FuzzOptions DefaultFuzzOptions(FuzzStore store, uint64_t seed);
+
+/// Overlays a named fault-schedule profile onto `options` (the values of
+/// evc_fuzz --profile; "" leaves the options as they are). Returns false on
+/// unknown names.
+///   crash-heavy  faster faults, partitions/crashes only (no loss or
+///                duplication ramps)
+///   gray-heavy   slow links, flaky links and slow nodes mixed with crashes,
+///                no clean partitions — what the CanCommunicate oracle
+///                cannot see
+///   edge-cache   gray-heavy plus amnesia: volatile lease tables and
+///                recovery fences, and unreachable lease holders that must
+///                be waited out, never served around
+///   overload     flash crowds and hot-key shifts with the overload
+///                defenses armed, no other faults
+///   elastic      live add/remove and rolling restarts over gray links, no
+///                partitions or hard crashes (pair with quorum-elastic,
+///                whose defaults it equals)
+bool ApplyFuzzProfile(const std::string& profile, FuzzOptions* options);
 
 struct FuzzReport {
   FuzzStore store = FuzzStore::kQuorumWeak;

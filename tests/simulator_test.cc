@@ -10,27 +10,11 @@
 namespace evc::sim {
 namespace {
 
-// Every scheduler-contract test runs under both implementations: the
-// calendar queue (hot path) and the legacy heap (seed baseline kept for the
-// differential harness). The contract is identical; only EventId encodings
-// differ, and those are opaque.
-class SchedulerTest : public ::testing::TestWithParam<SchedulerKind> {
- protected:
-  std::unique_ptr<Simulator> NewSim(uint64_t seed = 1) {
-    return std::make_unique<Simulator>(seed, GetParam());
-  }
-};
+std::unique_ptr<Simulator> NewSim(uint64_t seed = 1) {
+  return std::make_unique<Simulator>(seed);
+}
 
-INSTANTIATE_TEST_SUITE_P(BothSchedulers, SchedulerTest,
-                         ::testing::Values(SchedulerKind::kCalendar,
-                                           SchedulerKind::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == SchedulerKind::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
-
-TEST_P(SchedulerTest, EventsRunInTimeOrder) {
+TEST(SimulatorTest, EventsRunInTimeOrder) {
   auto sim = NewSim();
   std::vector<int> order;
   sim->ScheduleAt(30, [&] { order.push_back(3); });
@@ -42,7 +26,7 @@ TEST_P(SchedulerTest, EventsRunInTimeOrder) {
   EXPECT_EQ(sim->events_executed(), 3u);
 }
 
-TEST_P(SchedulerTest, SameTimeEventsRunFifo) {
+TEST(SimulatorTest, SameTimeEventsRunFifo) {
   auto sim = NewSim();
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
@@ -52,7 +36,7 @@ TEST_P(SchedulerTest, SameTimeEventsRunFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(SchedulerTest, ScheduleAfterUsesCurrentTime) {
+TEST(SimulatorTest, ScheduleAfterUsesCurrentTime) {
   auto sim = NewSim();
   Time fired_at = -1;
   sim->ScheduleAt(100, [&] {
@@ -62,16 +46,16 @@ TEST_P(SchedulerTest, ScheduleAfterUsesCurrentTime) {
   EXPECT_EQ(fired_at, 150);
 }
 
-TEST_P(SchedulerTest, ScheduleReturnsNonzeroIds) {
+TEST(SimulatorTest, ScheduleReturnsNonzeroIds) {
   auto sim = NewSim();
-  // Callers use id == 0 as a "no pending event" sentinel; both schedulers
+  // Callers use id == 0 as a "no pending event" sentinel; the scheduler
   // must never hand it out.
   for (int i = 0; i < 1000; ++i) {
     EXPECT_NE(sim->ScheduleAt(i, [] {}), 0u);
   }
 }
 
-TEST_P(SchedulerTest, CancelPreventsExecution) {
+TEST(SimulatorTest, CancelPreventsExecution) {
   auto sim = NewSim();
   bool ran = false;
   const EventId id = sim->ScheduleAt(10, [&] { ran = true; });
@@ -81,13 +65,13 @@ TEST_P(SchedulerTest, CancelPreventsExecution) {
   EXPECT_FALSE(ran);
 }
 
-TEST_P(SchedulerTest, CancelUnknownIdIsFalse) {
+TEST(SimulatorTest, CancelUnknownIdIsFalse) {
   auto sim = NewSim();
   EXPECT_FALSE(sim->Cancel(999));
   EXPECT_FALSE(sim->Cancel(0));
 }
 
-TEST_P(SchedulerTest, RunUntilStopsAtDeadline) {
+TEST(SimulatorTest, RunUntilStopsAtDeadline) {
   auto sim = NewSim();
   int count = 0;
   std::function<void()> tick = [&] {
@@ -102,13 +86,13 @@ TEST_P(SchedulerTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(count, 21);
 }
 
-TEST_P(SchedulerTest, RunUntilAdvancesClockWhenIdle) {
+TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
   auto sim = NewSim();
   sim->RunUntil(500);
   EXPECT_EQ(sim->Now(), 500);
 }
 
-TEST_P(SchedulerTest, RunUntilEndsAtDeadlineWhenQueueDrainsEarly) {
+TEST(SimulatorTest, RunUntilEndsAtDeadlineWhenQueueDrainsEarly) {
   // Contract: the clock always lands exactly on the deadline, even when the
   // last scheduled event fires well before it. Callers rely on this to
   // compose fixed-length measurement windows (RunFor = RunUntil(Now+d)).
@@ -123,7 +107,7 @@ TEST_P(SchedulerTest, RunUntilEndsAtDeadlineWhenQueueDrainsEarly) {
   EXPECT_EQ(sim->Now(), 1050);
 }
 
-TEST_P(SchedulerTest, ScheduleAfterRunUntilSkippedAheadStillFires) {
+TEST(SimulatorTest, ScheduleAfterRunUntilSkippedAheadStillFires) {
   // RunUntil can advance the clock far past the last executed event. A
   // subsequent schedule close to Now() must fire on the next run — this is
   // the cursor-pull-back case in the calendar queue (the event's bucket
@@ -138,7 +122,7 @@ TEST_P(SchedulerTest, ScheduleAfterRunUntilSkippedAheadStillFires) {
   EXPECT_EQ(sim->Now(), 1'000'010);
 }
 
-TEST_P(SchedulerTest, StepReturnsFalseWhenEmpty) {
+TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   auto sim = NewSim();
   EXPECT_FALSE(sim->Step());
   sim->ScheduleAt(1, [] {});
@@ -146,7 +130,7 @@ TEST_P(SchedulerTest, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(sim->Step());
 }
 
-TEST_P(SchedulerTest, EventsScheduledDuringRunExecute) {
+TEST(SimulatorTest, EventsScheduledDuringRunExecute) {
   auto sim = NewSim();
   int depth = 0;
   std::function<void(int)> recurse = [&](int d) {
@@ -159,8 +143,8 @@ TEST_P(SchedulerTest, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(sim->Now(), 4);
 }
 
-TEST_P(SchedulerTest, DeterministicAcrossRuns) {
-  auto run = [this](uint64_t seed) {
+TEST(SimulatorTest, DeterministicAcrossRuns) {
+  auto run = [](uint64_t seed) {
     auto sim = NewSim(seed);
     std::vector<uint64_t> trace;
     for (int i = 0; i < 50; ++i) {
@@ -176,7 +160,7 @@ TEST_P(SchedulerTest, DeterministicAcrossRuns) {
   EXPECT_NE(run(7), run(8));
 }
 
-TEST_P(SchedulerTest, PendingEventsCountsAccurately) {
+TEST(SimulatorTest, PendingEventsCountsAccurately) {
   auto sim = NewSim();
   EXPECT_EQ(sim->pending_events(), 0u);
   const EventId a = sim->ScheduleAt(10, [] {});
@@ -197,7 +181,7 @@ TEST_P(SchedulerTest, PendingEventsCountsAccurately) {
   EXPECT_EQ(sim->pending_events(), 0u);
 }
 
-TEST_P(SchedulerTest, CancelAfterExecutionReturnsFalse) {
+TEST(SimulatorTest, CancelAfterExecutionReturnsFalse) {
   auto sim = NewSim();
   const EventId id = sim->ScheduleAt(5, [] {});
   sim->Run();
@@ -210,7 +194,7 @@ TEST_P(SchedulerTest, CancelAfterExecutionReturnsFalse) {
   EXPECT_EQ(sim->pending_events(), 1u);
 }
 
-TEST_P(SchedulerTest, PendingEventsExactUnderCancelHeavyLoad) {
+TEST(SimulatorTest, PendingEventsExactUnderCancelHeavyLoad) {
   auto sim = NewSim();
   std::vector<EventId> ids;
   for (int i = 0; i < 100; ++i) ids.push_back(sim->ScheduleAt(i, [] {}));
@@ -225,7 +209,7 @@ TEST_P(SchedulerTest, PendingEventsExactUnderCancelHeavyLoad) {
   EXPECT_EQ(sim->pending_events(), 0u);
 }
 
-TEST_P(SchedulerTest, CancelInsideEarlierEventAtSameTime) {
+TEST(SimulatorTest, CancelInsideEarlierEventAtSameTime) {
   auto sim = NewSim();
   bool second_ran = false;
   EventId second = 0;
@@ -235,7 +219,7 @@ TEST_P(SchedulerTest, CancelInsideEarlierEventAtSameTime) {
   EXPECT_FALSE(second_ran);
 }
 
-TEST_P(SchedulerTest, MoveOnlyCapturesAreSupported) {
+TEST(SimulatorTest, MoveOnlyCapturesAreSupported) {
   // Payload handles are move-only; closures carrying them must schedule.
   auto sim = NewSim();
   auto owned = std::make_unique<std::string>("cargo");
@@ -253,7 +237,7 @@ TEST_P(SchedulerTest, MoveOnlyCapturesAreSupported) {
 // own captured state, reallocate the queue under itself, or tear down the
 // object that transitively owns it.
 
-TEST_P(SchedulerTest, EventMayDestroyItsOwnCapturedState) {
+TEST(SimulatorTest, EventMayDestroyItsOwnCapturedState) {
   auto sim = NewSim();
   auto state = std::make_shared<std::vector<int>>(1000, 7);
   std::weak_ptr<std::vector<int>> alive = state;
@@ -268,9 +252,9 @@ TEST_P(SchedulerTest, EventMayDestroyItsOwnCapturedState) {
   EXPECT_TRUE(alive.expired());
 }
 
-TEST_P(SchedulerTest, EventMayReallocateTheQueueWhileRunning) {
+TEST(SimulatorTest, EventMayReallocateTheQueueWhileRunning) {
   // Schedule enough events from inside a running event to force the backing
-  // containers (heap vector / wheel buckets / slab chunks) to grow. The
+  // containers (wheel buckets / slab chunks) to grow. The
   // running closure's captures must stay intact across that growth.
   auto sim = NewSim();
   int fired = 0;
@@ -285,7 +269,7 @@ TEST_P(SchedulerTest, EventMayReallocateTheQueueWhileRunning) {
   EXPECT_EQ(fired, 5000);
 }
 
-TEST_P(SchedulerTest, DestructorCancellingOwnEventDuringRunIsSafe) {
+TEST(SimulatorTest, DestructorCancellingOwnEventDuringRunIsSafe) {
   // A closure holding the last reference to an object whose destructor
   // cancels "its" event id — the very id now executing. The cancel must
   // report false (the event already left the queue) and not corrupt
@@ -295,7 +279,9 @@ TEST_P(SchedulerTest, DestructorCancellingOwnEventDuringRunIsSafe) {
     Simulator* sim = nullptr;
     EventId id = 0;
     ~TimerOwner() {
-      if (id != 0) EXPECT_FALSE(sim->Cancel(id));
+      if (id != 0) {
+        EXPECT_FALSE(sim->Cancel(id));
+      }
     }
   };
   auto owner = std::make_shared<TimerOwner>();
@@ -311,32 +297,6 @@ TEST_P(SchedulerTest, DestructorCancellingOwnEventDuringRunIsSafe) {
   EXPECT_EQ(sim->pending_events(), 0u);
   sim->ScheduleAt(20, [] {});
   EXPECT_EQ(sim->pending_events(), 1u);
-}
-
-TEST_P(SchedulerTest, BothSchedulersProduceIdenticalExecutionOrder) {
-  // Same workload, both schedulers: the observable (time, payload) sequence
-  // must match event for event. This is the unit-sized version of the
-  // 25-seed differential harness in simcore_diff_test.cc.
-  auto run = [](SchedulerKind kind) {
-    Simulator sim(99, kind);
-    std::vector<std::pair<Time, int>> seen;
-    for (int i = 0; i < 300; ++i) {
-      const Time t = static_cast<Time>(sim.rng().NextBounded(500));
-      sim.ScheduleAt(t, [&seen, &sim, i] { seen.emplace_back(sim.Now(), i); });
-    }
-    // Mix in some cancels and nested schedules.
-    std::vector<EventId> ids;
-    for (int i = 0; i < 50; ++i) {
-      ids.push_back(sim.ScheduleAt(250 + i, [] {}));
-    }
-    for (size_t i = 0; i < ids.size(); i += 3) sim.Cancel(ids[i]);
-    sim.ScheduleAt(100, [&] {
-      sim.ScheduleAfter(7, [&seen, &sim] { seen.emplace_back(sim.Now(), -1); });
-    });
-    sim.Run();
-    return seen;
-  };
-  EXPECT_EQ(run(SchedulerKind::kCalendar), run(SchedulerKind::kLegacyHeap));
 }
 
 }  // namespace

@@ -6,8 +6,8 @@
 // can gate on bench output staying machine-readable. Each --floor names a
 // metric that must be present (in at least one file) and >= <min> in every
 // file that reports it — the throughput-regression gate for perf benches
-// (e.g. --floor=calendar_speedup_n1000=2.4 fails the simcore bench when the
-// calendar queue slips more than 20% under its 3x acceptance bar):
+// (e.g. --floor=calendar_scaling_n1000=0.40 fails the simcore bench when
+// events/sec at N=1000 falls under 40% of its N=10 rate):
 //   * top level is an object with schema == "evc-bench-v1" and a nonempty
 //     string name;
 //   * metrics is an object of numbers;

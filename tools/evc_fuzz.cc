@@ -19,6 +19,8 @@
 //   evc_fuzz --profile=edge-cache     # crash + gray interleavings tuned for
 //                                     # the lease protocol (amnesia forced
 //                                     # on: lease tables must be volatile)
+//   evc_fuzz --profile=overload       # flash crowds + hot-key shifts with
+//                                     # the overload defenses armed
 //   evc_fuzz --store=quorum-elastic --profile=elastic
 //                                     # membership churn: live add/remove +
 //                                     # rolling restarts + gray degradation,
@@ -47,91 +49,9 @@ struct CliOptions {
   std::optional<uint64_t> single_seed;
   bool verbose = false;
   bool amnesia = false;
-  // "" (default), "crash-heavy", "gray-heavy", "edge-cache", or "elastic"
+  // "" (default) or a verify::ApplyFuzzProfile name
   std::string profile;
 };
-
-/// Overlays a named schedule profile onto per-store default options.
-/// "crash-heavy": faults arrive faster, are all partitions/crashes (no
-/// loss/duplication ramps), so every store sees several amnesia
-/// crash/recovery cycles per seed.
-/// "gray-heavy": no clean partitions or loss ramps — slow links, flaky
-/// links, and slow nodes (the failures the CanCommunicate oracle cannot
-/// see) mixed with crashes, arriving fast.
-/// "edge-cache": the lease protocol's two hard edges at once — crash
-/// amnesia (volatile lease tables, recovery fences) and gray degradation
-/// (an unreachable lease holder must be waited out, never served around).
-/// Forces --amnesia: a durable lease table would make the fence dead code.
-/// "overload": flash crowds and hot-key-shifting load spikes against the
-/// quorum stores with the overload defenses armed — shedding is legal,
-/// corrupting state or failing to converge afterward is not.
-bool ApplyProfile(const std::string& profile,
-                  evc::verify::FuzzOptions* options) {
-  if (profile.empty()) return true;
-  if (profile == "crash-heavy") {
-    options->nemesis.allow_loss = false;
-    options->nemesis.allow_duplication = false;
-    options->nemesis.mean_fault_interval = evc::sim::kSecond;
-    return true;
-  }
-  if (profile == "gray-heavy") {
-    options->nemesis.allow_partitions = false;
-    options->nemesis.allow_loss = false;
-    options->nemesis.allow_duplication = false;
-    options->nemesis.allow_slow_links = true;
-    options->nemesis.allow_flaky_links = true;
-    options->nemesis.allow_slow_nodes = true;
-    options->nemesis.mean_fault_interval = evc::sim::kSecond;
-    return true;
-  }
-  if (profile == "edge-cache") {
-    options->amnesia = true;
-    options->nemesis.allow_partitions = false;
-    options->nemesis.allow_loss = false;
-    options->nemesis.allow_duplication = false;
-    options->nemesis.allow_slow_links = true;
-    options->nemesis.allow_flaky_links = true;
-    options->nemesis.allow_slow_nodes = true;
-    options->nemesis.mean_fault_interval = evc::sim::kSecond;
-    return true;
-  }
-  if (profile == "overload") {
-    // Load is the fault under test: flash crowds and hot-key-shifting load
-    // spikes drive offered load past capacity while the quorum stores run
-    // with the overload defenses armed (admission control, retry budgets,
-    // AIMD limits). Clean partitions/crashes/loss off so every shed or
-    // failed op traces back to overload, never to an unreachable replica.
-    // Shedding and failing fast are legal; corrupting state or failing to
-    // converge after the load recedes is not.
-    options->overload = true;
-    options->nemesis.allow_load_spikes = true;
-    options->nemesis.allow_partitions = false;
-    options->nemesis.allow_crashes = false;
-    options->nemesis.allow_loss = false;
-    options->nemesis.allow_duplication = false;
-    options->nemesis.mean_fault_interval = 2 * evc::sim::kSecond;
-    return true;
-  }
-  if (profile == "elastic") {
-    // Reconfiguration is the fault under test: live joins/removals and
-    // rolling restarts over gray-degraded links, with clean partitions,
-    // hard crashes, and loss ramps off so every anomaly traces back to a
-    // membership boundary. Stores without a membership actuator log the
-    // add/remove draws as skipped — pair with --store=quorum-elastic.
-    options->nemesis.allow_partitions = false;
-    options->nemesis.allow_crashes = false;
-    options->nemesis.allow_loss = false;
-    options->nemesis.allow_duplication = false;
-    options->nemesis.allow_slow_links = true;
-    options->nemesis.allow_flaky_links = true;
-    options->nemesis.allow_slow_nodes = true;
-    options->nemesis.allow_membership = true;
-    options->nemesis.allow_rolling_restart = true;
-    options->nemesis.mean_fault_interval = 2 * evc::sim::kSecond;
-    return true;
-  }
-  return false;
-}
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -205,7 +125,7 @@ int main(int argc, char** argv) {
       evc::verify::FuzzOptions options =
           evc::verify::DefaultFuzzOptions(store, seed);
       options.amnesia = cli.amnesia;
-      if (!ApplyProfile(cli.profile, &options)) {
+      if (!evc::verify::ApplyFuzzProfile(cli.profile, &options)) {
         std::fprintf(stderr, "unknown profile '%s'\n", cli.profile.c_str());
         return 2;
       }
