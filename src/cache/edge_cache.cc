@@ -7,6 +7,13 @@
 
 namespace evc::cache {
 
+namespace {
+// Revoke RPCs in flight at once per gated write (fan-out bound).
+constexpr int kMaxRevokeFanout = 8;
+// Client-side timeout for a read-through to the master.
+constexpr sim::Time kReadTimeout = 500 * sim::kMillisecond;
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // EdgeCacheClient
 
@@ -46,7 +53,7 @@ void EdgeCacheClient::Get(const std::string& key, uint64_t min_seqno,
   const sim::NodeId master = tier_->cluster_->MasterOf(key);
   tier_->rpc_->Call(
       node_, master, tier_->m_read_,
-      EdgeCacheTier::CacheReadReq{key, min_seqno}, tier_->options_.read_timeout,
+      EdgeCacheTier::CacheReadReq{key, min_seqno}, kReadTimeout,
       [this, key, done = std::move(done)](Result<sim::Payload> r) {
         if (!r.ok()) {
           done(r.status());
@@ -313,7 +320,7 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
 void EdgeCacheTier::Pump(ServerState* st, const std::string& key,
                          const std::shared_ptr<RevokeBatch>& batch) {
   while (batch->next < batch->holders.size() &&
-         batch->inflight < options_.max_revoke_fanout) {
+         batch->inflight < kMaxRevokeFanout) {
     const LeaseHolder holder = batch->holders[batch->next++];
     ++batch->inflight;
     RevokeOne(st, key, holder, batch);

@@ -61,10 +61,6 @@ struct EdgeCacheOptions {
   /// stop early at the lease's own expiry (deadline propagation).
   sim::Time revoke_timeout = 100 * sim::kMillisecond;
   int revoke_attempts = 4;
-  /// Revoke RPCs in flight at once per gated write (fan-out bound).
-  int max_revoke_fanout = 8;
-  /// Client-side timeout for a read-through to the master.
-  sim::Time read_timeout = 500 * sim::kMillisecond;
   /// Register servers and clients as simulator CrashParticipants: a master
   /// crash drops its lease table and fences writes for one ttl on restart;
   /// a client crash drops its cache.

@@ -8,6 +8,8 @@ namespace {
 constexpr char kPut[] = "cc.put";
 constexpr char kGet[] = "cc.get";
 constexpr char kReplicate[] = "cc.replicate";
+// Client put/get RPC timeout.
+constexpr sim::Time kRpcTimeout = 500 * sim::kMillisecond;
 }  // namespace
 
 CausalCluster::CausalCluster(sim::Rpc* rpc, CausalOptions options)
@@ -76,7 +78,7 @@ void CausalCluster::ApplyWrite(Datacenter* dc, const ReplicatedWrite& write,
     auto& hist = dc->history[write.key];
     hist.push_back(rec);
     while (hist.size() > kHistoryDepth) hist.pop_front();
-    if (options_.durable && !replaying) {
+    if (!replaying) {
       std::string raw;
       PutLengthPrefixed(&raw, write.key);
       PutLengthPrefixed(&raw, write.value);
@@ -193,7 +195,7 @@ void CausalCluster::Put(sim::NodeId client, sim::NodeId dc,
   req.key = key;
   req.value = std::move(value);
   req.deps = std::move(deps);
-  rpc_->Call(client, dc, m_put_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, dc, m_put_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -206,7 +208,7 @@ void CausalCluster::Put(sim::NodeId client, sim::NodeId dc,
 void CausalCluster::Get(sim::NodeId client, sim::NodeId dc,
                         const std::string& key, GetCallback done) {
   GetReq req{key, WriteId{}};
-  rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+  rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -269,7 +271,7 @@ void CausalCluster::GetTransaction(sim::NodeId client, sim::NodeId dc,
     r2->outstanding = static_cast<int>(refetch.size());
     for (const size_t i : refetch) {
       GetReq req{state->keys[i], required[state->keys[i]]};
-      rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+      rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
                  [state, r2, i, done](Result<sim::Payload> r) {
                    if (!r.ok()) {
                      r2->failed = true;
@@ -290,7 +292,7 @@ void CausalCluster::GetTransaction(sim::NodeId client, sim::NodeId dc,
 
   for (size_t i = 0; i < state->keys.size(); ++i) {
     GetReq req{state->keys[i], WriteId{}};
-    rpc_->Call(client, dc, m_get_, std::move(req), options_.rpc_timeout,
+    rpc_->Call(client, dc, m_get_, std::move(req), kRpcTimeout,
                [state, i, done, round2](Result<sim::Payload> r) {
                  if (!r.ok()) {
                    state->failed = true;

@@ -58,10 +58,6 @@ struct CausalRead {
 };
 
 struct CausalOptions {
-  sim::Time rpc_timeout = 500 * sim::kMillisecond;
-  /// Journal applied writes per datacenter so a crashed replica recovers
-  /// its applied prefix (the Lamport clock recovers with it).
-  bool durable = true;
   /// Register datacenters as simulator CrashParticipants (sim/nemesis.h).
   bool crash_amnesia = true;
 };
@@ -147,7 +143,8 @@ class CausalCluster : private sim::CrashParticipant {
     // Bounded multi-version history, oldest first (GT round-2 fetches).
     std::map<std::string, std::deque<Record>> history;
     std::deque<ReplicatedWrite> pending;  // dep-unsatisfied remote writes
-    // Applied-write journal, replayed on restart (empty when !durable).
+    // Applied-write journal, replayed on restart: a crashed replica recovers
+    // its applied prefix (the Lamport clock recovers with it).
     WriteAheadLog wal;
   };
   struct PutReq {

@@ -20,6 +20,15 @@ constexpr char kCatchup[] = "px.catchup";
 constexpr char kWalPromise = 'P';  // [round][node]
 constexpr char kWalAccept = 'A';   // [slot][round][node][value]
 constexpr char kWalChosen = 'C';   // [slot][value]
+
+// Per-phase RPC timeout. Must exceed the worst round trip in the deployment
+// (the WAN matrix tops out near 110 ms one-way).
+constexpr sim::Time kRpcTimeout = 400 * sim::kMillisecond;
+constexpr sim::Time kHeartbeatInterval = 50 * sim::kMillisecond;
+// Base election timeout; each follower randomizes in [T, 2T).
+constexpr sim::Time kElectionTimeout = 600 * sim::kMillisecond;
+// Client-visible proposal timeout.
+constexpr sim::Time kProposalTimeout = 2 * sim::kSecond;
 }  // namespace
 
 PaxosCluster::PaxosCluster(sim::Rpc* rpc, PaxosOptions options)
@@ -89,20 +98,6 @@ Result<Command> PaxosCluster::DecodeCommand(const std::string& bytes) {
   EVC_RETURN_IF_ERROR(dec.GetVarint64(&cmd.op_id));
   return cmd;
 }
-
-namespace {
-// Contiguous chosen prefix length (first unchosen slot index).
-template <typename SlotMap>
-uint64_t WatermarkOf(const SlotMap& slots) {
-  uint64_t w = 0;
-  auto it = slots.find(w);
-  while (it != slots.end() && it->second.chosen) {
-    ++w;
-    it = slots.find(w);
-  }
-  return w;
-}
-}  // namespace
 
 void PaxosCluster::RegisterHandlers(Server* server) {
   const sim::NodeId node = server->node;
@@ -177,14 +172,14 @@ void PaxosCluster::RegisterHandlers(Server* server) {
             StepDown(server, hb.ballot);
           }
           // Catch up if the leader has chosen entries we lack.
-          const uint64_t my_watermark = WatermarkOf(server->slots);
+          const uint64_t my_watermark = server->applied_index;
           if (hb.chosen_watermark > my_watermark &&
               hb.leader != server->node) {
             ++stats_.catchups;
             Obs().CounterFor("paxos.catchups").Inc();
             CatchupReq req{my_watermark};
             rpc_->Call(server->node, hb.leader, m_catchup_, req,
-                       4 * options_.rpc_timeout,
+                       4 * kRpcTimeout,
                        [this, server](Result<sim::Payload> r) {
                          if (!r.ok()) return;
                          auto reply = std::move(r).value().Take<CatchupReply>();
@@ -235,7 +230,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
         server->in_flight[pending->slot] = pending;
         // Proposal-level timeout.
         pending->timeout_event = rpc_->simulator()->ScheduleAfter(
-            options_.proposal_timeout, [this, server, pending] {
+            kProposalTimeout, [this, server, pending] {
               if (pending->decided) return;
               pending->decided = true;
               server->in_flight.erase(pending->slot);
@@ -262,12 +257,12 @@ void PaxosCluster::Start() {
 void PaxosCluster::ScheduleElectionCheck(Server* server) {
   sim::Simulator* sim = rpc_->simulator();
   const sim::Time jitter = static_cast<sim::Time>(
-      rng_.NextBounded(static_cast<uint64_t>(options_.election_timeout)));
-  sim->ScheduleAfter(options_.election_timeout + jitter, [this, server] {
+      rng_.NextBounded(static_cast<uint64_t>(kElectionTimeout)));
+  sim->ScheduleAfter(kElectionTimeout + jitter, [this, server] {
     sim::Simulator* sim2 = rpc_->simulator();
     if (rpc_->network()->IsNodeUp(server->node) && !server->is_leader &&
         !server->electing &&
-        sim2->Now() - server->last_heartbeat > options_.election_timeout) {
+        sim2->Now() - server->last_heartbeat > kElectionTimeout) {
       StartElection(server);
     }
     ScheduleElectionCheck(server);
@@ -284,7 +279,7 @@ void PaxosCluster::StartElection(Server* server) {
                 server->leader_ballot.round}) +
       1;
   server->ballot = Ballot{round, server->index};
-  const uint64_t from_slot = WatermarkOf(server->slots);
+  const uint64_t from_slot = server->applied_index;
 
   struct ElectionState {
     std::vector<PrepareReply> promises;
@@ -300,7 +295,7 @@ void PaxosCluster::StartElection(Server* server) {
   PrepareReq req{server->ballot, from_slot};
   for (auto& peer : servers_) {
     rpc_->Call(
-        server->node, peer->node, m_prepare_, req, options_.rpc_timeout,
+        server->node, peer->node, m_prepare_, req, kRpcTimeout,
         [this, server, state, majority, total, from_slot](
             Result<sim::Payload> r) {
           ++state->replies;
@@ -365,7 +360,7 @@ void PaxosCluster::BecomeLeader(Server* server,
   server->next_slot = any_slot ? max_slot_seen + 1 : from_slot;
 
   // Re-propose open values; fill holes with no-ops so the log has no gaps.
-  for (uint64_t slot = WatermarkOf(server->slots); slot < server->next_slot;
+  for (uint64_t slot = server->applied_index; slot < server->next_slot;
        ++slot) {
     if (server->slots.count(slot) && server->slots[slot].chosen) continue;
     std::string value;
@@ -388,13 +383,13 @@ void PaxosCluster::SendHeartbeats(Server* server) {
   HeartbeatMsg hb;
   hb.ballot = server->ballot;
   hb.leader = server->node;
-  hb.chosen_watermark = WatermarkOf(server->slots);
+  hb.chosen_watermark = server->applied_index;
   for (auto& peer : servers_) {
     if (peer->node == server->node) continue;
     rpc_->network()->Send(server->node, peer->node, t_heartbeat_, hb);
   }
   server->last_heartbeat = rpc_->simulator()->Now();
-  rpc_->simulator()->ScheduleAfter(options_.heartbeat_interval,
+  rpc_->simulator()->ScheduleAfter(kHeartbeatInterval,
                                    [this, server] { SendHeartbeats(server); });
 }
 
@@ -439,7 +434,7 @@ void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
   AcceptReq req{ballot, slot, encoded};
   for (auto& peer : servers_) {
     if (peer->node == server->node) continue;
-    rpc_->Call(server->node, peer->node, m_accept_, req, options_.rpc_timeout,
+    rpc_->Call(server->node, peer->node, m_accept_, req, kRpcTimeout,
                [this, server, state, majority, total, slot, encoded, ballot,
                 pending](Result<sim::Payload> r) {
                  ++state->replies;
@@ -752,7 +747,7 @@ void PaxosCluster::Propose(sim::NodeId client, sim::NodeId server,
                            Command command, ProposeCallback done) {
   if (command.op_id == 0) command.op_id = next_op_id_++;
   rpc_->Call(client, server, m_client_proposal_, std::move(command),
-             options_.proposal_timeout + 4 * options_.rpc_timeout,
+             kProposalTimeout + 4 * kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());

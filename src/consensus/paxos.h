@@ -69,14 +69,6 @@ struct Execution {
 };
 
 struct PaxosOptions {
-  /// Per-phase RPC timeout. Must exceed the worst round trip in the
-  /// deployment (the WAN matrix tops out near 110 ms one-way).
-  sim::Time rpc_timeout = 400 * sim::kMillisecond;
-  sim::Time heartbeat_interval = 50 * sim::kMillisecond;
-  /// Base election timeout; each follower randomizes in [T, 2T).
-  sim::Time election_timeout = 600 * sim::kMillisecond;
-  /// Client-visible proposal timeout.
-  sim::Time proposal_timeout = 2 * sim::kSecond;
   /// Register servers as simulator CrashParticipants: a nemesis crash drops
   /// all volatile state and a restart recovers from the acceptor journal.
   /// Off means the pre-durability behavior (crash = network silence only).
@@ -172,7 +164,9 @@ class PaxosCluster : private sim::CrashParticipant {
     Ballot promised;
     std::map<uint64_t, SlotState> slots;
     // Learner / state machine.
-    uint64_t applied_index = 0;  // next slot to apply
+    // Next slot to apply. ApplyReady runs on every choice and after replay,
+    // so this is also the chosen watermark (the contiguous chosen prefix).
+    uint64_t applied_index = 0;
     std::map<std::string, std::string> kv;
     std::set<uint64_t> applied_ops;  // mutating op_ids already applied
     // Leader state.

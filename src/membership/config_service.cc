@@ -18,12 +18,19 @@ std::string EpochKey(uint64_t epoch) {
 }
 constexpr char kCommitKey[] = "c";
 
+// How long a prepared view may wait for catch-up reports before the service
+// commits anyway. Catch-up normally completes in well under a second; the
+// timeout only matters when a reporter crashed mid-stream (its durable data
+// survives and anti-entropy repairs the remainder).
+constexpr sim::Time kCatchUpTimeout = 10 * sim::kSecond;
+// Timeout for subscriber-issued Fetch / catch-up report RPCs.
+constexpr sim::Time kRpcTimeout = 500 * sim::kMillisecond;
+
 }  // namespace
 
 ConfigService::ConfigService(sim::Rpc* rpc, consensus::PaxosCluster* paxos,
-                             std::vector<sim::NodeId> paxos_servers,
-                             ConfigOptions options)
-    : rpc_(rpc), options_(options) {
+                             std::vector<sim::NodeId> paxos_servers)
+    : rpc_(rpc) {
   node_ = rpc_->network()->AddNode();
   client_ = std::make_unique<consensus::PaxosKvClient>(
       paxos, rpc_->simulator(), node_, std::move(paxos_servers));
@@ -176,7 +183,7 @@ void ConfigService::ProposeView(MembershipView view, DoneCallback done) {
         // up (crashed mid-stream; anti-entropy repairs the remainder).
         const uint64_t epoch = view.epoch;
         rpc_->simulator()->ScheduleAfter(
-            options_.catch_up_timeout, [this, epoch] {
+            kCatchUpTimeout, [this, epoch] {
               if (prepared_.has_value() && prepared_->epoch == epoch &&
                   !committing_) {
                 ++stats_.commit_timeouts;
@@ -243,7 +250,7 @@ void ConfigService::Broadcast() {
 void ConfigService::Fetch(sim::NodeId from,
                           std::function<void(Result<ViewState>)> done) {
   CatchUpReq req;  // ignored by the handler; any payload works
-  rpc_->Call(from, node_, m_fetch_, req, options_.rpc_timeout,
+  rpc_->Call(from, node_, m_fetch_, req, kRpcTimeout,
              [done](Result<sim::Payload> r) {
                if (!r.ok()) {
                  done(r.status());
@@ -257,7 +264,7 @@ void ConfigService::ReportCatchUp(sim::NodeId reporter, uint64_t epoch,
                                   DoneCallback done) {
   CatchUpReq req;
   req.epoch = epoch;
-  rpc_->Call(reporter, node_, m_report_, req, options_.rpc_timeout,
+  rpc_->Call(reporter, node_, m_report_, req, kRpcTimeout,
              [done](Result<sim::Payload> r) { done(r.status()); });
 }
 

@@ -40,16 +40,6 @@
 
 namespace evc::membership {
 
-struct ConfigOptions {
-  /// How long a prepared view may wait for catch-up reports before the
-  /// service commits anyway. Catch-up normally completes in well under a
-  /// second; the timeout only matters when a reporter crashed mid-stream
-  /// (its durable data survives and anti-entropy repairs the remainder).
-  sim::Time catch_up_timeout = 10 * sim::kSecond;
-  /// Timeout for subscriber-issued Fetch / catch-up report RPCs.
-  sim::Time rpc_timeout = 500 * sim::kMillisecond;
-};
-
 struct ConfigStats {
   uint64_t reconfigs_proposed = 0;
   uint64_t commits = 0;
@@ -78,8 +68,7 @@ class ConfigService {
   /// `paxos` must already have its servers added and started; the service
   /// proposes through them with the standard leader-steering client.
   ConfigService(sim::Rpc* rpc, consensus::PaxosCluster* paxos,
-                std::vector<sim::NodeId> paxos_servers,
-                ConfigOptions options = {});
+                std::vector<sim::NodeId> paxos_servers);
 
   /// The network node the service answers Fetch / catch-up reports on.
   sim::NodeId node() const { return node_; }
@@ -132,7 +121,6 @@ class ConfigService {
   obs::MetricsRegistry& Obs();
 
   sim::Rpc* rpc_;
-  ConfigOptions options_;
   sim::NodeId node_ = 0;
   std::unique_ptr<consensus::PaxosKvClient> client_;
   sim::MethodId m_fetch_ = 0;

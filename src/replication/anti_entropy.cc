@@ -8,6 +8,8 @@ namespace {
 constexpr char kSyncReq[] = "ae.sync";
 constexpr char kSyncRsp[] = "ae.sync.reply";
 constexpr char kPush[] = "ae.push";
+// Load percent at which a peer is skipped for this round (see load_of).
+constexpr uint32_t kYieldLoad = 75;
 }  // namespace
 
 AntiEntropy::AntiEntropy(sim::Network* network, std::vector<sim::NodeId> nodes,
@@ -170,7 +172,7 @@ void AntiEntropy::GossipRound(size_t index) {
       // the liveness filter; unset hook = no rng perturbation.
       if (options_.load_of && options_.load_of(nodes_[index],
                                                nodes_[candidate]) >=
-                                  options_.yield_load) {
+                                  kYieldLoad) {
         ++stats_.peers_yielded;
         Obs().CounterFor("ae.load_yields").Inc();
         if (++rejected >= 8) break;

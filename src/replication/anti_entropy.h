@@ -30,12 +30,11 @@ struct AntiEntropyOptions {
   /// suspect; unset = every peer is eligible (the seed behavior).
   std::function<bool(sim::NodeId self, sim::NodeId peer)> peer_usable;
   /// Optional load oracle (e.g. sim::Rpc::PeerLoad over the piggybacked
-  /// reply signal): peers reporting at least `yield_load` percent are
-  /// skipped this round (counted in peers_yielded). Anti-entropy is the
-  /// definition of deferrable work — syncing an overloaded peer later is
-  /// free; syncing it now deepens its queue.
+  /// reply signal): peers reporting at least 75 percent are skipped this
+  /// round (counted in peers_yielded). Anti-entropy is the definition of
+  /// deferrable work — syncing an overloaded peer later is free; syncing it
+  /// now deepens its queue.
   std::function<uint32_t(sim::NodeId self, sim::NodeId peer)> load_of;
-  uint32_t yield_load = 75;
 };
 
 struct AntiEntropyStats {

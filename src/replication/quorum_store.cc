@@ -36,6 +36,15 @@ constexpr sim::Time kViewRefreshInterval = 2 * sim::kSecond;
 // destination's piggybacked load signal reaches this percent (0..100; values
 // above 50 mean its admission queue has started to fill).
 constexpr uint32_t kBackgroundYieldLoad = 75;
+// Every fan-out leg (quorum write and read legs, hint handoffs): a single
+// attempt that feeds the sender's detector/breaker (record_outcome) but does
+// not consult the breaker — the quorum math already tolerates missing acks,
+// and WriteTargets skipped unusable peers up front. Nor may the retry budget
+// or AIMD limit starve a leg: that would turn overload into quorum loss.
+constexpr resilience::CallOptions kFanOutLeg = {.attempt_timeout = kRpcTimeout,
+                                                .max_attempts = 1,
+                                                .respect_breaker = false,
+                                                .respect_limits = false};
 
 bool Contains(const std::vector<sim::NodeId>& nodes, sim::NodeId node) {
   return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
@@ -50,7 +59,7 @@ uint64_t ResilienceSeed(sim::NodeId node) {
 }  // namespace
 
 DynamoCluster::DynamoCluster(sim::Rpc* rpc, QuorumConfig config)
-    : rpc_(rpc), config_(config), ring_(config.ring_vnodes) {
+    : rpc_(rpc), config_(config) {
   EVC_CHECK(rpc_ != nullptr);
   m_client_put_ = rpc_->InternMethod(kClientPut);
   m_client_get_ = rpc_->InternMethod(kClientGet);
@@ -67,14 +76,9 @@ DynamoCluster::DynamoCluster(sim::Rpc* rpc, QuorumConfig config)
 
 DynamoCluster::~DynamoCluster() = default;
 
-DynamoCluster::Server* DynamoCluster::CreateServer(bool on_static_ring) {
+DynamoCluster::Server* DynamoCluster::CreateServer() {
   auto server = std::make_unique<Server>();
   server->node = rpc_->network()->AddNode();
-  if (on_static_ring) {
-    ring_.AddServer(server->node);
-    // Membership changed: every cached static ring walk is stale.
-    for (auto& walk : walk_of_key_) walk.clear();
-  }
   server->replica_id = static_cast<uint32_t>(servers_.size());
   server->storage = std::make_unique<ReplicaStorage>(server->replica_id,
                                                      config_.storage);
@@ -111,7 +115,13 @@ sim::NodeId DynamoCluster::AddServer() {
   // Static membership only: once elastic, joins go through the config
   // service so every node agrees on the epoch the change happens in.
   EVC_CHECK(config_service_ == nullptr);
-  return CreateServer(/*on_static_ring=*/true)->node;
+  const sim::NodeId node = CreateServer()->node;
+  // Epoch 0 changed members: its cached ring and walks are stale.
+  Placement& static_placement = placements_[0];
+  static_placement.members.push_back(node);
+  static_placement.ring.reset();
+  static_placement.walks.clear();
+  return node;
 }
 
 std::vector<sim::NodeId> DynamoCluster::AddServers(int count) {
@@ -204,61 +214,33 @@ resilience::ResilientRpc* DynamoCluster::ClientRpc(sim::NodeId client) {
   return it->second.get();
 }
 
-const std::vector<sim::NodeId>& DynamoCluster::RingWalk(
-    const std::string& key) const {
-  EVC_CHECK(!servers_.empty());
-  const KeyId id = keys_.Intern(key);
-  if (walk_of_key_.size() <= id) walk_of_key_.resize(id + 1);
-  std::vector<sim::NodeId>& out = walk_of_key_[id];
-  if (!out.empty()) return out;  // cache hit (membership unchanged)
-  if (config_.use_hash_ring) {
-    out = ring_.PreferenceList(key, servers_.size());
-    return out;
-  }
-  const size_t start = Fnv1a64(key) % servers_.size();
-  out.reserve(servers_.size());
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    out.push_back(servers_[(start + i) % servers_.size()]->node);
-  }
-  return out;
-}
-
 std::vector<sim::NodeId> DynamoCluster::PreferenceList(
     const std::string& key) const {
-  if (elastic()) {
-    return PreferenceListAt(config_service_->committed().epoch, key);
-  }
-  const std::vector<sim::NodeId>& walk = RingWalk(key);
-  std::vector<sim::NodeId> out(
-      walk.begin(),
-      walk.begin() + std::min<size_t>(config_.replication_factor,
-                                      walk.size()));
-  return out;
-}
-
-const std::vector<sim::NodeId>& DynamoCluster::MembersOfEpoch(
-    uint64_t epoch) const {
-  auto it = members_of_epoch_.find(epoch);
-  EVC_CHECK(it != members_of_epoch_.end());
-  return it->second;
+  return PreferenceListAt(committed_epoch(), key);
 }
 
 const std::vector<sim::NodeId>& DynamoCluster::RingWalkAt(
     uint64_t epoch, const std::string& key) const {
-  const std::vector<sim::NodeId>& members = MembersOfEpoch(epoch);
-  auto ring_it = ring_of_epoch_.find(epoch);
-  if (ring_it == ring_of_epoch_.end()) {
-    // Placement under an epoch is a pure function of its sorted member
-    // list: every node builds the identical ring independently.
-    ring_it = ring_of_epoch_.try_emplace(epoch, config_.ring_vnodes).first;
-    for (sim::NodeId m : members) ring_it->second.AddServer(m);
-  }
+  auto it = placements_.find(epoch);
+  EVC_CHECK(it != placements_.end() && !it->second.members.empty());
+  Placement& placement = it->second;
+  const std::vector<sim::NodeId>& members = placement.members;
   const KeyId id = keys_.Intern(key);
-  std::vector<std::vector<sim::NodeId>>& walks = walks_of_epoch_[epoch];
-  if (walks.size() <= id) walks.resize(id + 1);
-  std::vector<sim::NodeId>& out = walks[id];
-  if (out.empty()) {
-    out = ring_it->second.PreferenceList(key, members.size());
+  if (placement.walks.size() <= id) placement.walks.resize(id + 1);
+  std::vector<sim::NodeId>& out = placement.walks[id];
+  if (!out.empty()) return out;  // cache hit (membership unchanged)
+  if (config_.use_hash_ring) {
+    if (!placement.ring.has_value()) {
+      placement.ring.emplace(config_.ring_vnodes);
+      for (sim::NodeId m : members) placement.ring->AddServer(m);
+    }
+    out = placement.ring->PreferenceList(key, members.size());
+    return out;
+  }
+  const size_t start = Fnv1a64(key) % members.size();
+  out.reserve(members.size());
+  for (size_t i = 0; i < members.size(); ++i) {
+    out.push_back(members[(start + i) % members.size()]);
   }
   return out;
 }
@@ -275,12 +257,11 @@ std::vector<sim::NodeId> DynamoCluster::PreferenceListAt(
 void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
                                  std::vector<sim::NodeId>* targets,
                                  std::vector<sim::NodeId>* intended) {
-  // Elastic coordinators place under their own committed epoch; receivers
-  // fence legs whose epoch differs, so a stale placement can never count
-  // toward a quorum.
+  // Coordinators place under their own committed epoch; receivers fence
+  // legs whose epoch differs, so a stale placement can never count toward a
+  // quorum.
   const std::vector<sim::NodeId> preferred =
-      elastic() ? PreferenceListAt(coordinator->epoch, key)
-                : PreferenceList(key);
+      PreferenceListAt(coordinator->epoch, key);
   targets->clear();
   intended->clear();
   if (!config_.sloppy) {
@@ -294,22 +275,16 @@ void DynamoCluster::WriteTargets(Server* coordinator, const std::string& key,
   // observed replies) unless use_oracle_detector opts back into the
   // omniscient network oracle.
   const std::vector<sim::NodeId>& ring_walk =
-      elastic() ? RingWalkAt(coordinator->epoch, key) : RingWalk(key);
+      RingWalkAt(coordinator->epoch, key);
   size_t walk = 0;
   size_t preferred_idx = 0;
   while (targets->size() < preferred.size() && walk < ring_walk.size()) {
     const sim::NodeId candidate = ring_walk[walk];
     ++walk;
-    if (std::find(targets->begin(), targets->end(), candidate) !=
-        targets->end()) {
-      continue;
-    }
+    if (Contains(*targets, candidate)) continue;
     if (!TargetUsable(coordinator, candidate)) continue;
     // Is this candidate one of the preferred homes, or a fallback?
-    const bool is_preferred =
-        std::find(preferred.begin(), preferred.end(), candidate) !=
-        preferred.end();
-    if (is_preferred) {
+    if (Contains(preferred, candidate)) {
       targets->push_back(candidate);
       intended->push_back(kNoHint);
     } else {
@@ -335,23 +310,9 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_client_put_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto put = std::move(req).Take<ClientPutReq>();
-        if (elastic()) {
-          // A coordinator that is behind the client's committed epoch must
-          // not serve: its placement could ack a quorum the new epoch's
-          // readers never intersect. Refresh and make the client retry.
-          // (A coordinator AHEAD of the request epoch serves fine — its
-          // placement is fresher than the client's routing snapshot.)
-          if (put.epoch > server->epoch) {
-            ++stats_.stale_epoch_rejects;
-            c_stale_epoch_rejects_->Inc();
-            RefreshView(server);
-            respond(Status::FailedPrecondition("coordinator view is stale"));
-            return;
-          }
-          if (server->needs_refresh || server->departed) {
-            respond(Status::Unavailable("coordinator not serving"));
-            return;
-          }
+        if (Status fenced = CoordinatorFence(server, put.epoch); !fenced.ok()) {
+          respond(std::move(fenced));
+          return;
         }
         CoordinatePut(server, std::move(put),
                       [respond](Result<Version> r) mutable {
@@ -367,18 +328,9 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_client_get_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto get = std::move(req).Take<ClientGetReq>();
-        if (elastic()) {
-          if (get.epoch > server->epoch) {
-            ++stats_.stale_epoch_rejects;
-            c_stale_epoch_rejects_->Inc();
-            RefreshView(server);
-            respond(Status::FailedPrecondition("coordinator view is stale"));
-            return;
-          }
-          if (server->needs_refresh || server->departed) {
-            respond(Status::Unavailable("coordinator not serving"));
-            return;
-          }
+        if (Status fenced = CoordinatorFence(server, get.epoch); !fenced.ok()) {
+          respond(std::move(fenced));
+          return;
         }
         CoordinateGet(server, std::move(get.key),
                       [respond](Result<ReadResult> r) mutable {
@@ -396,31 +348,16 @@ void DynamoCluster::RegisterHandlers(Server* server) {
   auto store_handler =
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto store = std::move(req).Take<StoreReq>();
-        if (elastic() && !store.cross_epoch && store.epoch != server->epoch) {
-          // Quorum-counted leg from a different epoch: fence it. Either the
-          // sender is stale (its retry re-places under the new view) or we
-          // are (refresh below); accepting would let two epochs' quorums
-          // miss each other.
-          ++stats_.stale_epoch_rejects;
-          c_stale_epoch_rejects_->Inc();
-          if (store.epoch > server->epoch) RefreshView(server);
-          respond(Status::FailedPrecondition("epoch mismatch"));
-          return;
+        if (!store.cross_epoch) {
+          if (Status fenced = ReplicaFence(server, store.epoch); !fenced.ok()) {
+            respond(std::move(fenced));
+            return;
+          }
         }
         if (store.has_hint && store.intended != server->node) {
           // We are a fallback home: buffer for handoff AND serve reads from
-          // local storage in the meantime. Merge into any hint already
-          // buffered for this (intended, key) — counting a re-divert as a
-          // fresh stored hint would unbalance the stored/delivered/lost
-          // ledger, since delivery is per (intended, key) entry.
-          auto& slot = server->hints[store.intended][store.key];
-          if (slot.empty()) {
-            ++stats_.hints_stored;
-            c_hints_stored_->Inc();
-            slot = store.versions;
-          } else {
-            slot = MergeSiblingSets({slot, store.versions});
-          }
+          // local storage in the meantime.
+          BufferHint(server, store.intended, store.key, store.versions);
         }
         server->storage->MergeRemote(store.key, store.versions);
         respond(StoreAck{server->storage->store().KeyDigest(store.key)});
@@ -432,14 +369,8 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       node, m_read_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto read = std::move(req).Take<ReadReq>();
-        if (elastic() && read.epoch != server->epoch) {
-          // A stale replica must not contribute to a fresh read quorum (it
-          // may have missed writes placed under the new epoch), and a fresh
-          // replica must not serve a stale coordinator.
-          ++stats_.stale_epoch_rejects;
-          c_stale_epoch_rejects_->Inc();
-          if (read.epoch > server->epoch) RefreshView(server);
-          respond(Status::FailedPrecondition("epoch mismatch"));
+        if (Status fenced = ReplicaFence(server, read.epoch); !fenced.ok()) {
+          respond(std::move(fenced));
           return;
         }
         ReadReply reply;
@@ -462,6 +393,38 @@ void DynamoCluster::RegisterHandlers(Server* server) {
       });
 }
 
+// Both fences are inert for a static cluster: every epoch is 0 and no
+// server is ever quarantined or departed.
+Status DynamoCluster::CoordinatorFence(Server* server, uint64_t client_epoch) {
+  // A coordinator that is behind the client's committed epoch must not
+  // serve: its placement could ack a quorum the new epoch's readers never
+  // intersect. Refresh and make the client retry. (A coordinator AHEAD of
+  // the request epoch serves fine — its placement is fresher than the
+  // client's routing snapshot.)
+  if (client_epoch > server->epoch) {
+    ++stats_.stale_epoch_rejects;
+    c_stale_epoch_rejects_->Inc();
+    RefreshView(server);
+    return Status::FailedPrecondition("coordinator view is stale");
+  }
+  if (server->needs_refresh || server->departed) {
+    return Status::Unavailable("coordinator not serving");
+  }
+  return Status::OK();
+}
+
+Status DynamoCluster::ReplicaFence(Server* server, uint64_t leg_epoch) {
+  if (leg_epoch == server->epoch) return Status::OK();
+  // A quorum-counted leg from a different epoch: either the sender is stale
+  // (its retry re-places under the new view) or we are (refresh below).
+  // Accepting would let two epochs' quorums miss each other; a stale replica
+  // must not contribute to a fresh read quorum either.
+  ++stats_.stale_epoch_rejects;
+  c_stale_epoch_rejects_->Inc();
+  if (leg_epoch > server->epoch) RefreshView(server);
+  return Status::FailedPrecondition("epoch mismatch");
+}
+
 // Client calls keep the seed's overall 4*kRpcTimeout budget, but spend it as
 // two resilient attempts (2*kRpcTimeout each, backoff between) under an
 // absolute deadline instead of one long-shot RPC. A retried put is safe: the
@@ -480,30 +443,23 @@ resilience::CallOptions DynamoCluster::ClientCallOptions() const {
 void DynamoCluster::Put(sim::NodeId client, sim::NodeId coordinator,
                         const std::string& key, std::string value,
                         const VersionVector& context, PutCallback done) {
-  ClientPutReq req;
-  req.key = key;
-  req.value = std::move(value);
-  req.context = context;
-  req.is_delete = false;
-  if (elastic()) req.epoch = config_service_->committed().epoch;
-  ClientRpc(client)->Call(coordinator, m_client_put_, std::move(req),
-                          ClientCallOptions(), [done](Result<sim::Payload> r) {
-                            if (!r.ok()) {
-                              done(r.status());
-                            } else {
-                              done(std::move(r).value().Take<Version>());
-                            }
-                          });
+  Write(client, coordinator, key, std::move(value), /*is_delete=*/false,
+        context, std::move(done));
 }
 
 void DynamoCluster::Delete(sim::NodeId client, sim::NodeId coordinator,
                            const std::string& key,
                            const VersionVector& context, PutCallback done) {
-  ClientPutReq req;
-  req.key = key;
-  req.context = context;
-  req.is_delete = true;
-  if (elastic()) req.epoch = config_service_->committed().epoch;
+  Write(client, coordinator, key, "", /*is_delete=*/true, context,
+        std::move(done));
+}
+
+void DynamoCluster::Write(sim::NodeId client, sim::NodeId coordinator,
+                          const std::string& key, std::string value,
+                          bool is_delete, const VersionVector& context,
+                          PutCallback done) {
+  ClientPutReq req{key, std::move(value), context, is_delete,
+                   committed_epoch()};
   ClientRpc(client)->Call(coordinator, m_client_put_, std::move(req),
                           ClientCallOptions(), [done](Result<sim::Payload> r) {
                             if (!r.ok()) {
@@ -516,8 +472,7 @@ void DynamoCluster::Delete(sim::NodeId client, sim::NodeId coordinator,
 
 void DynamoCluster::Get(sim::NodeId client, sim::NodeId coordinator,
                         const std::string& key, GetCallback done) {
-  ClientGetReq req{key};
-  if (elastic()) req.epoch = config_service_->committed().epoch;
+  ClientGetReq req{key, committed_epoch()};
   resilience::CallOptions opts = ClientCallOptions();
   if (config_.hedge_reads && servers_.size() > 1) {
     // Race a slow coordinator against the next server; reads are idempotent
@@ -542,7 +497,7 @@ void DynamoCluster::Get(sim::NodeId client, sim::NodeId coordinator,
 }
 
 void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
-                                  std::function<void(Result<Version>)> done) {
+                                  PutCallback done) {
   const sim::Time started = rpc_->simulator()->Now();
   coordinator->c_coordinated_puts->Inc();
   // Mint the new version once; every replica stores the identical bytes.
@@ -567,7 +522,7 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
   // falls back to a hint for its target, which blocks this server's
   // catch-up report (and therefore the commit) until delivered.
   std::vector<sim::NodeId> extra;
-  if (elastic() && coordinator->prepared.has_value()) {
+  if (coordinator->prepared.has_value()) {
     for (sim::NodeId n :
          PreferenceListAt(coordinator->prepared->epoch, req.key)) {
       if (!Contains(targets, n)) extra.push_back(n);
@@ -619,17 +574,6 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
     maybe_finish();
   };
 
-  // Fan-out legs feed the coordinator's detector/breaker (record_outcome)
-  // in both modes; single attempt, breaker not consulted — the quorum math
-  // already tolerates missing acks, and WriteTargets skipped unusable
-  // peers up front.
-  resilience::CallOptions leg;
-  leg.attempt_timeout = kRpcTimeout;
-  leg.max_attempts = 1;
-  leg.respect_breaker = false;
-  // The quorum math already bounds fan-out; starving a leg on the retry
-  // budget or AIMD limit would turn overload into quorum loss.
-  leg.respect_limits = false;
   for (size_t i = 0; i < targets.size(); ++i) {
     StoreReq store;
     store.key = req.key;
@@ -638,11 +582,10 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
     store.intended = intended[i];
     store.epoch = coordinator->epoch;
     coordinator->resilient->Call(
-        targets[i], m_store_, std::move(store), leg,
+        targets[i], m_store_, std::move(store), kFanOutLeg,
         [on_complete](Result<sim::Payload> r) { on_complete(r.ok()); });
   }
-  for (size_t i = 0; i < extra.size(); ++i) {
-    const sim::NodeId target = extra[i];
+  for (const sim::NodeId target : extra) {
     StoreReq store;
     store.key = req.key;
     store.versions = {version};
@@ -650,23 +593,15 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
     // Valid at either epoch: the receiver may learn of the commit before
     // this leg lands, and the merge stays correct regardless.
     store.cross_epoch = true;
-    const std::string key = req.key;
     coordinator->resilient->Call(
-        target, m_store_, std::move(store), leg,
-        [this, state, maybe_finish, coordinator, target, key,
+        target, m_store_, std::move(store), kFanOutLeg,
+        [this, state, maybe_finish, coordinator, target, key = req.key,
          version](Result<sim::Payload> r) {
           if (!r.ok()) {
             // Hinted handoff to the NEW owner: the write stays available
             // and the data reaches the owner before the epoch commits
             // (TryReportCatchUp holds the report while this hint pends).
-            auto& slot = coordinator->hints[target][key];
-            if (slot.empty()) {
-              ++stats_.hints_stored;
-              c_hints_stored_->Inc();
-              slot = {version};
-            } else {
-              slot = MergeSiblingSets({slot, {version}});
-            }
+            BufferHint(coordinator, target, key, {version});
           }
           ++state->extra_done;
           maybe_finish();
@@ -676,15 +611,14 @@ void DynamoCluster::CoordinatePut(Server* coordinator, ClientPutReq req,
 
 void DynamoCluster::CoordinateGet(
     Server* coordinator, std::string key,
-    std::function<void(Result<ReadResult>)> done) {
+    GetCallback done) {
   const sim::Time started = rpc_->simulator()->Now();
   coordinator->c_coordinated_gets->Inc();
-  // Elastic coordinators read under their own committed epoch; replicas at
-  // a different epoch fence the leg, so the quorum only counts replicas
-  // that agree on placement.
+  // Coordinators read under their own committed epoch; replicas at a
+  // different epoch fence the leg, so the quorum only counts replicas that
+  // agree on placement.
   const std::vector<sim::NodeId> preferred =
-      elastic() ? PreferenceListAt(coordinator->epoch, key)
-                : PreferenceList(key);
+      PreferenceListAt(coordinator->epoch, key);
 
   struct GetState {
     std::vector<std::vector<Version>> replies;
@@ -759,14 +693,9 @@ void DynamoCluster::CoordinateGet(
     }
   };
 
-  resilience::CallOptions leg;
-  leg.attempt_timeout = kRpcTimeout;
-  leg.max_attempts = 1;
-  leg.respect_breaker = false;
-  leg.respect_limits = false;  // see CoordinatePut
   for (const sim::NodeId target : preferred) {
     ReadReq read{key, coordinator->epoch};
-    coordinator->resilient->Call(target, m_read_, std::move(read), leg,
+    coordinator->resilient->Call(target, m_read_, std::move(read), kFanOutLeg,
                                  [on_reply, target](Result<sim::Payload> r) {
                                    on_reply(target, std::move(r));
                                  });
@@ -792,10 +721,7 @@ void DynamoCluster::DeliverHints(Server* server) {
     const sim::NodeId intended = it->first;
     // Hold the hint while the intended home still looks down — to the
     // holder's own detector in detector mode, to the oracle otherwise.
-    const bool reachable = config_.use_oracle_detector
-                               ? net->CanCommunicate(server->node, intended)
-                               : server->resilient->PeerUsable(intended);
-    if (!reachable) {
+    if (!TargetUsable(server, intended)) {
       ++it;
       continue;
     }
@@ -808,33 +734,8 @@ void DynamoCluster::DeliverHints(Server* server) {
       ++it;
       continue;
     }
-    resilience::CallOptions leg;
-    leg.attempt_timeout = kRpcTimeout;
-    leg.max_attempts = 1;
-    leg.respect_breaker = false;
-    leg.respect_limits = false;  // see CoordinatePut
     for (const auto& [key, versions] : it->second) {
-      StoreReq store;
-      store.key = key;
-      store.versions = versions;
-      store.epoch = server->epoch;
-      // Handoff is an idempotent merge of versions the intended home was
-      // always meant to hold — exempt from the epoch fence.
-      store.cross_epoch = true;
-      server->resilient->Call(intended, m_hint_, std::move(store), leg,
-                              [this](Result<sim::Payload> r) {
-                   if (r.ok()) {
-                     ++stats_.hints_delivered;
-                     c_hints_delivered_->Inc();
-                   } else {
-                     // The hint was already dropped from the buffer
-                     // (optimistic erase below); account the loss so the
-                     // handoff ledger still balances. Anti-entropy repairs
-                     // the data itself.
-                     ++stats_.hints_lost;
-                     c_hints_lost_->Inc();
-                   }
-                 });
+      HandOff(server, intended, m_hint_, key, versions);
     }
     // Optimistic: drop the hint once sent; a lost handoff is later fixed by
     // anti-entropy (mirrors Dynamo's at-least-once handoff semantics).
@@ -842,7 +743,44 @@ void DynamoCluster::DeliverHints(Server* server) {
   }
   // Draining hints may have unblocked a held catch-up report (reports wait
   // while hints to prepared-view members pend).
-  if (elastic()) TryReportCatchUp(server);
+  TryReportCatchUp(server);
+}
+
+void DynamoCluster::BufferHint(Server* holder, sim::NodeId intended,
+                               const std::string& key,
+                               const std::vector<Version>& versions) {
+  std::vector<Version>& slot = holder->hints[intended][key];
+  if (slot.empty()) {
+    ++stats_.hints_stored;
+    c_hints_stored_->Inc();
+    slot = versions;
+  } else {
+    slot = MergeSiblingSets({slot, versions});
+  }
+}
+
+void DynamoCluster::HandOff(Server* holder, sim::NodeId target,
+                            sim::MethodId method, const std::string& key,
+                            const std::vector<Version>& versions) {
+  StoreReq store;
+  store.key = key;
+  store.versions = versions;
+  store.epoch = holder->epoch;
+  // Handoff is an idempotent merge of versions the target was always meant
+  // to hold — exempt from the epoch fence.
+  store.cross_epoch = true;
+  holder->resilient->Call(target, method, std::move(store), kFanOutLeg,
+                          [this](Result<sim::Payload> r) {
+                            if (r.ok()) {
+                              ++stats_.hints_delivered;
+                              c_hints_delivered_->Inc();
+                            } else {
+                              // Anti-entropy repairs the data itself; the
+                              // ledger must still balance.
+                              ++stats_.hints_lost;
+                              c_hints_lost_->Inc();
+                            }
+                          });
 }
 
 void DynamoCluster::OnCrash(uint32_t node) {
@@ -949,12 +887,11 @@ void DynamoCluster::EnableElastic(membership::ConfigService* config) {
   const membership::MembershipView& committed = config->committed();
   EVC_CHECK(committed.epoch >= 1);  // must be bootstrapped
   EVC_CHECK(committed.members.size() == servers_.size());
-  members_of_epoch_.try_emplace(committed.epoch, committed.members);
+  placements_.try_emplace(committed.epoch, committed.members);
   announced_epoch_ = committed.epoch;
   for (auto& server : servers_) {
     EVC_CHECK(committed.Contains(server->node));
     server->epoch = committed.epoch;
-    server->members = committed.members;
     server->departed = false;
     SubscribeServer(server.get());
     ScheduleRefreshTick(server.get());
@@ -975,9 +912,8 @@ void DynamoCluster::ApplyView(
     Server* server, const membership::MembershipView& committed,
     const std::optional<membership::MembershipView>& prepared) {
   if (committed.epoch > server->epoch) {
-    members_of_epoch_.try_emplace(committed.epoch, committed.members);
+    placements_.try_emplace(committed.epoch, committed.members);
     server->epoch = committed.epoch;
-    server->members = committed.members;
     server->departed = !committed.Contains(server->node);
     server->needs_refresh = false;
     if (server->migration != nullptr &&
@@ -995,7 +931,7 @@ void DynamoCluster::ApplyView(
     server->needs_refresh = false;
   }
   if (prepared.has_value() && prepared->epoch > server->epoch) {
-    members_of_epoch_.try_emplace(prepared->epoch, prepared->members);
+    placements_.try_emplace(prepared->epoch, prepared->members);
     server->prepared = *prepared;
     if (server->migration == nullptr ||
         server->migration->epoch != prepared->epoch) {
@@ -1165,18 +1101,13 @@ void DynamoCluster::TryReportCatchUp(Server* server) {
 void DynamoCluster::RedirectHints(Server* server) {
   for (auto it = server->hints.begin(); it != server->hints.end();) {
     const sim::NodeId intended = it->first;
-    if (Contains(server->members, intended)) {
+    if (Contains(placements_.at(server->epoch).members, intended)) {
       ++it;
       continue;
     }
     // The intended home left the committed view: waiting for it to come
-    // back would pend forever (the static-membership bug this PR fixes).
-    // Re-aim each hint at the key's new primary under the current epoch.
-    resilience::CallOptions leg;
-    leg.attempt_timeout = kRpcTimeout;
-    leg.max_attempts = 1;
-    leg.respect_breaker = false;
-    leg.respect_limits = false;  // see CoordinatePut
+    // back would pend forever. Re-aim each hint at the key's new primary
+    // under the current epoch.
     for (const auto& [key, versions] : it->second) {
       ++stats_.hints_redirected;
       c_hints_redirected_->Inc();
@@ -1190,24 +1121,7 @@ void DynamoCluster::RedirectHints(Server* server) {
         c_hints_delivered_->Inc();
         continue;
       }
-      StoreReq store;
-      store.key = key;
-      store.versions = versions;
-      store.epoch = server->epoch;
-      store.cross_epoch = true;
-      server->resilient->Call(target, m_store_, std::move(store), leg,
-                              [this](Result<sim::Payload> r) {
-                                if (r.ok()) {
-                                  ++stats_.hints_delivered;
-                                  c_hints_delivered_->Inc();
-                                } else {
-                                  // Optimistic send, same ledger discipline
-                                  // as DeliverHints: the entry is already
-                                  // erased, so account the loss now.
-                                  ++stats_.hints_lost;
-                                  c_hints_lost_->Inc();
-                                }
-                              });
+      HandOff(server, target, m_store_, key, versions);
     }
     it = server->hints.erase(it);
   }
@@ -1219,7 +1133,7 @@ Result<sim::NodeId> DynamoCluster::AddServerLive(
   if (config_service_->ReconfigInProgress()) {
     return Status::FailedPrecondition("reconfiguration in flight");
   }
-  Server* server = CreateServer(/*on_static_ring=*/false);
+  Server* server = CreateServer();
   // The newcomer serves nothing until it pulls a view; data still reaches
   // it meanwhile via cross-epoch migration chunks and extra write legs.
   server->needs_refresh = true;
@@ -1258,13 +1172,12 @@ Status DynamoCluster::RemoveServerLive(sim::NodeId node,
 }
 
 std::vector<sim::NodeId> DynamoCluster::CommittedMembers() const {
-  EVC_CHECK(elastic());
-  return config_service_->committed().members;
+  return elastic() ? config_service_->committed().members
+                   : placements_.at(0).members;
 }
 
 uint64_t DynamoCluster::committed_epoch() const {
-  EVC_CHECK(elastic());
-  return config_service_->committed().epoch;
+  return elastic() ? config_service_->committed().epoch : 0;
 }
 
 bool DynamoCluster::Migrating() const {

@@ -123,9 +123,10 @@ class DynamoCluster : private sim::CrashParticipant {
   DynamoCluster(sim::Rpc* rpc, QuorumConfig config);
   ~DynamoCluster();
 
-  /// Adds a storage server; returns its network node id. All servers must be
-  /// added before the first operation (and before EnableElastic; live
-  /// topology changes go through AddServerLive / RemoveServerLive).
+  /// Adds a storage server to the static membership (epoch 0); returns its
+  /// network node id. Placement follows the new member set from the next
+  /// operation on. Not allowed once elastic: live topology changes go
+  /// through AddServerLive / RemoveServerLive.
   sim::NodeId AddServer();
   /// Convenience: adds `count` servers.
   std::vector<sim::NodeId> AddServers(int count);
@@ -151,7 +152,8 @@ class DynamoCluster : private sim::CrashParticipant {
   [[nodiscard]] Status RemoveServerLive(sim::NodeId node,
                                         std::function<void(Status)> prepared);
 
-  /// Elastic-mode introspection (test/harness hooks).
+  /// The committed membership and epoch: the config service's view when
+  /// elastic, the AddServer list at epoch 0 when static.
   std::vector<sim::NodeId> CommittedMembers() const;
   uint64_t committed_epoch() const;
   /// True while a reconfiguration (prepare → catch-up → commit) is in
@@ -190,7 +192,8 @@ class DynamoCluster : private sim::CrashParticipant {
   void Get(sim::NodeId client, sim::NodeId coordinator, const std::string& key,
            GetCallback done);
 
-  /// The first N servers on the ring walk for `key` (ignoring liveness).
+  /// The first N servers on the ring walk for `key` (ignoring liveness), at
+  /// the committed epoch (0 for a static cluster).
   std::vector<sim::NodeId> PreferenceList(const std::string& key) const;
 
   /// Starts periodic hinted-handoff delivery attempts on every server.
@@ -259,9 +262,8 @@ class DynamoCluster : private sim::CrashParticipant {
     // e.g. that a sticky session really re-polls one coordinator.
     obs::Counter* c_coordinated_gets = nullptr;
     obs::Counter* c_coordinated_puts = nullptr;
-    // Elastic membership state (defaults are inert for static clusters).
-    uint64_t epoch = 0;                      ///< committed epoch served under
-    std::vector<sim::NodeId> members;        ///< member set at `epoch`
+    // Membership state; a static cluster keeps these defaults forever.
+    uint64_t epoch = 0;  ///< committed epoch served under
     std::optional<membership::MembershipView> prepared;  ///< successor view
     bool departed = false;       ///< self left the committed view
     bool needs_refresh = false;  ///< restarted: no coordination until synced
@@ -269,9 +271,9 @@ class DynamoCluster : private sim::CrashParticipant {
     std::unique_ptr<MigrationTask> migration;
   };
 
-  // RPC payloads. In elastic mode every request carries the sender's
-  // committed epoch; receivers fence on mismatch (except cross_epoch data
-  // merges, which are CRDT-safe and must survive the commit race).
+  // RPC payloads. Every request carries the sender's committed epoch;
+  // receivers fence on mismatch (except cross_epoch data merges, which are
+  // CRDT-safe and must survive the commit race).
   struct ClientPutReq {
     std::string key;
     std::string value;
@@ -310,13 +312,26 @@ class DynamoCluster : private sim::CrashParticipant {
     std::vector<std::pair<std::string, std::vector<Version>>> entries;
   };
 
-  Server* FindServer(sim::NodeId node);
-  /// Shared server construction; AddServer places the node on the static
-  /// ring, AddServerLive leaves placement to the per-epoch rings.
-  Server* CreateServer(bool on_static_ring);
-  void RegisterHandlers(Server* server);
+  /// Placement under one epoch, a pure function of its member list (epoch
+  /// 0: the static servers in AddServer order). Keys walk the vnode ring
+  /// (use_hash_ring; built on first use) or `members` from Fnv1a64(key) %
+  /// size; full walks are cached per interned key.
+  struct Placement {
+    explicit Placement(std::vector<sim::NodeId> m = {})
+        : members(std::move(m)) {}
+    std::vector<sim::NodeId> members;
+    std::optional<HashRing> ring;
+    std::vector<std::vector<sim::NodeId>> walks;
+  };
 
-  // --- Elastic membership internals (no-ops for static clusters) ---
+  Server* FindServer(sim::NodeId node);
+  Server* CreateServer();
+  void RegisterHandlers(Server* server);
+  /// Epoch fences on a client op (coordinator side) and a quorum leg.
+  Status CoordinatorFence(Server* server, uint64_t client_epoch);
+  Status ReplicaFence(Server* server, uint64_t leg_epoch);
+
+  // --- Membership internals (never reached by a static cluster) ---
   /// Routes config-service pushes for `server` into ApplyView.
   void SubscribeServer(Server* server);
   /// Applies a learned (committed, prepared) pair: flips the served epoch,
@@ -326,9 +341,7 @@ class DynamoCluster : private sim::CrashParticipant {
   /// Pulls the current views from the config service (single-flight).
   void RefreshView(Server* server);
   void ScheduleRefreshTick(Server* server);
-  /// Members / ring / full walk under a specific epoch (built lazily from
-  /// the sorted member list, so every node derives identical placement).
-  const std::vector<sim::NodeId>& MembersOfEpoch(uint64_t epoch) const;
+  /// Every member under `epoch`, in `key`'s placement order.
   const std::vector<sim::NodeId>& RingWalkAt(uint64_t epoch,
                                              const std::string& key) const;
   std::vector<sim::NodeId> PreferenceListAt(uint64_t epoch,
@@ -356,9 +369,16 @@ class DynamoCluster : private sim::CrashParticipant {
   /// Global metrics registry of the owning simulator (dyn.* instruments).
   obs::MetricsRegistry& Obs();
 
-  /// Every server, in `key`'s placement order (preference list = first N).
-  /// Cached per interned key; invalidated when membership changes.
-  const std::vector<sim::NodeId>& RingWalk(const std::string& key) const;
+  /// The one client-write path behind Put and Delete.
+  void Write(sim::NodeId client, sim::NodeId coordinator,
+             const std::string& key, std::string value, bool is_delete,
+             const VersionVector& context, PutCallback done);
+  /// Hinted handoff: buffer at `holder` (merging per (intended, key)), and
+  /// send one erased hint, booking it delivered or lost.
+  void BufferHint(Server* holder, sim::NodeId intended, const std::string& key,
+                  const std::vector<Version>& versions);
+  void HandOff(Server* holder, sim::NodeId target, sim::MethodId method,
+               const std::string& key, const std::vector<Version>& versions);
 
   /// Write targets for a coordinator: the preference list, with unreachable
   /// entries replaced by ring-walk fallbacks when sloppy quorums are on.
@@ -367,10 +387,8 @@ class DynamoCluster : private sim::CrashParticipant {
                     std::vector<sim::NodeId>* targets,
                     std::vector<sim::NodeId>* intended);
 
-  void CoordinatePut(Server* coordinator, ClientPutReq req,
-                     std::function<void(Result<Version>)> done);
-  void CoordinateGet(Server* coordinator, std::string key,
-                     std::function<void(Result<ReadResult>)> done);
+  void CoordinatePut(Server* coordinator, ClientPutReq req, PutCallback done);
+  void CoordinateGet(Server* coordinator, std::string key, GetCallback done);
   void DeliverHints(Server* server);
   void ScheduleHintTick(Server* server, sim::Time interval);
 
@@ -399,11 +417,9 @@ class DynamoCluster : private sim::CrashParticipant {
   obs::Counter* c_keys_migrated_ = nullptr;
   Histogram* h_put_latency_us_ = nullptr;
   Histogram* h_get_latency_us_ = nullptr;
-  // Key placement cache: keys intern to dense ids and each key's full ring
-  // walk is computed once. Membership changes (AddServer) clear the walks;
-  // the ids stay stable for the cluster's lifetime.
+  // Keys intern to dense ids that index every epoch's walk cache; the ids
+  // stay stable for the cluster's lifetime.
   mutable KeyInterner keys_;
-  mutable std::vector<std::vector<sim::NodeId>> walk_of_key_;
   // Pre-interned RPC methods / message types (resolved in the ctor).
   sim::MethodId m_client_put_ = 0;
   sim::MethodId m_client_get_ = 0;
@@ -418,21 +434,15 @@ class DynamoCluster : private sim::CrashParticipant {
   std::map<sim::NodeId, Server*> by_node_;
   std::map<sim::NodeId, std::unique_ptr<resilience::ResilientRpc>>
       client_rpcs_;
-  HashRing ring_;
   DynamoStats stats_;
   sim::CrashRegistrar crash_registrar_;
-  // Elastic membership (null/empty for static clusters).
+  // Elastic membership (null for static clusters).
   membership::ConfigService* config_service_ = nullptr;
   sim::Time hint_interval_ = 0;   // remembered for live-added servers
   uint64_t announced_epoch_ = 0;  // highest epoch surfaced via commit_cb_
   CommitCallback commit_cb_;
   ServerCreatedCallback server_created_cb_;
-  // Per-epoch placement caches, all pure functions of the epoch's sorted
-  // member list: member sets, vnode rings, and interned-key full walks.
-  mutable std::map<uint64_t, std::vector<sim::NodeId>> members_of_epoch_;
-  mutable std::map<uint64_t, HashRing> ring_of_epoch_;
-  mutable std::map<uint64_t, std::vector<std::vector<sim::NodeId>>>
-      walks_of_epoch_;
+  mutable std::map<uint64_t, Placement> placements_;  ///< by epoch
 };
 
 }  // namespace evc::repl

@@ -11,6 +11,14 @@ namespace evc::resilience {
 namespace {
 constexpr char kPingMethod[] = "rsl.ping";
 struct PingReq {};
+// Hedge delay: this percentile of successful attempt latencies, floored.
+constexpr double kHedgePercentile = 0.95;
+constexpr sim::Time kMinHedgeDelay = 1 * sim::kMillisecond;
+// Retry-budget tokens a retry or hedge costs.
+constexpr double kRetryCost = 1.0;
+// AIMD concurrency limit bounds.
+constexpr double kAimdMinLimit = 1.0;
+constexpr double kAimdMaxLimit = 256.0;
 }  // namespace
 
 struct ResilientRpc::CallState {
@@ -162,13 +170,13 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
             if (state->opts.respect_limits &&
                 options_.retry_budget.enabled) {
               DestState& dest = DestFor(hedge_to);
-              if (dest.budget_tokens < options_.retry_budget.retry_cost) {
+              if (dest.budget_tokens < kRetryCost) {
                 ++stats_.hedges_suppressed_budget;
                 Obs().CounterFor("resilience.hedges_suppressed_budget")
                     .Inc();
                 return;
               }
-              dest.budget_tokens -= options_.retry_budget.retry_cost;
+              dest.budget_tokens -= kRetryCost;
             }
             state->hedge_issued = true;
             ++stats_.hedges_issued;
@@ -224,14 +232,13 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
     }
     if (options_.aimd.enabled) {
       dest_state.aimd_limit =
-          std::min(options_.aimd.max_limit,
+          std::min(kAimdMaxLimit,
                    dest_state.aimd_limit +
                        1.0 / std::max(1.0, dest_state.aimd_limit));
     }
   } else if (overload_signal && options_.aimd.enabled) {
     dest_state.aimd_limit =
-        std::max(options_.aimd.min_limit,
-                 dest_state.aimd_limit * options_.aimd.backoff_ratio);
+        std::max(kAimdMinLimit, dest_state.aimd_limit * kAimdBackoffRatio);
   }
   if (!r.ok() && r.status().IsResourceExhausted()) {
     ++stats_.resource_exhausted_replies;
@@ -293,7 +300,7 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
   // budget caps total amplification.
   if (state->opts.respect_limits && options_.retry_budget.enabled) {
     DestState& dest = DestFor(state->to);
-    if (dest.budget_tokens < options_.retry_budget.retry_cost) {
+    if (dest.budget_tokens < kRetryCost) {
       ++stats_.budget_exhausted;
       Obs().CounterFor("resilience.budget_exhausted").Inc();
       Complete(state, state->last_error.ok()
@@ -301,7 +308,7 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
                           : state->last_error);
       return;
     }
-    dest.budget_tokens -= options_.retry_budget.retry_cost;
+    dest.budget_tokens -= kRetryCost;
   }
   sim::Time backoff = retry_.BackoffBefore(attempt + 1);
   // An overloaded server's retry-after hint dominates the local policy:
@@ -336,11 +343,11 @@ void ResilientRpc::FailDeadline(const std::shared_ptr<CallState>& state) {
 sim::Time ResilientRpc::HedgeDelay() const {
   const HedgeOptions& h = options_.hedge;
   if (attempt_latency_us_.count() < h.min_samples) {
-    return std::max(h.min_delay, h.default_delay);
+    return std::max(kMinHedgeDelay, h.default_delay);
   }
   const auto p =
-      static_cast<sim::Time>(attempt_latency_us_.Percentile(h.percentile));
-  return std::max(h.min_delay, p);
+      static_cast<sim::Time>(attempt_latency_us_.Percentile(kHedgePercentile));
+  return std::max(kMinHedgeDelay, p);
 }
 
 void ResilientRpc::RecordOutcome(sim::NodeId peer, bool success,

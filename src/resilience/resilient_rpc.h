@@ -44,21 +44,19 @@
 
 namespace evc::resilience {
 
-/// Hedged-request policy: when to issue the second attempt.
+/// Hedged-request policy: when to issue the second attempt. The hedge fires
+/// once the p95 of this node's successful attempt latencies has elapsed
+/// without a reply.
 struct HedgeOptions {
-  /// Hedge after the observed latency at this percentile (of this node's
-  /// successful attempts) has elapsed without a reply.
-  double percentile = 0.95;
   /// Samples required before the percentile is trusted.
   size_t min_samples = 16;
   /// Hedge delay used until enough samples exist.
   sim::Time default_delay = 50 * sim::kMillisecond;
-  sim::Time min_delay = 1 * sim::kMillisecond;
 };
 
 /// Per-destination retry budget (gRPC-style token bucket). Every successful
 /// first-class reply refills `token_ratio` tokens; every retry AND every
-/// hedge debits `retry_cost`. An exhausted budget fails the call fast with
+/// hedge debits one token. An exhausted budget fails the call fast with
 /// the last error instead of amplifying: under overload, N clients retrying
 /// M times turn offered load L into L*(1+M) — the budget caps sustained
 /// amplification at 1 + token_ratio.
@@ -69,24 +67,22 @@ struct RetryBudgetOptions {
   /// Tokens credited per successful reply: 0.1 sustains one retry per ten
   /// successes.
   double token_ratio = 0.1;
-  /// Tokens a retry or hedge costs.
-  double retry_cost = 1.0;
 };
 
 /// AIMD adaptive concurrency limit per destination: successes grow the
-/// limit additively (+1 per `limit` successes), overload signals (attempt
-/// timeout or kResourceExhausted rejection) shrink it multiplicatively.
+/// limit additively (+1 per `limit` successes, up to 256), overload signals
+/// (attempt timeout or kResourceExhausted rejection) shrink it by
+/// kAimdBackoffRatio (down to 1).
 /// Calls over the limit fail fast (then back off through the normal retry
 /// path), so a client's offered concurrency tracks what the destination
 /// can actually absorb.
 struct AimdOptions {
   bool enabled = false;
   double initial_limit = 16.0;
-  double min_limit = 1.0;
-  double max_limit = 256.0;
-  /// Multiplicative decrease factor on an overload signal.
-  double backoff_ratio = 0.7;
 };
+
+/// AIMD multiplicative decrease factor on an overload signal.
+constexpr double kAimdBackoffRatio = 0.7;
 
 struct ResilienceOptions {
   RetryOptions retry;

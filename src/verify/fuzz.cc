@@ -29,82 +29,6 @@ namespace evc::verify {
 using sim::kMillisecond;
 using sim::kSecond;
 
-const char* ToString(FuzzStore store) {
-  switch (store) {
-    case FuzzStore::kPaxos: return "paxos";
-    case FuzzStore::kQuorumStrict: return "quorum-strict";
-    case FuzzStore::kQuorumWeak: return "quorum-weak";
-    case FuzzStore::kTimeline: return "timeline";
-    case FuzzStore::kCausal: return "causal";
-    case FuzzStore::kGCounter: return "gcounter";
-    case FuzzStore::kOrSet: return "orset";
-    case FuzzStore::kEdgeCache: return "edge-cache";
-    case FuzzStore::kQuorumElastic: return "quorum-elastic";
-  }
-  return "?";
-}
-
-bool ParseFuzzStore(const std::string& name, FuzzStore* store) {
-  for (FuzzStore s : AllFuzzStores()) {
-    if (name == ToString(s)) {
-      *store = s;
-      return true;
-    }
-  }
-  return false;
-}
-
-std::vector<FuzzStore> AllFuzzStores() {
-  return {FuzzStore::kPaxos,        FuzzStore::kQuorumStrict,
-          FuzzStore::kQuorumWeak,   FuzzStore::kTimeline,
-          FuzzStore::kCausal,       FuzzStore::kGCounter,
-          FuzzStore::kOrSet,        FuzzStore::kEdgeCache,
-          FuzzStore::kQuorumElastic};
-}
-
-FuzzOptions DefaultFuzzOptions(FuzzStore store, uint64_t seed) {
-  FuzzOptions o;
-  switch (store) {
-    case FuzzStore::kPaxos:
-      // Single register, few ops: the linearizability search is exponential.
-      o = {.servers = 3, .sessions = 3, .ops_per_session = 10, .keyspace = 1};
-      break;
-    case FuzzStore::kQuorumStrict:
-    case FuzzStore::kQuorumWeak:
-      o = {.servers = 5, .sessions = 4, .ops_per_session = 25, .keyspace = 4};
-      break;
-    case FuzzStore::kTimeline:
-    case FuzzStore::kCausal:
-      o = {.servers = 3, .sessions = 3, .ops_per_session = 25, .keyspace = 4,
-           .quiescence_timeout = 15 * kSecond};
-      break;
-    case FuzzStore::kGCounter:
-    case FuzzStore::kOrSet:
-      // The keyspace is the or-set's element pool.
-      o = {.servers = 4, .sessions = 4, .ops_per_session = 30, .keyspace = 8,
-           .quiescence_timeout = 20 * kSecond};
-      break;
-    case FuzzStore::kEdgeCache:
-      // Small keyspace so sessions collide on keys and writes actually meet
-      // outstanding leases (the revoke path is the thing under test).
-      o = {.servers = 3, .sessions = 4, .ops_per_session = 25, .keyspace = 3,
-           .quiescence_timeout = 15 * kSecond};
-      break;
-    case FuzzStore::kQuorumElastic:
-      // Live membership changes under a strict quorum, on the "elastic"
-      // schedule: no partitions or hard crashes (reconfiguration is the
-      // fault under test; availability through it is the claim), but gray
-      // degradation, rolling restarts, and add/remove draws all on.
-      o = {.servers = 4, .sessions = 3, .ops_per_session = 25, .keyspace = 4};
-      o.nemesis.duration = 25 * kSecond;
-      ApplyFuzzProfile("elastic", &o);
-      break;
-  }
-  o.seed = seed;
-  o.store = store;
-  return o;
-}
-
 bool ApplyFuzzProfile(const std::string& profile, FuzzOptions* options) {
   sim::NemesisScheduleOptions& n = options->nemesis;
   if (profile.empty()) return true;
@@ -151,42 +75,6 @@ bool FuzzReport::AnomalyDetected() const {
   // Every claim a store can break, plus the session anomalies weak stores
   // are allowed.
   return !MeetsClaims() || (sess_checked && session.total() > 0);
-}
-
-bool FuzzReport::MeetsClaims(std::string* why) const {
-  auto fail = [why](const char* reason) {
-    if (why != nullptr) *why = reason;
-    return false;
-  };
-  if (lin_checked && !linearizable && !lin_exhausted) {
-    return fail("history is not linearizable");
-  }
-  if (conv_checked && conv_applicable && !convergence.ok()) {
-    return fail("replicas failed to converge / lost an acked write");
-  }
-  if (causal_checked && !causal.ok()) {
-    return fail("causal consistency violated");
-  }
-  if (fork_checked && fork_violations > 0) {
-    return fail("record timeline forked");
-  }
-  if (crdt_value_checked && !crdt_value_ok) {
-    return fail("CRDT value diverged from acked operations");
-  }
-  if (sess_checked && session.total() > 0) {
-    // Only the strong quorum configuration promises session guarantees; the
-    // weak configuration records them as expected anomalies. The edge cache
-    // claims all four guarantees *through the cache* — any violation there,
-    // cached serve or not, breaks the lease protocol's contract. The elastic
-    // configuration claims them ACROSS reconfiguration boundaries: an epoch
-    // change is not allowed to cost a single guarantee.
-    if (store == FuzzStore::kQuorumStrict || store == FuzzStore::kTimeline ||
-        store == FuzzStore::kEdgeCache ||
-        store == FuzzStore::kQuorumElastic) {
-      return fail("session guarantee violated");
-    }
-  }
-  return true;
 }
 
 std::string FuzzReport::Summary() const {
@@ -596,13 +484,6 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
   Driver driver(&s, servers, o);
   ElasticActuator actuator(&cluster);
   if (elastic) driver.nemesis().SetMembershipActuator(&actuator);
-  // Elastic coordinators are drawn from the CURRENT committed membership —
-  // the client-visible contract of the config service. A request can still
-  // race a commit (pick a server that departs in flight); it then fails
-  // cleanly at the epoch fence and is simply counted as unavailable.
-  auto members = [&] {
-    return elastic ? cluster.CommittedMembers() : servers;
-  };
 
   std::vector<RecordedOp> history;
   std::vector<AckedWrite> acked;
@@ -618,7 +499,12 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
                                       const Driver::Done& done) {
     Session& sess = sessions[i];
     const std::string key = driver.Key(rng, o.keyspace);
-    const std::vector<sim::NodeId> coords = members();
+    // Coordinators are drawn from the CURRENT committed membership — the
+    // client-visible contract of the config service (a static cluster's is
+    // its server list). A request can still race a commit (pick a server
+    // that departs in flight); it then fails cleanly at the epoch fence and
+    // is simply counted as unavailable.
+    const std::vector<sim::NodeId> coords = cluster.CommittedMembers();
     const sim::NodeId coord = coords[rng->NextBounded(coords.size())];
     const int64_t invoke = s.sim.Now();
     if (rng->NextBool(0.5)) {
@@ -674,7 +560,7 @@ FuzzReport RunQuorum(const FuzzOptions& o) {
   // the FINAL committed membership: departed servers keep their stale
   // shadow copies (harmless — nothing routes to them), live-joined servers
   // must hold the full acked history.
-  const std::vector<sim::NodeId> final_members = members();
+  const std::vector<sim::NodeId> final_members = cluster.CommittedMembers();
   std::vector<ReplicaState> states;
   for (sim::NodeId srv : final_members) {
     ReplicaState state;
@@ -1227,21 +1113,140 @@ FuzzReport RunOrSet(const FuzzOptions& o) {
   return RunCrdt(o, std::move(replicas), "orset-gossip", apply_op, finalize);
 }
 
+// --------------------------------------------------------------------------
+// The store table: adding a store means one FuzzStore entry and one row.
+// --------------------------------------------------------------------------
+
+struct StoreRow {
+  FuzzStore store;
+  const char* name;  ///< the name ToString prints and ParseFuzzStore reads
+  FuzzOptions (*defaults)();  ///< sized to the store's checkers
+  /// All four session guarantees are claimed, so a violation breaks the
+  /// store's contract instead of being an expected anomaly.
+  bool claims_sessions;
+  FuzzReport (*run)(const FuzzOptions&);
+};
+
+// Per-store sizes (FuzzOptions defaults for everything else).
+FuzzOptions Sized(int servers, int sessions, int ops_per_session, int keyspace,
+                  sim::Time quiescence_timeout =
+                      FuzzOptions{}.quiescence_timeout) {
+  return {.servers = servers, .sessions = sessions,
+          .ops_per_session = ops_per_session, .keyspace = keyspace,
+          .quiescence_timeout = quiescence_timeout};
+}
+
+// Live membership changes under a strict quorum, on the "elastic" schedule:
+// no partitions or hard crashes (reconfiguration is the fault under test;
+// availability through it is the claim), but gray degradation, rolling
+// restarts, and add/remove draws all on.
+FuzzOptions ElasticDefaults() {
+  FuzzOptions o = Sized(4, 3, 25, 4);
+  o.nemesis.duration = 25 * kSecond;
+  ApplyFuzzProfile("elastic", &o);
+  return o;
+}
+
+// Session claims: the strict quorum's R+W>N intersection, the timeline's
+// reads at a pinned replica, the edge cache's *through the cache* (any
+// violation there, cached serve or not, breaks the lease protocol's
+// contract), and the elastic quorum's ACROSS reconfiguration boundaries (an
+// epoch change may not cost a single guarantee).
+const StoreRow kStores[] = {
+    // Single register, few ops: the linearizability search is exponential.
+    {FuzzStore::kPaxos, "paxos", [] { return Sized(3, 3, 10, 1); }, false,
+     RunPaxos},
+    {FuzzStore::kQuorumStrict, "quorum-strict",
+     [] { return Sized(5, 4, 25, 4); }, true, RunQuorum},
+    {FuzzStore::kQuorumWeak, "quorum-weak", [] { return Sized(5, 4, 25, 4); },
+     false, RunQuorum},
+    {FuzzStore::kTimeline, "timeline",
+     [] { return Sized(3, 3, 25, 4, 15 * kSecond); }, true, RunTimeline},
+    {FuzzStore::kCausal, "causal",
+     [] { return Sized(3, 3, 25, 4, 15 * kSecond); }, false, RunCausal},
+    // The keyspace is the or-set's element pool.
+    {FuzzStore::kGCounter, "gcounter",
+     [] { return Sized(4, 4, 30, 8, 20 * kSecond); }, false, RunGCounter},
+    {FuzzStore::kOrSet, "orset",
+     [] { return Sized(4, 4, 30, 8, 20 * kSecond); }, false, RunOrSet},
+    // Small keyspace so sessions collide on keys and writes actually meet
+    // outstanding leases (the revoke path is the thing under test).
+    {FuzzStore::kEdgeCache, "edge-cache",
+     [] { return Sized(3, 4, 25, 3, 15 * kSecond); }, true, RunEdgeCache},
+    {FuzzStore::kQuorumElastic, "quorum-elastic", ElasticDefaults, true,
+     RunQuorum},
+};
+
+const StoreRow* FindRow(FuzzStore store) {
+  for (const StoreRow& row : kStores) {
+    if (row.store == store) return &row;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
-FuzzReport RunFuzzSeed(const FuzzOptions& options) {
-  switch (options.store) {
-    case FuzzStore::kPaxos: return RunPaxos(options);
-    case FuzzStore::kQuorumStrict:
-    case FuzzStore::kQuorumWeak:
-    case FuzzStore::kQuorumElastic: return RunQuorum(options);
-    case FuzzStore::kTimeline: return RunTimeline(options);
-    case FuzzStore::kCausal: return RunCausal(options);
-    case FuzzStore::kGCounter: return RunGCounter(options);
-    case FuzzStore::kOrSet: return RunOrSet(options);
-    case FuzzStore::kEdgeCache: return RunEdgeCache(options);
+bool FuzzReport::MeetsClaims(std::string* why) const {
+  auto fail = [why](const char* reason) {
+    if (why != nullptr) *why = reason;
+    return false;
+  };
+  if (lin_checked && !linearizable && !lin_exhausted) {
+    return fail("history is not linearizable");
   }
-  return {};
+  if (conv_checked && conv_applicable && !convergence.ok()) {
+    return fail("replicas failed to converge / lost an acked write");
+  }
+  if (causal_checked && !causal.ok()) {
+    return fail("causal consistency violated");
+  }
+  if (fork_checked && fork_violations > 0) {
+    return fail("record timeline forked");
+  }
+  if (crdt_value_checked && !crdt_value_ok) {
+    return fail("CRDT value diverged from acked operations");
+  }
+  // Stores that do not claim session guarantees (the weak quorum) record
+  // violations as expected anomalies.
+  if (sess_checked && session.total() > 0 && FindRow(store)->claims_sessions) {
+    return fail("session guarantee violated");
+  }
+  return true;
+}
+
+const char* ToString(FuzzStore store) {
+  const StoreRow* row = FindRow(store);
+  return row != nullptr ? row->name : "?";
+}
+
+bool ParseFuzzStore(const std::string& name, FuzzStore* store) {
+  for (const StoreRow& row : kStores) {
+    if (name == row.name) {
+      *store = row.store;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::vector<FuzzStore> AllFuzzStores() {
+  std::vector<FuzzStore> stores;
+  for (const StoreRow& row : kStores) stores.push_back(row.store);
+  return stores;
+}
+
+FuzzOptions DefaultFuzzOptions(FuzzStore store, uint64_t seed) {
+  const StoreRow* row = FindRow(store);
+  EVC_CHECK(row != nullptr);
+  FuzzOptions o = row->defaults();
+  o.seed = seed;
+  o.store = store;
+  return o;
+}
+
+FuzzReport RunFuzzSeed(const FuzzOptions& options) {
+  const StoreRow* row = FindRow(options.store);
+  return row != nullptr ? row->run(options) : FuzzReport{};
 }
 
 }  // namespace evc::verify

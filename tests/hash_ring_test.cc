@@ -5,7 +5,10 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "replication/quorum_store.h"
 
 namespace evc::repl {
@@ -261,6 +264,62 @@ TEST(HashRingTest, RemapDeltaBoundedOnLeave) {
   EXPECT_GT(moved, 0);
   EXPECT_LE(moved, static_cast<int>(fair * 1.5));
 }
+
+// A static cluster is epoch 0 of the elastic one: its placement is cached per
+// key, and AddServer must drop that cache. In both static modes (modulo walk
+// and vnode ring) the preference list must match a reference computed
+// straight from the server list, before and after a server joins behind a
+// completed op.
+class StaticPlacementTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StaticPlacementTest, PreferenceListMatchesReferenceAcrossAddServer) {
+  const bool use_hash_ring = GetParam();
+  sim::Simulator sim(7);
+  sim::Network net(&sim, std::make_unique<sim::ConstantLatency>(
+                             5 * sim::kMillisecond));
+  sim::Rpc rpc(&net);
+  QuorumConfig config;
+  config.use_hash_ring = use_hash_ring;
+  DynamoCluster cluster(&rpc, config);
+  std::vector<sim::NodeId> servers = cluster.AddServers(5);
+  const size_t n = static_cast<size_t>(config.replication_factor);
+
+  auto expect_reference_placement = [&] {
+    HashRing ring(config.ring_vnodes);
+    for (sim::NodeId s : servers) ring.AddServer(s);
+    for (int i = 0; i < 1000; ++i) {
+      const std::string key = "key" + std::to_string(i);
+      std::vector<sim::NodeId> want;
+      if (use_hash_ring) {
+        want = ring.PreferenceList(key, n);
+      } else {
+        const size_t start = Fnv1a64(key) % servers.size();
+        for (size_t j = 0; j < n; ++j) {
+          want.push_back(servers[(start + j) % servers.size()]);
+        }
+      }
+      ASSERT_EQ(cluster.PreferenceList(key), want)
+          << key << " with " << servers.size() << " servers";
+    }
+  };
+
+  // The first op places "key0" and caches walks before any check runs.
+  const sim::NodeId client = net.AddNode();
+  bool ok = false;
+  cluster.Put(client, servers[0], "key0", "v", {},
+              [&](Result<Version> r) { ok = r.ok(); });
+  sim.RunFor(sim::kSecond);
+  ASSERT_TRUE(ok);
+  expect_reference_placement();
+
+  servers.push_back(cluster.AddServer());
+  expect_reference_placement();
+}
+
+INSTANTIATE_TEST_SUITE_P(ModuloAndRing, StaticPlacementTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "HashRing" : "Modulo";
+                         });
 
 TEST(HashRingDynamoTest, SloppyQuorumStillWorksOnRing) {
   sim::Simulator sim(5);

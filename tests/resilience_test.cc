@@ -490,7 +490,7 @@ TEST_F(ResilientRpcTest, AimdLimitRejectsOverConcurrencyAndAdapts) {
                [&](Result<sim::Payload>) {});
   sim_.Run();
   EXPECT_DOUBLE_EQ(client->concurrency_limit(server_),
-                   2.0 * options.aimd.backoff_ratio);
+                   2.0 * kAimdBackoffRatio);
 }
 
 // Tentpole: a kResourceExhausted shed is retryable (the server explicitly
