@@ -22,6 +22,10 @@ AntiEntropy::AntiEntropy(sim::Network* network, std::vector<sim::NodeId> nodes,
       rng_(network->simulator()->rng().Fork(0xae0ae0)) {
   EVC_CHECK(nodes_.size() == storages_.size());
   EVC_CHECK(!nodes_.empty());
+  // Leaf digests and per-leaf key lists are compared index by index.
+  for (const ReplicaStorage* storage : storages_) {
+    EVC_CHECK(storage->merkle().depth() == storages_[0]->merkle().depth());
+  }
   t_sync_req_ = network_->InternType(kSyncReq);
   t_sync_rsp_ = network_->InternType(kSyncRsp);
   t_push_ = network_->InternType(kPush);
@@ -34,6 +38,7 @@ AntiEntropy::AntiEntropy(sim::Network* network, std::vector<sim::NodeId> nodes,
 
 void AntiEntropy::AddMember(sim::NodeId node, ReplicaStorage* storage) {
   EVC_CHECK(index_of_.count(node) == 0);
+  EVC_CHECK(storage->merkle().depth() == storages_[0]->merkle().depth());
   const size_t index = nodes_.size();
   nodes_.push_back(node);
   storages_.push_back(storage);
@@ -116,14 +121,10 @@ std::vector<std::pair<std::string, std::vector<Version>>>
 AntiEntropy::CollectBuckets(ReplicaStorage* storage,
                             const std::vector<size_t>& buckets) {
   std::vector<std::pair<std::string, std::vector<Version>>> out;
-  if (buckets.empty()) return out;
-  std::vector<bool> wanted(storage->merkle().leaf_count(), false);
-  for (size_t b : buckets) wanted[b] = true;
-  storage->store().ForEachKey(
-      [&](const std::string& key, const std::vector<Version>& versions) {
-        if (wanted[storage->merkle().BucketFor(key)]) {
-          out.emplace_back(key, versions);
-        }
+  storage->store().ForEachKeyInLeaves(
+      buckets, [&out](const std::string& key,
+                      const std::vector<Version>& versions) {
+        out.emplace_back(key, versions);
       });
   return out;
 }

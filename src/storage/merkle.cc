@@ -16,10 +16,6 @@ MerkleTree::MerkleTree(int depth)
   }
 }
 
-size_t MerkleTree::BucketFor(const std::string& key) const {
-  return Fnv1a64(key) & (leaf_count_ - 1);
-}
-
 void MerkleTree::UpdateKey(const std::string& key, uint64_t old_digest,
                            uint64_t new_digest) {
   const size_t bucket = BucketFor(key);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace evc {
@@ -20,9 +21,18 @@ namespace evc {
 /// Incrementally maintained Merkle tree with XOR-accumulator leaves.
 class MerkleTree {
  public:
-  /// `depth` >= 1; the tree has 2^depth leaves. depth=10 (1024 buckets) is a
-  /// reasonable default for up to ~1M keys.
-  explicit MerkleTree(int depth = 10);
+  /// depth=10 (1024 buckets) is a reasonable default for up to ~1M keys.
+  static constexpr int kDefaultDepth = 10;
+
+  /// `depth` >= 1; the tree has 2^depth leaves.
+  explicit MerkleTree(int depth = kDefaultDepth);
+
+  /// Leaf bucket of `key` in a tree of 2^depth leaves: the low `depth` bits
+  /// of its FNV-1a hash. VersionedStore files its keys by the same rule, so
+  /// a store's per-leaf key lists line up with a tree of its depth.
+  static size_t LeafOf(const std::string& key, int depth) {
+    return Fnv1a64(key) & ((size_t{1} << depth) - 1);
+  }
 
   int depth() const { return depth_; }
   size_t leaf_count() const { return leaf_count_; }
@@ -38,7 +48,9 @@ class MerkleTree {
   uint64_t RootDigest() const;
 
   /// Leaf bucket index for a key.
-  size_t BucketFor(const std::string& key) const;
+  size_t BucketFor(const std::string& key) const {
+    return LeafOf(key, depth_);
+  }
 
   uint64_t LeafDigest(size_t bucket) const;
 

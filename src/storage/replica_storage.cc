@@ -7,7 +7,7 @@ namespace evc {
 ReplicaStorage::ReplicaStorage(uint32_t replica_id,
                                ReplicaStorageOptions options)
     : options_(options),
-      store_(replica_id, options.store),
+      store_(replica_id, options.store, options.merkle_depth),
       merkle_(options.merkle_depth) {}
 
 void ReplicaStorage::JournalVersions(const std::string& key,
@@ -26,8 +26,8 @@ void ReplicaStorage::SyncMerkle(const std::string& key, uint64_t old_digest) {
 
 Version ReplicaStorage::Put(const std::string& key, std::string value,
                             const VersionVector& context, LamportTimestamp ts) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  Version v = store_.Put(key, std::move(value), context, ts);
+  uint64_t old_digest = 0;
+  Version v = store_.Put(key, std::move(value), context, ts, &old_digest);
   JournalVersions(key, {v});
   SyncMerkle(key, old_digest);
   return v;
@@ -36,8 +36,8 @@ Version ReplicaStorage::Put(const std::string& key, std::string value,
 Version ReplicaStorage::Delete(const std::string& key,
                                const VersionVector& context,
                                LamportTimestamp ts) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  Version v = store_.Delete(key, context, ts);
+  uint64_t old_digest = 0;
+  Version v = store_.Delete(key, context, ts, &old_digest);
   JournalVersions(key, {v});
   SyncMerkle(key, old_digest);
   return v;
@@ -45,13 +45,11 @@ Version ReplicaStorage::Delete(const std::string& key,
 
 bool ReplicaStorage::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions) {
-  const uint64_t old_digest = store_.KeyDigest(key);
-  const bool changed = store_.MergeRemote(key, remote_versions);
-  if (changed) {
-    JournalVersions(key, remote_versions);
-    SyncMerkle(key, old_digest);
-  }
-  return changed;
+  uint64_t old_digest = 0;
+  if (!store_.MergeRemote(key, remote_versions, &old_digest)) return false;
+  JournalVersions(key, remote_versions);
+  SyncMerkle(key, old_digest);
+  return true;
 }
 
 Result<size_t> ReplicaStorage::CrashAndRecover() {
@@ -73,7 +71,8 @@ uint64_t ReplicaStorage::Checkpoint() {
 
 Result<size_t> ReplicaStorage::RecoverFromLog(WriteAheadLog* wal) {
   // Discard volatile state.
-  store_ = VersionedStore(store_.replica_id(), options_.store);
+  store_ = VersionedStore(store_.replica_id(), options_.store,
+                          options_.merkle_depth);
   merkle_ = MerkleTree(options_.merkle_depth);
 
   std::vector<std::string> records;
@@ -97,8 +96,8 @@ Result<size_t> ReplicaStorage::RecoverFromLog(WriteAheadLog* wal) {
       if (own > max_own_counter) max_own_counter = own;
       versions.push_back(std::move(v));
     }
-    const uint64_t old_digest = store_.KeyDigest(key);
-    if (store_.MergeRemote(key, versions)) {
+    uint64_t old_digest = 0;
+    if (store_.MergeRemote(key, versions, &old_digest)) {
       SyncMerkle(key, old_digest);
     }
     ++replayed;

@@ -21,7 +21,8 @@ namespace evc {
 
 struct ReplicaStorageOptions {
   VersionedStoreOptions store;
-  int merkle_depth = 10;
+  /// Depth of the Merkle tree; the store files its keys by the same leaves.
+  int merkle_depth = MerkleTree::kDefaultDepth;
   /// When false, skips journaling (pure in-memory replica; faster sweeps).
   bool durable = true;
 };
@@ -56,12 +57,12 @@ class ReplicaStorage {
   }
 
   /// Merges versions received from a peer; journals if anything changed.
-  /// Returns true on change.
+  /// Returns true on change. A merge that changes nothing does one lookup
+  /// and no digest work.
   bool MergeRemote(const std::string& key,
                    const std::vector<Version>& remote_versions);
 
   const VersionedStore& store() const { return store_; }
-  VersionedStore* mutable_store() { return &store_; }
   const MerkleTree& merkle() const { return merkle_; }
   WriteAheadLog* wal() { return &wal_; }
 

@@ -50,12 +50,71 @@ std::string Version::ToString() const {
   return out;
 }
 
+namespace {
+
+// Orders a leaf's entries against a key (std::lower_bound).
+constexpr auto kKeyLess = [](const auto& entry, const std::string& key) {
+  return entry.key < key;
+};
+
+// KeyDigest of a sibling set: XOR of per-version digests mixed with the key
+// hash, so it does not depend on sibling order.
+uint64_t DigestOf(const std::string& key,
+                  const std::vector<Version>& siblings) {
+  const uint64_t key_hash = Fnv1a64(key);
+  uint64_t acc = 0;
+  for (const auto& v : siblings) acc ^= Mix64(key_hash ^ v.Digest());
+  return acc;
+}
+
+}  // namespace
+
 VersionedStore::VersionedStore(uint32_t replica_id,
-                               VersionedStoreOptions options)
-    : replica_id_(replica_id), options_(options) {}
+                               VersionedStoreOptions options, int leaf_depth)
+    : replica_id_(replica_id), options_(options), leaf_depth_(leaf_depth) {
+  EVC_CHECK(leaf_depth >= 1 && leaf_depth <= 24);
+}
+
+const VersionedStore::Entry* VersionedStore::Find(
+    const std::string& key) const {
+  if (leaves_.empty()) return nullptr;
+  const Leaf& leaf = leaves_[MerkleTree::LeafOf(key, leaf_depth_)];
+  auto it = std::lower_bound(leaf.begin(), leaf.end(), key, kKeyLess);
+  return it != leaf.end() && it->key == key ? &*it : nullptr;
+}
+
+VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key) {
+  if (leaves_.empty()) leaves_.resize(size_t{1} << leaf_depth_);
+  Leaf& leaf = leaves_[MerkleTree::LeafOf(key, leaf_depth_)];
+  auto it = std::lower_bound(leaf.begin(), leaf.end(), key, kKeyLess);
+  if (it == leaf.end() || it->key != key) {
+    it = leaf.insert(it, Entry{key, {}, 0});
+    ++key_count_;
+  }
+  return *it;
+}
+
+bool VersionedStore::Merge(const std::string& key,
+                           std::span<const Version> versions,
+                           uint64_t* old_digest) {
+  // Callers pass at least one version, and the first always joins an absent
+  // key's empty set, so FindOrInsert never leaves an empty entry behind.
+  Entry& entry = FindOrInsert(key);
+  if (old_digest != nullptr) *old_digest = entry.digest;
+  bool changed = false;
+  for (const Version& v : versions) {
+    changed |= InsertIntoSiblingSet(&entry.siblings, v);
+  }
+  if (changed) {
+    ApplyConflictPolicy(&entry.siblings);
+    entry.digest = DigestOf(key, entry.siblings);
+  }
+  return changed;
+}
 
 Version VersionedStore::Put(const std::string& key, std::string value,
-                            const VersionVector& context, LamportTimestamp ts) {
+                            const VersionVector& context, LamportTimestamp ts,
+                            uint64_t* old_digest) {
   Version v;
   v.value = std::move(value);
   v.vv = context;
@@ -66,49 +125,43 @@ Version VersionedStore::Put(const std::string& key, std::string value,
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = false;
-
-  auto& siblings = map_[key];
-  InsertIntoSiblingSet(&siblings, v);
-  ApplyConflictPolicy(&siblings);
+  Merge(key, {&v, 1}, old_digest);
   return v;
 }
 
 Version VersionedStore::Delete(const std::string& key,
                                const VersionVector& context,
-                               LamportTimestamp ts) {
+                               LamportTimestamp ts, uint64_t* old_digest) {
   Version v;
   v.vv = context;
   write_counter_ = std::max(write_counter_, context.Get(replica_id_)) + 1;
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = true;
-
-  auto& siblings = map_[key];
-  InsertIntoSiblingSet(&siblings, v);
-  ApplyConflictPolicy(&siblings);
+  Merge(key, {&v, 1}, old_digest);
   return v;
 }
 
 std::vector<Version> VersionedStore::Get(const std::string& key) const {
   std::vector<Version> out;
-  auto it = map_.find(key);
-  if (it == map_.end()) return out;
-  for (const auto& v : it->second) {
+  const Entry* entry = Find(key);
+  if (entry == nullptr) return out;
+  for (const auto& v : entry->siblings) {
     if (!v.tombstone) out.push_back(v);
   }
   return out;
 }
 
 std::vector<Version> VersionedStore::GetRaw(const std::string& key) const {
-  auto it = map_.find(key);
-  return it == map_.end() ? std::vector<Version>{} : it->second;
+  const Entry* entry = Find(key);
+  return entry == nullptr ? std::vector<Version>{} : entry->siblings;
 }
 
 VersionVector VersionedStore::ContextFor(const std::string& key) const {
   VersionVector ctx;
-  auto it = map_.find(key);
-  if (it == map_.end()) return ctx;
-  for (const auto& v : it->second) ctx.MergeWith(v.vv);
+  const Entry* entry = Find(key);
+  if (entry == nullptr) return ctx;
+  for (const auto& v : entry->siblings) ctx.MergeWith(v.vv);
   return ctx;
 }
 
@@ -155,55 +208,66 @@ void VersionedStore::ApplyConflictPolicy(std::vector<Version>* siblings) {
 }
 
 bool VersionedStore::MergeRemote(const std::string& key,
-                                 const std::vector<Version>& remote_versions) {
+                                 const std::vector<Version>& remote_versions,
+                                 uint64_t* old_digest) {
   if (remote_versions.empty()) return false;
-  auto& siblings = map_[key];
-  bool changed = false;
-  for (const auto& rv : remote_versions) {
-    changed |= InsertIntoSiblingSet(&siblings, rv);
-  }
-  if (changed) ApplyConflictPolicy(&siblings);
-  if (siblings.empty()) map_.erase(key);
-  return changed;
+  return Merge(key, remote_versions, old_digest);
 }
 
 size_t VersionedStore::version_count() const {
   size_t n = 0;
-  for (const auto& [key, siblings] : map_) n += siblings.size();
+  for (const Leaf& leaf : leaves_) {
+    for (const Entry& entry : leaf) n += entry.siblings.size();
+  }
   return n;
 }
 
 uint64_t VersionedStore::KeyDigest(const std::string& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return 0;
-  // Order-independent: XOR of per-version digests mixed with the key hash.
-  const uint64_t key_hash = Fnv1a64(key);
-  uint64_t acc = 0;
-  for (const auto& v : it->second) {
-    acc ^= Mix64(key_hash ^ v.Digest());
-  }
-  return acc;
+  const Entry* entry = Find(key);
+  return entry == nullptr ? 0 : entry->digest;
 }
 
-void VersionedStore::ForEachKey(
-    const std::function<void(const std::string&, const std::vector<Version>&)>&
-        fn) const {
-  for (const auto& [key, siblings] : map_) fn(key, siblings);
+void VersionedStore::VisitInKeyOrder(std::vector<const Entry*>* entries,
+                                     const KeyVisitor& fn) {
+  std::sort(entries->begin(), entries->end(),
+            [](const Entry* a, const Entry* b) { return a->key < b->key; });
+  for (const Entry* entry : *entries) fn(entry->key, entry->siblings);
+}
+
+void VersionedStore::ForEachKey(const KeyVisitor& fn) const {
+  std::vector<const Entry*> entries;
+  entries.reserve(key_count_);
+  for (const Leaf& leaf : leaves_) {
+    for (const Entry& entry : leaf) entries.push_back(&entry);
+  }
+  VisitInKeyOrder(&entries, fn);
+}
+
+void VersionedStore::ForEachKeyInLeaves(const std::vector<size_t>& leaves,
+                                        const KeyVisitor& fn) const {
+  std::vector<size_t> wanted = leaves;
+  std::sort(wanted.begin(), wanted.end());
+  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+  EVC_CHECK(wanted.empty() || wanted.back() < (size_t{1} << leaf_depth_));
+  if (leaves_.empty()) return;
+  std::vector<const Entry*> entries;
+  for (size_t b : wanted) {
+    for (const Entry& entry : leaves_[b]) entries.push_back(&entry);
+  }
+  VisitInKeyOrder(&entries, fn);
 }
 
 size_t VersionedStore::PurgeTombstones() {
   size_t removed = 0;
-  for (auto it = map_.begin(); it != map_.end();) {
-    const bool all_tombstones =
-        std::all_of(it->second.begin(), it->second.end(),
-                    [](const Version& v) { return v.tombstone; });
-    if (all_tombstones) {
-      it = map_.erase(it);
-      ++removed;
-    } else {
-      ++it;
-    }
+  for (Leaf& leaf : leaves_) {
+    auto dead = std::remove_if(leaf.begin(), leaf.end(), [](const Entry& e) {
+      return std::all_of(e.siblings.begin(), e.siblings.end(),
+                         [](const Version& v) { return v.tombstone; });
+    });
+    removed += static_cast<size_t>(leaf.end() - dead);
+    leaf.erase(dead, leaf.end());
   }
+  key_count_ -= removed;
   return removed;
 }
 

@@ -9,19 +9,25 @@
 //     timestamp; concurrent losers are discarded, which is exactly the
 //     lost-update anomaly the tutorial warns about (quantified in Fig. 5).
 // Deletes are tombstone versions so that removal survives anti-entropy.
+//
+// Keys are filed by Merkle leaf (MerkleTree::LeafOf at the store's depth),
+// each leaf a key-sorted vector, and every key keeps its KeyDigest beside
+// its siblings. Anti-entropy can then visit only the divergent leaves, and
+// a merge that changes nothing costs one lookup and no digest work.
 
 #ifndef EVC_STORAGE_VERSIONED_STORE_H_
 #define EVC_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "clock/lamport.h"
 #include "clock/version_vector.h"
 #include "common/status.h"
+#include "storage/merkle.h"
 
 namespace evc {
 
@@ -68,8 +74,11 @@ struct VersionedStoreOptions {
 /// simulator is single-threaded).
 class VersionedStore {
  public:
+  /// Keys are filed into 2^leaf_depth Merkle leaves; ReplicaStorage passes
+  /// its tree's depth.
   explicit VersionedStore(uint32_t replica_id,
-                          VersionedStoreOptions options = {});
+                          VersionedStoreOptions options = {},
+                          int leaf_depth = MerkleTree::kDefaultDepth);
 
   uint32_t replica_id() const { return replica_id_; }
   const VersionedStoreOptions& options() const { return options_; }
@@ -77,13 +86,16 @@ class VersionedStore {
   /// Writes a new version. `context` is the causal context the writer read
   /// (its version vector); the new version's vv is context ⊔ {replica: next}.
   /// Siblings causally dominated by the new version are discarded. Returns
-  /// the stored version.
+  /// the stored version. If `old_digest` is set, it receives the key's
+  /// KeyDigest from before the write (0 for a new key); so do Delete's and
+  /// MergeRemote's.
   Version Put(const std::string& key, std::string value,
-              const VersionVector& context, LamportTimestamp ts);
+              const VersionVector& context, LamportTimestamp ts,
+              uint64_t* old_digest = nullptr);
 
   /// Writes a tombstone with the same rules as Put.
   Version Delete(const std::string& key, const VersionVector& context,
-                 LamportTimestamp ts);
+                 LamportTimestamp ts, uint64_t* old_digest = nullptr);
 
   /// Returns the live (non-tombstone) sibling versions of `key`.
   /// Empty if unknown or fully deleted.
@@ -100,21 +112,32 @@ class VersionedStore {
   /// sync / read repair). Keeps the union minus dominated versions, then
   /// applies the conflict policy. Returns true if local state changed.
   bool MergeRemote(const std::string& key,
-                   const std::vector<Version>& remote_versions);
+                   const std::vector<Version>& remote_versions,
+                   uint64_t* old_digest = nullptr);
 
   /// Number of keys with at least one version (including tombstone-only).
-  size_t key_count() const { return map_.size(); }
+  size_t key_count() const { return key_count_; }
 
   /// Total sibling versions across all keys (state-size metric).
   size_t version_count() const;
 
-  /// Digest of the full sibling set of `key` (order-independent).
+  /// Digest of the full sibling set of `key` (order-independent; 0 if the
+  /// key is absent). Cached: recomputed only when the sibling set changes.
   uint64_t KeyDigest(const std::string& key) const;
 
-  /// Iterates all keys in order.
-  void ForEachKey(
-      const std::function<void(const std::string& key,
-                               const std::vector<Version>&)>& fn) const;
+  using KeyVisitor = std::function<void(const std::string& key,
+                                        const std::vector<Version>&)>;
+
+  /// Iterates all keys in key order (gathers every leaf and sorts, so it
+  /// costs O(n log n); crash, restart, checkpoint and migration use it).
+  /// `fn` must not modify the store.
+  void ForEachKey(const KeyVisitor& fn) const;
+
+  /// Iterates, in key order, exactly the keys whose Merkle leaf is in
+  /// `leaves` (indices below 2^leaf_depth); cost follows the keys visited,
+  /// not the store size. `fn` must not modify the store.
+  void ForEachKeyInLeaves(const std::vector<size_t>& leaves,
+                          const KeyVisitor& fn) const;
 
   /// Removes keys whose every sibling is a tombstone. Returns count removed.
   /// (Safe only once all replicas have seen the tombstone; experiments call
@@ -129,12 +152,35 @@ class VersionedStore {
   }
 
  private:
+  struct Entry {
+    std::string key;
+    std::vector<Version> siblings;
+    uint64_t digest = 0;  // KeyDigest of `siblings`, kept in step with them
+  };
+  using Leaf = std::vector<Entry>;  // sorted by key
+
+  const Entry* Find(const std::string& key) const;
+  /// The key's entry, inserted empty (digest 0) when absent.
+  Entry& FindOrInsert(const std::string& key);
+  /// MergeRemote for a non-empty set; Put and Delete merge their one new
+  /// version through it too.
+  bool Merge(const std::string& key, std::span<const Version> versions,
+             uint64_t* old_digest);
   void ApplyConflictPolicy(std::vector<Version>* siblings);
+  /// Calls `fn` on `entries` sorted by key.
+  static void VisitInKeyOrder(std::vector<const Entry*>* entries,
+                              const KeyVisitor& fn);
 
   uint32_t replica_id_;
   VersionedStoreOptions options_;
+  int leaf_depth_;
   uint64_t write_counter_ = 0;  // per-replica monotonic counter for vv
-  std::map<std::string, std::vector<Version>> map_;
+  // 2^leaf_depth_ leaves, allocated on the first insert so that an unused
+  // store costs nothing. A sorted vector keeps lookups logarithmic in the
+  // leaf size (shallow trees put hundreds of keys in a leaf) and costs no
+  // per-key node.
+  std::vector<Leaf> leaves_;
+  size_t key_count_ = 0;
 };
 
 }  // namespace evc

@@ -214,6 +214,21 @@ TEST_F(AntiEntropyTest, TombstonesPropagate) {
   EXPECT_TRUE(storages_[2]->Get("k").empty());
 }
 
+TEST(AntiEntropyDeathTest, MembersWithDifferentMerkleDepthsAbort) {
+  // Leaf digests and per-leaf key lists are compared index by index, so a
+  // member with another depth would index past its peers' leaves.
+  sim::Simulator sim(1);
+  sim::Network net(&sim, std::make_unique<sim::ConstantLatency>(kMillisecond));
+  const std::vector<sim::NodeId> nodes = {net.AddNode(), net.AddNode()};
+  ReplicaStorageOptions deeper;
+  deeper.merkle_depth = MerkleTree::kDefaultDepth + 2;
+  ReplicaStorage a(0), b(1), odd(2, deeper);
+  EXPECT_DEATH(AntiEntropy(&net, nodes, {&a, &odd}, AntiEntropyOptions{}),
+               "EVC_CHECK failed");
+  AntiEntropy ae(&net, nodes, {&a, &b}, AntiEntropyOptions{});
+  EXPECT_DEATH(ae.AddMember(net.AddNode(), &odd), "EVC_CHECK failed");
+}
+
 // Property sweep: convergence holds across cluster sizes and fanouts.
 class AntiEntropyConvergenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace evc {
@@ -190,6 +193,104 @@ TEST(ReplicaStorageTest, CheckpointCounterFloorSurvives) {
   rs.Put("k2", "x", {}, Ts(99));
   EXPECT_GT(rs.GetRaw("k2")[0].vv.Get(4), counter);
 }
+
+// The storage's cached KeyDigests and incrementally kept Merkle tree both
+// equal a from-scratch rebuild: every key's digest recomputed from its
+// siblings, filed into a fresh tree of the same depth.
+void ExpectDigestsAndTreeFresh(const ReplicaStorage& rs) {
+  MerkleTree rebuilt(rs.merkle().depth());
+  rs.store().ForEachKey([&](const std::string& key,
+                            const std::vector<Version>& siblings) {
+    uint64_t digest = 0;
+    for (const Version& v : siblings) {
+      digest ^= Mix64(Fnv1a64(key) ^ v.Digest());
+    }
+    EXPECT_EQ(rs.store().KeyDigest(key), digest) << key;
+    rebuilt.UpdateKey(key, 0, digest);
+  });
+  EXPECT_EQ(rs.merkle().RootDigest(), rebuilt.RootDigest());
+}
+
+TEST(ReplicaStorageTest, CachedDigestsMatchRebuildAfterEveryWritePath) {
+  ReplicaStorageOptions lww;
+  lww.store.conflict_policy = ConflictPolicy::kLastWriterWins;
+  ReplicaStorage rs(0, lww), peer(1);
+  rs.Put("a", "1", VersionVector(), Ts(1, 0));
+  ExpectDigestsAndTreeFresh(rs);
+  rs.Put("d", "x", VersionVector(), Ts(2, 0));
+  rs.Delete("d", rs.ContextFor("d"), Ts(3, 0));
+  ExpectDigestsAndTreeFresh(rs);
+  peer.Put("b", "2", VersionVector(), Ts(4, 1));
+  EXPECT_TRUE(rs.MergeRemote("b", peer.GetRaw("b")));  // new key
+  ExpectDigestsAndTreeFresh(rs);
+  const uint64_t wal_bytes = rs.wal()->size_bytes();
+  EXPECT_FALSE(rs.MergeRemote("b", peer.GetRaw("b")));  // no-op
+  EXPECT_EQ(rs.wal()->size_bytes(), wal_bytes);
+  ExpectDigestsAndTreeFresh(rs);
+  // Concurrent siblings from the peer collapse to the LWW winner here.
+  peer.Put("a", "newer", VersionVector(), Ts(9, 1));
+  peer.MergeRemote("a", rs.GetRaw("a"));
+  ASSERT_EQ(peer.GetRaw("a").size(), 2u);
+  EXPECT_TRUE(rs.MergeRemote("a", peer.GetRaw("a")));
+  ASSERT_EQ(rs.GetRaw("a").size(), 1u);
+  EXPECT_EQ(rs.GetRaw("a")[0].value, "newer");
+  ExpectDigestsAndTreeFresh(rs);
+  const uint64_t root = rs.merkle().RootDigest();
+  ASSERT_TRUE(rs.CrashAndRecover().ok());
+  EXPECT_EQ(rs.merkle().RootDigest(), root);
+  ExpectDigestsAndTreeFresh(rs);
+}
+
+// The per-leaf layout at four Merkle depths: key order, the leaf each key
+// is filed under, and digests, before and after crash recovery and after a
+// checkpointed recovery.
+class ReplicaStorageLayoutTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReplicaStorageLayoutTest, LayoutSurvivesRecoveryAndCheckpoint) {
+  ReplicaStorageOptions options;
+  options.merkle_depth = GetParam();
+  ReplicaStorage rs(0, options);
+  Rng rng(static_cast<uint64_t>(GetParam()) * 31);
+  std::set<std::string> reference;
+  for (uint64_t i = 1; i <= 2000; ++i) {
+    const std::string key = "key" + std::to_string(rng.NextBounded(2500));
+    if (rng.NextBool(0.85)) {
+      rs.Put(key, "v" + std::to_string(i), rs.ContextFor(key), Ts(i));
+    } else {
+      rs.Delete(key, rs.ContextFor(key), Ts(i));
+    }
+    reference.insert(key);
+  }
+  ASSERT_GE(reference.size(), 1000u);
+  const std::vector<std::string> expected(reference.begin(), reference.end());
+  for (int phase = 0; phase < 3; ++phase) {
+    if (phase == 2) rs.Checkpoint();
+    if (phase > 0) {
+      ASSERT_TRUE(rs.CrashAndRecover().ok());
+    }
+    std::vector<std::string> visited;
+    rs.store().ForEachKey([&](const std::string& key,
+                              const std::vector<Version>&) {
+      visited.push_back(key);
+    });
+    EXPECT_EQ(visited, expected) << "phase " << phase;
+    ExpectDigestsAndTreeFresh(rs);
+    // Leaf 1 holds exactly the keys the tree buckets there.
+    std::vector<std::string> in_leaf;
+    rs.store().ForEachKeyInLeaves(
+        {1}, [&](const std::string& key, const std::vector<Version>&) {
+          in_leaf.push_back(key);
+        });
+    std::vector<std::string> want;
+    for (const std::string& key : expected) {
+      if (rs.merkle().BucketFor(key) == 1) want.push_back(key);
+    }
+    EXPECT_EQ(in_leaf, want) << "phase " << phase;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, ReplicaStorageLayoutTest,
+                         ::testing::Values(1, 6, 10, 14));
 
 // Property: random workload + crash at a random point recovers to exactly
 // the state encoded by the surviving log prefix.

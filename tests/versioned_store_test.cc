@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "common/encoding.h"
+#include "common/hash.h"
 #include "common/rng.h"
+#include "storage/merkle.h"
 
 namespace evc {
 namespace {
@@ -209,6 +214,156 @@ TEST(VersionedStoreTest, ForEachKeyIteratesInOrder) {
   });
   EXPECT_EQ(keys, (std::vector<std::string>{"a", "b"}));
 }
+
+// KeyDigest recomputed from scratch: the definition the cached digest must
+// keep matching.
+uint64_t RecomputedDigest(const std::string& key,
+                          const std::vector<Version>& siblings) {
+  uint64_t acc = 0;
+  for (const Version& v : siblings) acc ^= Mix64(Fnv1a64(key) ^ v.Digest());
+  return acc;
+}
+
+// Every stored key's cached digest equals its recomputation, and so does
+// every probed key's (0 when absent).
+void ExpectDigestsFresh(const VersionedStore& store,
+                        const std::vector<std::string>& probes) {
+  store.ForEachKey([&](const std::string& key,
+                       const std::vector<Version>& siblings) {
+    EXPECT_EQ(store.KeyDigest(key), RecomputedDigest(key, siblings)) << key;
+  });
+  for (const std::string& key : probes) {
+    EXPECT_EQ(store.KeyDigest(key), RecomputedDigest(key, store.GetRaw(key)))
+        << key;
+  }
+}
+
+TEST(VersionedStoreTest, CachedKeyDigestMatchesRecomputationAfterEveryWrite) {
+  const std::vector<std::string> probes = {"a", "b", "gone", "absent"};
+  VersionedStore store(0), peer(1);
+  store.Put("a", "1", VersionVector(), Ts(1, 0));
+  ExpectDigestsFresh(store, probes);
+  store.Put("gone", "x", VersionVector(), Ts(2, 0));
+  store.Delete("gone", store.ContextFor("gone"), Ts(3, 0));
+  ExpectDigestsFresh(store, probes);
+  peer.Put("a", "2", VersionVector(), Ts(4, 1));
+  peer.Put("b", "3", VersionVector(), Ts(5, 1));
+  const uint64_t before = store.KeyDigest("a");
+  uint64_t old_digest = 0;
+  EXPECT_TRUE(store.MergeRemote("a", peer.GetRaw("a"), &old_digest));
+  EXPECT_EQ(old_digest, before);
+  EXPECT_NE(store.KeyDigest("a"), before);  // a sibling joined
+  EXPECT_TRUE(store.MergeRemote("b", peer.GetRaw("b"), &old_digest));
+  EXPECT_EQ(old_digest, 0u);  // new key
+  ExpectDigestsFresh(store, probes);
+  const uint64_t settled = store.KeyDigest("a");
+  EXPECT_FALSE(store.MergeRemote("a", peer.GetRaw("a")));  // no-op
+  EXPECT_EQ(store.KeyDigest("a"), settled);
+  ExpectDigestsFresh(store, probes);
+  EXPECT_EQ(store.PurgeTombstones(), 1u);
+  EXPECT_EQ(store.KeyDigest("gone"), 0u);
+  ExpectDigestsFresh(store, probes);
+}
+
+TEST(VersionedStoreTest, CachedKeyDigestMatchesRecomputationAfterLwwCollapse) {
+  VersionedStore store(0, {ConflictPolicy::kLastWriterWins});
+  VersionedStore peer(1);  // keeps siblings, so its merge carries two
+  store.Put("k", "older", VersionVector(), Ts(5, 0));
+  peer.Put("k", "newer", VersionVector(), Ts(9, 1));
+  peer.Put("k2", "x", VersionVector(), Ts(3, 1));
+  peer.MergeRemote("k", store.GetRaw("k"));
+  ASSERT_EQ(peer.GetRaw("k").size(), 2u);
+  EXPECT_TRUE(store.MergeRemote("k", peer.GetRaw("k")));
+  ASSERT_EQ(store.GetRaw("k").size(), 1u);  // collapsed to the LWW winner
+  EXPECT_EQ(store.GetRaw("k")[0].value, "newer");
+  store.Put("k", "newest", VersionVector(), Ts(10, 0));  // collapses again
+  ExpectDigestsFresh(store, {"k", "k2"});
+}
+
+// The per-leaf layout against a std::set of the stored keys (the order the
+// store's former std::map gave), at a depth with two leaves, one with
+// hundreds of keys per leaf, the default, and one where most leaves hold no
+// key.
+class VersionedStoreLayoutTest : public ::testing::TestWithParam<int> {
+ protected:
+  // 2000 random writes over a 2500-key space: puts, overwrites, deletes and
+  // merges of a peer's siblings. `reference` tracks the stored key set.
+  void Fill(VersionedStore* store, std::set<std::string>* reference) {
+    Rng rng(static_cast<uint64_t>(GetParam()));
+    VersionedStore peer(9);
+    for (uint64_t i = 1; i <= 2000; ++i) {
+      const std::string key = "key" + std::to_string(rng.NextBounded(2500));
+      const double pick = rng.NextDouble();
+      if (pick < 0.7) {
+        store->Put(key, "v" + std::to_string(i), store->ContextFor(key),
+                   Ts(i));
+      } else if (pick < 0.8) {
+        store->Delete(key, store->ContextFor(key), Ts(i));
+      } else {
+        peer.Put(key, "p" + std::to_string(i), VersionVector(), Ts(i, 9));
+        store->MergeRemote(key, peer.GetRaw(key));
+      }
+      reference->insert(key);
+    }
+  }
+};
+
+TEST_P(VersionedStoreLayoutTest, ForEachKeyMatchesSortedReference) {
+  VersionedStore store(0, {}, GetParam());
+  std::set<std::string> reference;
+  Fill(&store, &reference);
+  ASSERT_GE(reference.size(), 1000u);
+  std::vector<std::string> visited;
+  store.ForEachKey(
+      [&](const std::string& key, const std::vector<Version>& siblings) {
+        visited.push_back(key);
+        EXPECT_FALSE(siblings.empty());
+      });
+  const std::vector<std::string> expected(reference.begin(), reference.end());
+  EXPECT_EQ(visited, expected);
+  EXPECT_EQ(store.key_count(), expected.size());
+  ExpectDigestsFresh(store, {});
+}
+
+TEST_P(VersionedStoreLayoutTest, LeafIterationVisitsExactlyRequestedLeaves) {
+  const int depth = GetParam();
+  VersionedStore store(0, {}, depth);
+  std::set<std::string> reference;
+  Fill(&store, &reference);
+  const MerkleTree tree(depth);
+  // Odd leaves only, so the set is a strict subset even at depth 1: those
+  // of every 50th key, 20 random ones (mostly empty at depth 14), and one
+  // index twice, in no particular order.
+  Rng rng(77);
+  std::vector<size_t> leaves;
+  size_t i = 0;
+  for (const std::string& key : reference) {
+    const size_t leaf = tree.BucketFor(key);
+    if (i++ % 50 == 0 && leaf % 2 == 1) leaves.push_back(leaf);
+  }
+  for (int r = 0; r < 20; ++r) {
+    leaves.push_back(2 * rng.NextBounded(tree.leaf_count() / 2) + 1);
+  }
+  leaves.push_back(leaves.front());
+  std::reverse(leaves.begin(), leaves.end());
+  const std::set<size_t> wanted(leaves.begin(), leaves.end());
+  std::vector<std::string> expected;
+  for (const std::string& key : reference) {
+    if (wanted.count(tree.BucketFor(key)) > 0) expected.push_back(key);
+  }
+  std::vector<std::string> visited;
+  store.ForEachKeyInLeaves(
+      leaves, [&](const std::string& key, const std::vector<Version>& sibs) {
+        visited.push_back(key);
+        EXPECT_EQ(sibs.size(), store.GetRaw(key).size());
+      });
+  EXPECT_EQ(visited, expected);
+  EXPECT_FALSE(expected.empty());
+  EXPECT_LT(expected.size(), reference.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Depths, VersionedStoreLayoutTest,
+                         ::testing::Values(1, 6, 10, 14));
 
 TEST(VersionTest, EncodeDecodeRoundTrip) {
   Version v;
