@@ -59,7 +59,6 @@ struct ReplicatedStore::Impl {
 ReplicatedStore::ReplicatedStore(StoreOptions options)
     : options_(options), impl_(std::make_unique<Impl>()) {
   EVC_CHECK(options_.datacenters >= 1 && options_.datacenters <= 5);
-  EVC_CHECK(options_.servers_per_datacenter >= 1);
 
   sim_ = std::make_unique<sim::Simulator>(options_.seed);
   auto base = options_.datacenters <= 3
@@ -73,8 +72,7 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
   net_ = std::make_unique<sim::Network>(sim_.get(), std::move(latency));
   rpc_ = std::make_unique<sim::Rpc>(net_.get());
 
-  const int total_servers =
-      options_.datacenters * options_.servers_per_datacenter;
+  const int total_servers = options_.datacenters;  // one per datacenter
 
   switch (options_.level) {
     case ConsistencyLevel::kEventual:

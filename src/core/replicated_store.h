@@ -52,10 +52,9 @@ const char* ConsistencyLevelToString(ConsistencyLevel level);
 
 struct StoreOptions {
   ConsistencyLevel level = ConsistencyLevel::kEventual;
-  /// Datacenters in the WAN topology (1..5; uses the 3- or 5-region preset).
+  /// Datacenters in the WAN topology (1..5; uses the 3- or 5-region preset),
+  /// one storage server each.
   int datacenters = 3;
-  /// One storage server per datacenter by default.
-  int servers_per_datacenter = 1;
   uint64_t seed = 1;
 };
 

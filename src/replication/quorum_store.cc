@@ -37,7 +37,7 @@ constexpr sim::Time kViewRefreshInterval = 2 * sim::kSecond;
 // above 50 mean its admission queue has started to fill).
 constexpr uint32_t kBackgroundYieldLoad = 75;
 // Every fan-out leg (quorum write and read legs, hint handoffs): a single
-// attempt that feeds the sender's detector/breaker (record_outcome) but does
+// attempt that, like every call, feeds the sender's detector/breaker, but does
 // not consult the breaker — the quorum math already tolerates missing acks,
 // and WriteTargets skipped unusable peers up front. Nor may the retry budget
 // or AIMD limit starve a leg: that would turn overload into quorum loss.

@@ -7,12 +7,17 @@
 
 namespace evc::resilience {
 
+namespace {
+/// Floor on the interval standard deviation, so a metronome-regular
+/// heartbeat stream does not make phi explode on the first hiccup.
+constexpr sim::Time kMinStd = 20 * sim::kMillisecond;
+/// Assumed mean interval while fewer than two samples exist.
+constexpr sim::Time kFirstIntervalEstimate = 500 * sim::kMillisecond;
+}  // namespace
+
 PhiAccrualDetector::PhiAccrualDetector(DetectorOptions options)
     : options_(options) {
-  EVC_CHECK(options_.suspect_threshold > 0.0);
   EVC_CHECK(options_.window >= 2);
-  EVC_CHECK(options_.min_std > 0);
-  EVC_CHECK(options_.first_interval_estimate > 0);
 }
 
 void PhiAccrualDetector::OnArrival(uint32_t peer, sim::Time now) {
@@ -52,7 +57,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
   double mean;
   double std_dev;
   if (h.intervals.size() < 2) {
-    mean = static_cast<double>(options_.first_interval_estimate);
+    mean = static_cast<double>(kFirstIntervalEstimate);
     std_dev = mean / 4.0;
   } else {
     const double n = static_cast<double>(h.intervals.size());
@@ -60,7 +65,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
     const double var = std::max(0.0, h.sum_sq / n - mean * mean);
     std_dev = std::sqrt(var);
   }
-  std_dev = std::max(std_dev, static_cast<double>(options_.min_std));
+  std_dev = std::max(std_dev, static_cast<double>(kMinStd));
 
   const double t = static_cast<double>(std::max<sim::Time>(0, now - h.last_arrival));
   // Logistic approximation to the normal tail (as in Akka's implementation):
@@ -75,7 +80,7 @@ double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
 
 bool PhiAccrualDetector::IsSuspected(uint32_t peer, sim::Time now) const {
   if (ConsecutiveFailuresExceeded(peer)) return true;
-  return Phi(peer, now) >= options_.suspect_threshold;
+  return Phi(peer, now) >= kSuspectThreshold;
 }
 
 bool PhiAccrualDetector::ConsecutiveFailuresExceeded(uint32_t peer) const {

@@ -29,17 +29,13 @@
 
 namespace evc::resilience {
 
+/// Suspect a peer once phi reaches this level. 8 means "the chance that
+/// this silence is ordinary is one in 10^8" (the Akka default).
+constexpr double kSuspectThreshold = 8.0;
+
 struct DetectorOptions {
-  /// Suspect a peer once phi reaches this level. 8 means "the chance that
-  /// this silence is ordinary is one in 10^8" (the Akka default).
-  double suspect_threshold = 8.0;
   /// Inter-arrival samples kept per peer (sliding window).
   size_t window = 100;
-  /// Floor on the interval standard deviation, so a metronome-regular
-  /// heartbeat stream does not make phi explode on the first hiccup.
-  sim::Time min_std = 20 * sim::kMillisecond;
-  /// Assumed mean interval while fewer than two samples exist.
-  sim::Time first_interval_estimate = 500 * sim::kMillisecond;
   /// Fallback: suspect after this many consecutive failed attempts even if
   /// the interval history is too thin for a meaningful phi.
   int consecutive_failures_to_suspect = 3;

@@ -215,7 +215,7 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
   // breaker would convert overload into apparent death and move the herd
   // onto the next victim.
   const bool alive = r.ok() || !r.status().IsTimedOut();
-  if (state->opts.record_outcome) RecordOutcome(dest, alive);
+  RecordOutcome(dest, alive);
 
   // Overload-defense feedback. Successes refill the retry budget and grow
   // the AIMD limit additively; overload signals (attempt timeout or an

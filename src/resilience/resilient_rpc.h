@@ -109,8 +109,6 @@ struct CallOptions {
   bool hedge = false;
   /// Destination of the hedged copy; kSameDestination re-sends to `to`.
   sim::NodeId hedge_to = kSameDestination;
-  /// Feed attempt outcomes into the detector/breaker.
-  bool record_outcome = true;
   /// Reject attempts the breaker holds open (failing fast with Unavailable).
   bool respect_breaker = true;
   /// Subject this call to the retry budget and AIMD concurrency limit.

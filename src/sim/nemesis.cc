@@ -19,6 +19,24 @@ const char* ToString(PartitionStyle style) {
 
 namespace {
 
+/// Mean (exponential) time a fault holds before its paired heal/restart.
+constexpr Time kMeanFaultDuration = 2 * kSecond;
+/// Upper bounds for the rate ramps.
+constexpr double kMaxLossRate = 0.25;
+constexpr double kMaxDuplicateRate = 0.25;
+/// Upper bounds for the slow-link and slow-node draws.
+constexpr double kMaxLatencyFactor = 8.0;
+constexpr Time kMaxNodeDelay = 30 * kMillisecond;
+/// Cap on kAddNode/kRemoveNode draws per plan: reconfigurations are rare,
+/// heavyweight events, and each one runs a full prepare/catch-up/commit.
+constexpr int kMaxMembershipOps = 3;
+/// Rolling-restart shape (kRollingRestart draws).
+constexpr Time kRollingStagger = 2 * kSecond;
+constexpr Time kRollingHold = 500 * kMillisecond;
+/// Upper bound for the load-spike multiplier draw (draws land in
+/// [2, kMaxLoadFactor]; below 2x a spike is routine traffic noise).
+constexpr double kMaxLoadFactor = 6.0;
+
 std::string FormatTime(Time t) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%+.3fs", static_cast<double>(t) / kSecond);
@@ -395,9 +413,7 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
     families.push_back(kFlakyLinkF);
   }
   if (options.allow_slow_nodes) families.push_back(kSlowNodeF);
-  if (options.allow_membership && options.max_membership_ops > 0) {
-    families.push_back(kMembershipF);
-  }
+  if (options.allow_membership) families.push_back(kMembershipF);
   if (options.allow_rolling_restart) families.push_back(kRollingF);
   if (options.allow_load_spikes) families.push_back(kLoadF);
   int membership_ops = 0;
@@ -420,7 +436,7 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
     const Time hold = std::max<Time>(
         50 * kMillisecond,
         static_cast<Time>(rng_.NextExponential(
-            static_cast<double>(options.mean_fault_duration))));
+            static_cast<double>(kMeanFaultDuration))));
     const Time recover_at = std::min(t + hold, end);
 
     Family family = families[rng_.NextBounded(families.size())];
@@ -448,18 +464,17 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
         crash_ends.push_back(recover_at);
         break;
       case kLossF:
-        plan.LossRateAt(t, rng_.NextDouble() * options.max_loss_rate);
+        plan.LossRateAt(t, rng_.NextDouble() * kMaxLossRate);
         plan.LossRateAt(recover_at, 0.0);
         break;
       case kDupF:
-        plan.DuplicateRateAt(t,
-                             rng_.NextDouble() * options.max_duplicate_rate);
+        plan.DuplicateRateAt(t, rng_.NextDouble() * kMaxDuplicateRate);
         plan.DuplicateRateAt(recover_at, 0.0);
         break;
       case kSlowLinkF:
         // Factor in [2, max]: a x1 slow link would be a no-op draw.
         plan.RandomSlowLinkAt(
-            t, 2.0 + rng_.NextDouble() * (options.max_latency_factor - 2.0));
+            t, 2.0 + rng_.NextDouble() * (kMaxLatencyFactor - 2.0));
         plan.GrayRecoverAt(recover_at);
         break;
       case kFlakyLinkF:
@@ -473,14 +488,14 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
             t, std::max<Time>(kMillisecond,
                               static_cast<Time>(
                                   rng_.NextDouble() *
-                                  static_cast<double>(options.max_node_delay))));
+                                  static_cast<double>(kMaxNodeDelay))));
         plan.GrayRecoverAt(recover_at);
         break;
       case kMembershipF:
         // No paired recovery: a membership change is permanent by nature
         // (the commit IS the recovery). Skip the draw past the cap rather
         // than removing the family, to keep the draw table static.
-        if (membership_ops >= options.max_membership_ops) break;
+        if (membership_ops >= kMaxMembershipOps) break;
         ++membership_ops;
         if (rng_.NextBool(0.5)) {
           plan.AddNodeAt(t);
@@ -489,13 +504,12 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
         }
         break;
       case kRollingF:
-        plan.RollingRestartAt(t, options.rolling_stagger,
-                              options.rolling_hold);
+        plan.RollingRestartAt(t, kRollingStagger, kRollingHold);
         break;
       case kLoadF: {
         // Factor in [2, max]: spikes below 2x are routine traffic noise.
         const double factor =
-            2.0 + rng_.NextDouble() * (options.max_load_factor - 2.0);
+            2.0 + rng_.NextDouble() * (kMaxLoadFactor - 2.0);
         if (rng_.NextBool(0.5)) {
           plan.LoadSpikeAt(t, factor);
         } else {

@@ -136,8 +136,6 @@ struct NemesisScheduleOptions {
   Time duration = 20 * kSecond;
   /// Mean (exponential) gap between consecutive fault onsets.
   Time mean_fault_interval = 1500 * kMillisecond;
-  /// Mean (exponential) time a fault holds before its paired heal/restart.
-  Time mean_fault_duration = 2 * kSecond;
   /// Fault families the generator may draw. The gray families default to
   /// off so historical schedules (pinned fuzz corpora) replay bit-identically
   /// — enabling a family appends to the draw table, never reorders it.
@@ -156,26 +154,12 @@ struct NemesisScheduleOptions {
   /// Load family (kFlashCrowd / kLoadSpike draws), appended after the
   /// rolling-restart family. Requires a LoadActuator.
   bool allow_load_spikes = false;
-  /// Upper bounds for the rate ramps.
-  double max_loss_rate = 0.25;
-  double max_duplicate_rate = 0.25;
-  /// Upper bounds for the gray-failure draws.
-  double max_latency_factor = 8.0;
+  /// Upper bound for the flaky-link drop-rate draw.
   double max_flaky_drop_rate = 0.6;
-  Time max_node_delay = 30 * kMillisecond;
   /// Maximum targets crashed at once (1 keeps an n>=3 majority alive).
-  /// Rolling restarts account separately: with hold < stagger they keep at
-  /// most one extra target down at a time by construction.
+  /// Rolling restarts account separately: their hold is shorter than their
+  /// stagger, so they keep at most one extra target down at a time.
   int max_concurrent_crashes = 1;
-  /// Cap on kAddNode/kRemoveNode draws per plan: reconfigurations are rare,
-  /// heavyweight events, and each one runs a full prepare/catch-up/commit.
-  int max_membership_ops = 3;
-  /// Rolling-restart shape (kRollingRestart draws).
-  Time rolling_stagger = 2 * kSecond;
-  Time rolling_hold = 500 * kMillisecond;
-  /// Upper bound for the load-spike multiplier draw (draws land in
-  /// [2, max_load_factor]; below 2x a spike is routine traffic noise).
-  double max_load_factor = 6.0;
   /// Append a HealAll at `duration` so runs end fault-free.
   bool heal_at_end = true;
 };

@@ -5,6 +5,8 @@
 namespace evc::txn {
 
 namespace {
+/// A dry replica asks the richest peer for this fraction of its share.
+constexpr double kStealFraction = 0.5;
 constexpr char kAcquire[] = "esc.acquire";
 constexpr char kSteal[] = "esc.steal";
 constexpr char kNaiveAcquire[] = "nv.acquire";
@@ -80,7 +82,7 @@ void EscrowCluster::RegisterHandlers(Replica* replica) {
         // by what we hold. Giving from our escrow can never break the
         // invariant: units merely change custodian.
         const int64_t fraction = static_cast<int64_t>(
-            static_cast<double>(replica->share) * options_.steal_fraction);
+            static_cast<double>(replica->share) * kStealFraction);
         int64_t give = std::max(steal.wanted, fraction);
         if (give > replica->share) give = replica->share;
         replica->share -= give;

@@ -26,8 +26,6 @@ namespace evc::txn {
 
 struct EscrowOptions {
   sim::Time rpc_timeout = 2 * sim::kSecond;
-  /// A dry replica asks the richest peer for this fraction of its share.
-  double steal_fraction = 0.5;
 };
 
 struct EscrowStats {

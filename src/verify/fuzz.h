@@ -29,10 +29,12 @@
 //   quorum-elastic   | the strict quorum's claims across live membership
 //                    | changes (convergence over the final membership)
 //
-// Every run is a pure function of (store, seed): a failing seed replays
-// bit-identically (tools/evc_fuzz --store=... --seed=...). Every store
-// shares one driver loop (closed-loop client sessions, nemesis, heal,
-// quiesce) and keeps only its own wiring, issue/record code and checks.
+// Every run is a pure function of (store, seed); tools/evc_fuzz prints the
+// command that replays a failure bit-identically. One runner drives every
+// store through its StoreUnderTest adapter: it records one client history,
+// quiesces until the store settles, then checks the claims of the store's
+// table row over that history, the adapter's replica snapshots and its
+// covered rule. A store is one adapter plus one FuzzStore entry and row.
 // tests/golden_digest_test.cc pins the report and the metric/trace exports
 // of every CI cell (six profiles x seeds 1..25) byte for byte.
 
@@ -40,10 +42,15 @@
 #define EVC_VERIFY_FUZZ_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/nemesis.h"
+#include "sim/rpc.h"
 #include "sim/simulator.h"
 #include "verify/causal_checker.h"
 #include "verify/convergence.h"
@@ -213,8 +220,67 @@ struct FuzzReport {
   std::string Summary() const;
 };
 
-/// Runs one seed. Deterministic: same options => identical report.
-FuzzReport RunFuzzSeed(const FuzzOptions& options);
+/// What one client op reported when it completed.
+struct OpOutcome {
+  bool ok = false;
+  /// Get: the values returned (sibling sets; empty means not found).
+  std::vector<std::string> observed{};
+  bool from_cache = false;  ///< Get served by a client-side cache
+  uint64_t seqno = 0;  ///< timeline stores: position written, or read
+  /// Causal stores: the id and dependencies of the write made, or read.
+  causal::WriteId id{};
+  std::vector<causal::Dependency> deps{};
+};
+
+/// One store as the fuzz runner drives it. The adapter builds its store on
+/// the run's RPC layer in its constructor and is destroyed before it.
+class StoreUnderTest {
+ public:
+  /// A session op: a write of `value` to `key`, or a read of `key`.
+  struct Op {
+    bool write = false;
+    std::string key{}, value{};
+  };
+  using KeyDraw = std::function<std::string()>;  ///< draws a workload key
+  using Done = std::function<void(OpOutcome)>;   ///< called once per op
+
+  virtual ~StoreUnderTest() = default;
+
+  /// The nodes every fault family may hit.
+  virtual std::vector<sim::NodeId> FaultTargets() const = 0;
+  /// Hooks the store's own fault surfaces (gray-only targets, membership
+  /// changes) into the run's nemesis.
+  virtual void Attach(sim::Nemesis* /*nemesis*/) {}
+  /// Draws op `n` of `session` from its stream: by default `key()`, then a
+  /// fair write/read coin; a write's value is unique across the run.
+  virtual Op Draw(int session, int n, Rng* rng, const KeyDraw& key);
+  virtual void Put(int session, const std::string& key,
+                   const std::string& value, Done done) = 0;
+  virtual void Get(int session, const std::string& key, Done done) = 0;
+  /// True once the store has repaired what the faults broke; quiescence
+  /// then ends early.
+  virtual bool Settled() { return false; }
+  /// Each replica's final state, or nullopt when this run voids the
+  /// convergence claim (fire-and-forget replication lost a message).
+  virtual std::optional<std::vector<ReplicaState>> Snapshot() = 0;
+  /// Whether the final values of `write.key` account for an acked write
+  /// they do not contain (e.g. a causally newer version superseded it).
+  virtual bool Covered(const AckedWrite& /*write*/,
+                       const std::vector<std::string>& /*final_values*/) {
+    return false;
+  }
+  /// Fills the report fields only this store has.
+  virtual void Report(FuzzReport* /*report*/) {}
+};
+
+using StoreFactory =
+    std::function<std::unique_ptr<StoreUnderTest>(sim::Rpc* rpc)>;
+
+/// Runs one seed. Deterministic: same options => identical report. `make`
+/// builds the store under test on the run's RPC layer; by default it is
+/// the adapter of options.store's row, whose claims are checked either way.
+FuzzReport RunFuzzSeed(const FuzzOptions& options,
+                       const StoreFactory& make = nullptr);
 
 }  // namespace evc::verify
 

@@ -202,8 +202,8 @@ class SessionChecker {
       if (entry == nullptr || entry->invoke < dep->invoke) entry = dep;
     };
 
-    const bool enabled[4] = {options_.check_ryw, options_.check_mr,
-                             options_.check_mw, options_.check_wfr};
+    const bool enabled[4] = {options_.check_ryw, true, options_.check_mw,
+                             options_.check_wfr};
     for (size_t i = 0; i < history_.size(); ++i) {
       const RecordedOp& op = history_[i];
       if (op.kind == RecordedOp::Kind::kWrite) {

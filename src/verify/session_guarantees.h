@@ -63,9 +63,9 @@ RecordedOp RecRead(int session, std::string key,
                    std::vector<std::string> observed, int64_t invoke,
                    int64_t response, bool from_cache = false);
 
+/// Which guarantees to check; monotonic reads always are.
 struct SessionCheckOptions {
   bool check_ryw = true;
-  bool check_mr = true;
   bool check_mw = true;
   bool check_wfr = true;
 };

@@ -2,6 +2,16 @@
 
 namespace evc::workload {
 
+namespace {
+// The YCSB generator's fixed shape: zipfian skew (also the "latest"
+// distribution's), the hotspot split (20% of keys draw 80% of requests) and
+// the record key prefix.
+constexpr double kZipfTheta = 0.99;
+constexpr double kHotspotSetFraction = 0.2;
+constexpr double kHotspotDrawFraction = 0.8;
+constexpr char kKeyPrefix[] = "user";
+}  // namespace
+
 const char* OpTypeToString(OpType type) {
   switch (type) {
     case OpType::kRead:
@@ -68,20 +78,19 @@ std::unique_ptr<KeyDistribution> WorkloadGenerator::MakeDistribution() const {
       return std::make_unique<UniformDistribution>(config_.record_count);
     case KeyDistributionKind::kZipfian:
       return std::make_unique<ScrambledZipfianDistribution>(
-          config_.record_count, config_.zipf_theta);
+          config_.record_count, kZipfTheta);
     case KeyDistributionKind::kLatest:
       return std::make_unique<LatestDistribution>(config_.record_count,
-                                                  config_.zipf_theta);
+                                                  kZipfTheta);
     case KeyDistributionKind::kHotspot:
       return std::make_unique<HotspotDistribution>(
-          config_.record_count, config_.hotspot_set_fraction,
-          config_.hotspot_draw_fraction);
+          config_.record_count, kHotspotSetFraction, kHotspotDrawFraction);
   }
   return nullptr;
 }
 
 std::string WorkloadGenerator::KeyFor(uint64_t index) const {
-  return config_.key_prefix + std::to_string(index);
+  return kKeyPrefix + std::to_string(index);
 }
 
 std::string WorkloadGenerator::ValueFor(const std::string& key) {

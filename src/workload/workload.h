@@ -54,11 +54,7 @@ struct WorkloadConfig {
   double insert_proportion = 0.0;
   double rmw_proportion = 0.0;
   KeyDistributionKind distribution = KeyDistributionKind::kZipfian;
-  double zipf_theta = 0.99;
-  double hotspot_set_fraction = 0.2;
-  double hotspot_draw_fraction = 0.8;
   size_t value_size = 100;
-  std::string key_prefix = "user";
 
   /// Standard YCSB presets.
   static WorkloadConfig YcsbA();  ///< 50/50 read/update, zipfian

@@ -41,6 +41,25 @@ TEST(FuzzConsistencyTest, PaxosRetryDuplicateRegressionCorpus) {
   }
 }
 
+// Regression corpus: a committed view used to retire from anti-entropy
+// every gossiping node it omitted. A server created for epoch e+1 is not yet
+// in epoch e's view, so a late epoch-e commit retired it for good and it
+// never received keys written before its join (seed 476: k0 and k2
+// diverged). A node now departs only when a committed view omits it after
+// an earlier committed view listed it.
+TEST(FuzzConsistencyTest, ElasticLateCommitRegressionCorpus) {
+  const uint64_t kCorpus[] = {476};
+  for (uint64_t seed : kCorpus) {
+    const FuzzReport report =
+        RunFuzzSeed(DefaultFuzzOptions(FuzzStore::kQuorumElastic, seed));
+    std::string why;
+    EXPECT_TRUE(report.MeetsClaims(&why))
+        << "quorum-elastic regression seed " << seed << ": " << why << "\n"
+        << report.Summary();
+    EXPECT_GT(report.epochs_committed, 0u);
+  }
+}
+
 // Strict quorums (R+W>N) must deliver all four session guarantees under
 // every schedule, and the runs must actually exercise the checker.
 TEST(FuzzConsistencyTest, StrictQuorumKeepsSessionGuarantees) {

@@ -132,7 +132,7 @@ TEST(PhiAccrualDetector, RegularHeartbeatsKeepPhiLowSilenceRaisesIt) {
   EXPECT_LT(det.Phi(7, now + 50 * kMillisecond), 1.0);
   EXPECT_FALSE(det.IsSuspected(7, now + 50 * kMillisecond));
   // After 20x the usual interval of silence, suspicion is overwhelming.
-  EXPECT_GE(det.Phi(7, now + 2 * kSecond), det.options().suspect_threshold);
+  EXPECT_GE(det.Phi(7, now + 2 * kSecond), kSuspectThreshold);
   EXPECT_TRUE(det.IsSuspected(7, now + 2 * kSecond));
   // A fresh arrival clears the suspicion.
   det.OnArrival(7, now + 2 * kSecond);

@@ -25,10 +25,12 @@
 //                                     # membership churn: live add/remove +
 //                                     # rolling restarts + gray degradation,
 //                                     # no partitions or hard crashes
-//   evc_fuzz --verbose                # per-seed summaries, not just failures
+//   evc_fuzz --verbose                # per-seed summaries and replay lines,
+//                                     # not just failures
 //
 // Exit code: 0 when every store met its claims on every seed, 1 otherwise.
-// A failing run prints the exact --store/--seed pair to reproduce it.
+// A failing run prints the command that replays it: --store and --seed plus
+// every flag that changed its options (--profile, --amnesia).
 
 #include <cstdint>
 #include <cstdio>
@@ -132,14 +134,20 @@ int main(int argc, char** argv) {
       const evc::verify::FuzzReport report = evc::verify::RunFuzzSeed(options);
       if (report.AnomalyDetected()) ++anomalies_recorded;
       std::string why;
-      if (!report.MeetsClaims(&why)) {
+      const bool ok = report.MeetsClaims(&why);
+      if (!ok) {
         ++failures;
-        std::printf("FAIL %s\n     %s\n     replay: %s --store=%s --seed=%llu\n",
-                    why.c_str(), report.Summary().c_str(), argv[0],
-                    evc::verify::ToString(store),
-                    static_cast<unsigned long long>(seed));
-      } else if (cli.verbose) {
-        std::printf("ok   %s\n", report.Summary().c_str());
+        std::printf("FAIL %s\n", why.c_str());
+      }
+      if (!ok || cli.verbose) {
+        // Every flag that changed this run's options, so the line replays it.
+        std::string flags = "--store=";
+        flags += evc::verify::ToString(store);
+        flags += " --seed=" + std::to_string(seed);
+        if (!cli.profile.empty()) flags += " --profile=" + cli.profile;
+        if (cli.amnesia) flags += " --amnesia";
+        std::printf("%s %s\n     replay: %s %s\n", ok ? "ok  " : "    ",
+                    report.Summary().c_str(), argv[0], flags.c_str());
       }
       if (cli.single_seed) break;  // one seed per store in replay mode
     }
