@@ -28,7 +28,6 @@
 #include "consensus/paxos.h"
 #include "harness.h"
 #include "membership/config_service.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "sim/latency.h"
 #include "sim/rpc.h"
@@ -79,25 +78,7 @@ int main() {
   const std::vector<sim::NodeId> servers = cluster.AddServers(kInitialServers);
   cluster.StartHintDelivery(500 * kMillisecond);
   cluster.StartFailureDetection();
-
-  std::vector<ReplicaStorage*> storages;
-  for (sim::NodeId srv : servers) storages.push_back(cluster.storage(srv));
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 250 * kMillisecond;
-  ae_options.peer_usable = [&cluster](sim::NodeId self, sim::NodeId peer) {
-    return cluster.PeerUsable(self, peer);
-  };
-  repl::AntiEntropy ae(&net, servers, storages, ae_options);
-  ae.Start();
-  cluster.SetServerCreatedCallback(
-      [&](sim::NodeId node, ReplicaStorage* storage) {
-        ae.AddMember(node, storage);
-      });
-  cluster.SetCommitCallback([&](const membership::MembershipView& view) {
-    for (sim::NodeId srv : servers) {
-      if (!view.Contains(srv)) ae.MarkDeparted(srv);
-    }
-  });
+  cluster.StartAntiEntropy(250 * kMillisecond);
 
   sim.RunFor(2 * kSecond);  // config group leader election
   bool bootstrapped = false;

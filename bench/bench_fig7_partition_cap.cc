@@ -19,7 +19,6 @@
 #include "consensus/paxos.h"
 #include "harness.h"
 #include "obs/export.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "sim/nemesis.h"
 
@@ -50,15 +49,8 @@ PartitionResult RunEventual(uint64_t seed, bench::Harness* out) {
   config.sloppy = true;
   repl::DynamoCluster cluster(&rpc, config);
   auto servers = cluster.AddServers(3);
-  std::vector<ReplicaStorage*> storages;
-  for (int i = 0; i < 3; ++i) {
-    wan->AssignNode(servers[i], i);
-    storages.push_back(cluster.storage(servers[i]));
-  }
-  repl::AntiEntropyOptions ae_options;
-  ae_options.interval = 200 * kMillisecond;
-  repl::AntiEntropy ae(&net, servers, storages, ae_options);
-  ae.Start();
+  for (int i = 0; i < 3; ++i) wan->AssignNode(servers[i], i);
+  cluster.StartAntiEntropy(200 * kMillisecond);
   cluster.StartHintDelivery(200 * kMillisecond);
 
   const sim::NodeId majority_client = net.AddNode();
@@ -118,10 +110,10 @@ PartitionResult RunEventual(uint64_t seed, bench::Harness* out) {
   const sim::Time heal_at = sim.Now();
   while (sim.Now() < heal_at + 30 * kSecond) {
     sim.RunFor(50 * kMillisecond);
-    if (ae.Converged()) break;
+    if (cluster.AntiEntropyConverged()) break;
   }
   result.heal_to_converged_ms =
-      ae.Converged()
+      cluster.AntiEntropyConverged()
           ? static_cast<double>(sim.Now() - heal_at) / kMillisecond
           : -1;
 

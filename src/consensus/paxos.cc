@@ -113,8 +113,9 @@ void PaxosCluster::RegisterHandlers(Server* server) {
           // honor this promise or two leaders can both reach majority.
           JournalPromise(server, server->promised);
           reply.promised = true;
-          for (const auto& [slot, state] : server->slots) {
-            if (slot < prepare.from_slot) continue;
+          for (auto it = server->slots.lower_bound(prepare.from_slot);
+               it != server->slots.end(); ++it) {
+            const auto& [slot, state] = *it;
             if (state.chosen) {
               reply.chosen.emplace_back(slot, state.chosen_value);
             } else if (state.has_accepted) {
@@ -196,9 +197,10 @@ void PaxosCluster::RegisterHandlers(Server* server) {
       [server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto catchup = std::move(req).Take<CatchupReq>();
         CatchupReply reply;
-        for (const auto& [slot, state] : server->slots) {
-          if (slot >= catchup.from_slot && state.chosen) {
-            reply.chosen.emplace_back(slot, state.chosen_value);
+        for (auto it = server->slots.lower_bound(catchup.from_slot);
+             it != server->slots.end(); ++it) {
+          if (it->second.chosen) {
+            reply.chosen.emplace_back(it->first, it->second.chosen_value);
           }
         }
         respond(std::move(reply));

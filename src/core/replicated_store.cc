@@ -5,7 +5,6 @@
 #include "causal/causal_store.h"
 #include "clock/version_vector.h"
 #include "consensus/paxos.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "replication/timeline_store.h"
 
@@ -41,7 +40,6 @@ struct ReplicatedStore::ClientState {
 struct ReplicatedStore::Impl {
   // Exactly one of these is populated, per options.level.
   std::unique_ptr<repl::DynamoCluster> dynamo;
-  std::unique_ptr<repl::AntiEntropy> anti_entropy;
   std::vector<sim::NodeId> dynamo_servers;
   std::vector<int> server_dc;  // dc of dynamo_servers[i]
 
@@ -98,15 +96,7 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
         impl_->server_dc.push_back(dc);
       }
       // Anti-entropy keeps eventual replicas converging in the background.
-      std::vector<ReplicaStorage*> storages;
-      for (const sim::NodeId node : impl_->dynamo_servers) {
-        storages.push_back(impl_->dynamo->storage(node));
-      }
-      repl::AntiEntropyOptions ae;
-      ae.interval = 500 * sim::kMillisecond;
-      impl_->anti_entropy = std::make_unique<repl::AntiEntropy>(
-          net_.get(), impl_->dynamo_servers, storages, ae);
-      impl_->anti_entropy->Start();
+      impl_->dynamo->StartAntiEntropy(500 * sim::kMillisecond);
       impl_->dynamo->StartHintDelivery(500 * sim::kMillisecond);
       break;
     }

@@ -24,7 +24,6 @@
 namespace evc {
 namespace repl {
 class DynamoCluster;
-class AntiEntropy;
 class TimelineCluster;
 }  // namespace repl
 namespace consensus {

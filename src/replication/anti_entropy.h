@@ -51,8 +51,11 @@ struct AntiEntropyStats {
   uint64_t peers_yielded = 0;     ///< draws skipped: peer reported load
 };
 
-/// Runs anti-entropy among a fixed membership of replicas. Each replica's
-/// storage is owned by the caller (e.g. a DynamoCluster).
+/// Runs anti-entropy among replicas whose storage it does not own.
+/// DynamoCluster::StartAntiEntropy builds one over the cluster's servers and
+/// keeps it in step with committed views: AddMember on a live join,
+/// MarkDeparted once a committed view omits a server an earlier one listed.
+/// Callers that gossip over bare storages construct one directly.
 class AntiEntropy {
  public:
   /// `nodes[i]` is the network id whose storage is `storages[i]`. All

@@ -195,6 +195,7 @@ bool DynamoCluster::PeerUsable(sim::NodeId server, sim::NodeId peer) const {
 
 void DynamoCluster::StartFailureDetection() {
   if (config_.use_oracle_detector) return;
+  detecting_ = true;
   std::vector<sim::NodeId> nodes;
   nodes.reserve(servers_.size());
   for (const auto& server : servers_) nodes.push_back(server->node);
@@ -702,6 +703,29 @@ void DynamoCluster::CoordinateGet(
   }
 }
 
+void DynamoCluster::StartAntiEntropy(sim::Time interval) {
+  EVC_CHECK(anti_entropy_ == nullptr && stats_.epochs_committed == 0);
+  std::vector<sim::NodeId> nodes;
+  std::vector<ReplicaStorage*> storages;
+  for (const auto& server : servers_) {
+    nodes.push_back(server->node);
+    storages.push_back(server->storage.get());
+  }
+  AntiEntropyOptions options;
+  options.interval = interval;
+  options.peer_usable = [this](sim::NodeId self, sim::NodeId peer) {
+    return !detecting_ || PeerUsable(self, peer);
+  };
+  if (config_.admission_enabled) {
+    options.load_of = [this](sim::NodeId self, sim::NodeId peer) {
+      return rpc_->PeerLoad(self, peer);
+    };
+  }
+  anti_entropy_ = std::make_unique<AntiEntropy>(
+      rpc_->network(), std::move(nodes), std::move(storages), options);
+  anti_entropy_->Start();
+}
+
 void DynamoCluster::StartHintDelivery(sim::Time interval) {
   hint_interval_ = interval;  // live-added servers get the same cadence
   for (auto& server : servers_) ScheduleHintTick(server.get(), interval);
@@ -921,9 +945,17 @@ void DynamoCluster::ApplyView(
       server->migration.reset();  // that epoch is settled
     }
     RedirectHints(server);
-    if (commit_cb_ && committed.epoch > announced_epoch_) {
+    if (committed.epoch > announced_epoch_) {
+      // Gossip drops the servers the last committed view listed and this
+      // one omits (a live-joined server is in no view until its join
+      // commits, so it keeps gossiping meanwhile).
+      for (sim::NodeId node : placements_.at(announced_epoch_).members) {
+        if (anti_entropy_ != nullptr && !committed.Contains(node)) {
+          anti_entropy_->MarkDeparted(node);
+        }
+      }
       announced_epoch_ = committed.epoch;
-      commit_cb_(committed);
+      ++stats_.epochs_committed;
     }
   } else if (committed.epoch == server->epoch) {
     // A same-epoch confirmation is what ends a restarted server's
@@ -1146,8 +1178,8 @@ Result<sim::NodeId> DynamoCluster::AddServerLive(
     for (const auto& s : servers_) nodes.push_back(s->node);
     server->resilient->StartHeartbeats(nodes);
   }
-  if (server_created_cb_) {
-    server_created_cb_(server->node, server->storage.get());
+  if (anti_entropy_ != nullptr) {
+    anti_entropy_->AddMember(server->node, server->storage.get());
   }
   RefreshView(server);
   const sim::NodeId node = server->node;

@@ -26,6 +26,7 @@
 #include "clock/lamport.h"
 #include "common/interner.h"
 #include "membership/config_service.h"
+#include "replication/anti_entropy.h"
 #include "replication/hash_ring.h"
 #include "resilience/admission.h"
 #include "resilience/resilient_rpc.h"
@@ -106,6 +107,7 @@ struct DynamoStats {
   uint64_t hints_lost = 0;
   uint64_t sloppy_diversions = 0;
   // Elastic membership (all zero for static clusters).
+  uint64_t epochs_committed = 0;     ///< commits learned past EnableElastic
   uint64_t stale_epoch_rejects = 0;  ///< data-plane RPCs fenced by epoch
   uint64_t view_refreshes = 0;       ///< successful config pulls
   uint64_t hints_redirected = 0;     ///< hints re-aimed off departed nodes
@@ -160,19 +162,6 @@ class DynamoCluster : private sim::CrashParticipant {
   /// flight.
   bool Migrating() const;
 
-  /// Fired once per committed epoch the cluster learns of (harnesses wire
-  /// anti-entropy departures and routing updates here).
-  using CommitCallback =
-      std::function<void(const membership::MembershipView&)>;
-  void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
-  /// Fired when AddServerLive creates a server (harnesses wire the new
-  /// node into anti-entropy before any data moves).
-  using ServerCreatedCallback =
-      std::function<void(sim::NodeId, ReplicaStorage*)>;
-  void SetServerCreatedCallback(ServerCreatedCallback cb) {
-    server_created_cb_ = std::move(cb);
-  }
-
   size_t server_count() const { return servers_.size(); }
   const QuorumConfig& config() const { return config_; }
 
@@ -201,7 +190,22 @@ class DynamoCluster : private sim::CrashParticipant {
 
   /// Starts phi-accrual heartbeat probing between all servers. No-op in
   /// oracle mode (the oracle needs no evidence). Call after AddServers.
+  /// Without it a detector hears only fan-out outcomes, so a node never
+  /// stops suspecting a peer it has stopped calling.
   void StartFailureDetection();
+
+  /// Starts Merkle anti-entropy over the servers in AddServer order, one
+  /// round per node every `interval`. A live-joined server enters the mesh
+  /// before any data moves; a server leaves it once a committed view omits
+  /// it after an earlier one listed it. Nodes skip peers their detector
+  /// suspects while failure detection runs, and yield to loaded peers when
+  /// admission is enabled. Call once, before any reconfiguration commits.
+  void StartAntiEntropy(sim::Time interval);
+  /// True when every server still in the gossip mesh has the same Merkle
+  /// root (false before StartAntiEntropy).
+  bool AntiEntropyConverged() const {
+    return anti_entropy_ != nullptr && anti_entropy_->Converged();
+  }
 
   /// `server`'s client-side liveness verdict on `peer`: detector + breaker
   /// in detector mode, always true in oracle mode (callers that want the
@@ -439,9 +443,9 @@ class DynamoCluster : private sim::CrashParticipant {
   // Elastic membership (null for static clusters).
   membership::ConfigService* config_service_ = nullptr;
   sim::Time hint_interval_ = 0;   // remembered for live-added servers
-  uint64_t announced_epoch_ = 0;  // highest epoch surfaced via commit_cb_
-  CommitCallback commit_cb_;
-  ServerCreatedCallback server_created_cb_;
+  uint64_t announced_epoch_ = 0;  // highest committed epoch learned
+  bool detecting_ = false;        // StartFailureDetection ran, detector mode
+  std::unique_ptr<AntiEntropy> anti_entropy_;  // null until started
   mutable std::map<uint64_t, Placement> placements_;  ///< by epoch
 };
 

@@ -17,7 +17,6 @@
 #include "membership/config_service.h"
 #include "crdt/gcounter.h"
 #include "crdt/orset.h"
-#include "replication/anti_entropy.h"
 #include "replication/quorum_store.h"
 #include "replication/timeline_store.h"
 #include "sim/latency.h"
@@ -214,25 +213,7 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
     servers_ = cluster_->AddServers(o.servers);
     cluster_->StartHintDelivery(500 * kMillisecond);
     cluster_->StartFailureDetection();  // no-op in oracle mode
-
-    std::vector<ReplicaStorage*> storages;
-    for (sim::NodeId srv : servers_) storages.push_back(cluster_->storage(srv));
-    repl::AntiEntropyOptions ae_options;
-    ae_options.interval = 250 * kMillisecond;
-    if (!o.use_oracle_detector) {
-      // Gossip peers by each node's own detector verdict.
-      ae_options.peer_usable = [this](sim::NodeId self, sim::NodeId peer) {
-        return cluster_->PeerUsable(self, peer);
-      };
-    }
-    if (o.overload) {
-      // Gossip yields to peers advertising load (piggybacked on replies).
-      ae_options.load_of = [rpc](sim::NodeId self, sim::NodeId peer) {
-        return rpc->PeerLoad(self, peer);
-      };
-    }
-    ae_.emplace(rpc->network(), servers_, storages, ae_options);
-    ae_->Start();
+    cluster_->StartAntiEntropy(250 * kMillisecond);
     if (elastic_) Bootstrap();
     sessions_.resize(o.sessions);
     for (Session& sess : sessions_) sess.node = rpc->network()->AddNode();
@@ -280,7 +261,7 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
   // server on the committed epoch).
   bool Settled() override {
     return (!elastic_ || !cluster_->Migrating()) &&
-           cluster_->pending_hints() == 0 && ae_->Converged();
+           cluster_->pending_hints() == 0 && cluster_->AntiEntropyConverged();
   }
   // Anti-entropy replicates every key to every server, so all states must
   // agree in full, over the FINAL committed membership: departed servers
@@ -321,7 +302,7 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
     rep->hints_pending = cluster_->pending_hints();
     rep->detector_false_positives = sim_->metrics().global().CounterFor(
         "resilience.detector.false_positives").value();
-    rep->epochs_committed = epochs_committed_;
+    rep->epochs_committed = st.epochs_committed;
     rep->keys_migrated = st.keys_migrated;
     rep->stale_epoch_rejects = st.stale_epoch_rejects;
     rep->hints_redirected = st.hints_redirected;
@@ -352,24 +333,9 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
     return cfg;
   }
 
-  // Membership wiring, then epoch 1 with the initial server set, then the
-  // cluster's view-driven membership. A live-joined server starts gossiping
-  // before any data moves. A node departs (peer draws skip it) only when a
-  // committed view omits it after an earlier committed view listed it: a
-  // server created for epoch e+1 is not yet in epoch e's view.
+  // Epoch 1 with the initial server set, then the cluster's view-driven
+  // membership (which also keeps its gossip mesh in step).
   void Bootstrap() {
-    listed_.insert(servers_.begin(), servers_.end());
-    cluster_->SetServerCreatedCallback(
-        [this](sim::NodeId node, ReplicaStorage* storage) {
-          ae_->AddMember(node, storage);
-        });
-    cluster_->SetCommitCallback([this](const membership::MembershipView& view) {
-      ++epochs_committed_;
-      for (sim::NodeId node : listed_) {
-        if (!view.Contains(node)) ae_->MarkDeparted(node);
-      }
-      listed_.insert(view.members.begin(), view.members.end());
-    });
     sim_->RunFor(2 * kSecond);  // let the config group elect a leader
     bool bootstrapped = false;
     config_->Bootstrap(servers_, [&](Status st) {
@@ -404,9 +370,6 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
   std::optional<membership::ConfigService> config_;  // elastic only
   std::optional<repl::DynamoCluster> cluster_;
   std::vector<sim::NodeId> servers_;
-  std::optional<repl::AntiEntropy> ae_;
-  std::set<sim::NodeId> listed_;  // elastic: in some committed view
-  uint64_t epochs_committed_ = 0;
   std::vector<Session> sessions_;
   std::map<std::string, VersionVector> acked_vv_;  // value -> stored vv
   std::map<std::string, std::vector<Version>> final_versions_;

@@ -271,6 +271,41 @@ TEST_F(ElasticClusterTest, LiveRemovalCommitsAndDepartedNodeStopsServing) {
   EXPECT_FALSE(PutSync(victim, "k0", "late").ok());
 }
 
+TEST_F(ElasticClusterTest, RemovedLiveJoinedServerLeavesTheGossipMesh) {
+  // The cluster's gossip follows committed views: a server that joined live
+  // and was then removed stops gossiping, so keys written after its removal
+  // reach every member through anti-entropy but never reach it.
+  Build(StrictRingConfig());
+  cluster_->StartAntiEntropy(250 * kMillisecond);
+  auto added = cluster_->AddServerLive([](Status) {});
+  ASSERT_TRUE(added.ok());
+  const sim::NodeId joined = *added;
+  ASSERT_TRUE(WaitFor([&] {
+    return cluster_->committed_epoch() == 2 && !cluster_->Migrating();
+  }));
+  ASSERT_TRUE(cluster_->RemoveServerLive(joined, [](Status) {}).ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return cluster_->committed_epoch() == 3 && !cluster_->Migrating();
+  }));
+  const std::vector<sim::NodeId> members = cluster_->CommittedMembers();
+  ASSERT_EQ(std::find(members.begin(), members.end(), joined), members.end());
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(PutSync(members[i % members.size()], "g" + std::to_string(i),
+                        "v")
+                    .ok());
+  }
+  ASSERT_TRUE(WaitFor([&] { return cluster_->AntiEntropyConverged(); }));
+  for (int i = 0; i < 12; ++i) {
+    const std::string key = "g" + std::to_string(i);
+    for (sim::NodeId member : members) {
+      EXPECT_EQ(cluster_->storage(member)->Get(key).size(), 1u)
+          << key << " at " << member;
+    }
+    EXPECT_TRUE(cluster_->storage(joined)->Get(key).empty()) << key;
+  }
+  EXPECT_EQ(cluster_->stats().epochs_committed, 2u);
+}
+
 TEST_F(ElasticClusterTest, StaleCoordinatorFencedThenRecovers) {
   Build(StrictRingConfig());
   const sim::NodeId laggard = servers_[3];

@@ -875,12 +875,14 @@ void MaybeFlagDeclaration(const std::string& stmt, char scope,
           ? "mutable namespace-scope global '" + name +
                 "'; shared state becomes a data race (and a cross-run "
                 "divergence source) the day this code runs on the real "
-                "Runtime threads (ROADMAP item 2) — refactor into owned "
-                "state or add a reasoned allow()"
+                "Runtime threads (ROADMAP: threads/sockets runtime "
+                "backend) — refactor into owned state or add a reasoned "
+                "allow()"
           : "mutable function-local static '" + name +
                 "'; hidden shared state across calls becomes a data race "
-                "under the real Runtime threads (ROADMAP item 2) — hoist it "
-                "into owned state or add a reasoned allow()";
+                "under the real Runtime threads (ROADMAP: threads/sockets "
+                "runtime backend) — hoist it into owned state or add a "
+                "reasoned allow()";
   findings->push_back({kThreadHostile, path, line, std::move(msg)});
 }
 
@@ -898,8 +900,9 @@ void RunThreadHostileCheck(const std::string& path, const Preprocessed& pre,
     findings->push_back(
         {kThreadHostile, path, LineAt(pre, static_cast<size_t>(it->position())),
          "thread_local storage; per-thread state diverges between the "
-         "single-threaded sim and the real Runtime (ROADMAP item 2) — pass "
-         "explicit per-worker state or add a reasoned allow()"});
+         "single-threaded sim and the real Runtime (ROADMAP: "
+         "threads/sockets runtime backend) — pass explicit per-worker state "
+         "or add a reasoned allow()"});
   }
 
   // Scope-tracking statement scan.
@@ -982,8 +985,9 @@ const std::map<std::string, int>& LayerRanks() {
   return *ranks;
 }
 
-/// Store-layer set: the code the Runtime port (ROADMAP item 2) must lift off
-/// the simulator; --runtime-worklist reports its direct sim:: references.
+/// Store-layer set: the code the Runtime port (ROADMAP: threads/sockets
+/// runtime backend) must lift off the simulator; --runtime-worklist reports
+/// its direct sim:: references.
 const std::set<std::string>& StoreLayers() {
   static const std::set<std::string>* layers = new std::set<std::string>{
       "cache", "causal", "consensus",  "core", "membership", "replication",
@@ -1542,7 +1546,8 @@ std::vector<std::string> RenderLayerDot(const std::vector<SourceFile>& files) {
 }
 
 /// Every direct sim:: reference inside store-layer code: the call sites the
-/// Runtime port (ROADMAP item 2) must route through the runtime abstraction.
+/// Runtime port (ROADMAP: threads/sockets runtime backend) must route
+/// through the runtime abstraction.
 std::vector<std::string> RenderRuntimeWorklist(
     const std::vector<SourceFile>& files) {
   std::vector<std::string> out;
@@ -1569,7 +1574,7 @@ std::vector<std::string> RenderRuntimeWorklist(
   out.push_back("runtime-worklist: " + std::to_string(refs) +
                 " sim:: reference(s) across " + std::to_string(touched_files) +
                 " store-layer file(s) to route through the Runtime "
-                "abstraction (ROADMAP item 2)");
+                "abstraction (ROADMAP: threads/sockets runtime backend)");
   return out;
 }
 

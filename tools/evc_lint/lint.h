@@ -66,9 +66,9 @@
 //                        state the deterministic single-threaded sim tolerates
 //                        but that becomes a data race or a divergence source
 //                        the day the same store code runs on the real
-//                        threads+sockets Runtime (ROADMAP item 2). Each site
-//                        needs a refactor into owned state or a reasoned
-//                        allow().
+//                        threads+sockets Runtime (ROADMAP: threads/sockets
+//                        runtime backend). Each site needs a refactor into
+//                        owned state or a reasoned allow().
 //
 // Suppression syntax (same line or the line directly above the finding):
 //
@@ -87,8 +87,9 @@
 //                        ranks grouped, upward edges highlighted.
 //   --runtime-worklist   list every `sim::` reference inside store-layer
 //                        code — the exact call sites the Runtime port
-//                        (ROADMAP item 2) must route through the runtime
-//                        abstraction instead of the simulator.
+//                        (ROADMAP: threads/sockets runtime backend) must
+//                        route through the runtime abstraction instead of
+//                        the simulator.
 
 #ifndef EVC_TOOLS_EVC_LINT_LINT_H_
 #define EVC_TOOLS_EVC_LINT_LINT_H_
