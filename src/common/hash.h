@@ -37,7 +37,7 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
   return Mix64(a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2)));
 }
 
-/// CRC32 (Castagnoli polynomial, software table implementation) for WAL
+/// CRC32 (Castagnoli polynomial, portable slicing-by-8 tables) for WAL
 /// record integrity checking.
 uint32_t Crc32c(std::string_view data);
 

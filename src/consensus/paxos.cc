@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
+#include <utility>
 
 #include "common/encoding.h"
 #include "common/logging.h"
@@ -20,6 +23,9 @@ constexpr char kCatchup[] = "px.catchup";
 constexpr char kWalPromise = 'P';  // [round][node]
 constexpr char kWalAccept = 'A';   // [slot][round][node][value]
 constexpr char kWalChosen = 'C';   // [slot][value]
+// First record after a checkpoint: [round][node][log_start][applied_index]
+// [#kv]{[key][value]} [#ops]{[op_id delta]}.
+constexpr char kWalSnapshot = 'S';
 
 // Per-phase RPC timeout. Must exceed the worst round trip in the deployment
 // (the WAN matrix tops out near 110 ms one-way).
@@ -29,6 +35,50 @@ constexpr sim::Time kHeartbeatInterval = 50 * sim::kMillisecond;
 constexpr sim::Time kElectionTimeout = 600 * sim::kMillisecond;
 // Client-visible proposal timeout.
 constexpr sim::Time kProposalTimeout = 2 * sim::kSecond;
+
+void PutBallot(std::string* out, const Ballot& ballot) {
+  PutVarint64(out, ballot.round);
+  PutVarint64(out, ballot.node);
+}
+
+Ballot GetBallot(Decoder* dec) {
+  Ballot b;
+  uint64_t node = 0;
+  EVC_CHECK(dec->GetVarint64(&b.round).ok());
+  EVC_CHECK(dec->GetVarint64(&node).ok());
+  b.node = static_cast<uint32_t>(node);
+  return b;
+}
+
+std::string PromiseRecord(const Ballot& ballot) {
+  std::string rec(1, kWalPromise);
+  PutBallot(&rec, ballot);
+  return rec;
+}
+
+std::string AcceptRecord(uint64_t slot, const Ballot& ballot,
+                         const std::string& value) {
+  std::string rec(1, kWalAccept);
+  PutVarint64(&rec, slot);
+  PutBallot(&rec, ballot);
+  PutLengthPrefixed(&rec, value);
+  return rec;
+}
+
+std::string ChosenRecord(uint64_t slot, const std::string& value) {
+  std::string rec(1, kWalChosen);
+  PutVarint64(&rec, slot);
+  PutLengthPrefixed(&rec, value);
+  return rec;
+}
+
+// Adds `id` to the sorted `ids`; false when it is already there.
+bool InsertOpId(std::vector<uint64_t>* ids, uint64_t id) {
+  const auto it = std::lower_bound(ids->begin(), ids->end(), id);
+  if (it != ids->end() && *it == id) return false;
+  ids->insert(it, id);
+  return true;
+}
 }  // namespace
 
 PaxosCluster::PaxosCluster(sim::Rpc* rpc, PaxosOptions options)
@@ -111,7 +161,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
           server->promised = prepare.ballot;
           // Journal before the ack leaves: a restarted acceptor must still
           // honor this promise or two leaders can both reach majority.
-          JournalPromise(server, server->promised);
+          Journal(server, PromiseRecord(server->promised));
           reply.promised = true;
           for (auto it = server->slots.lower_bound(prepare.from_slot);
                it != server->slots.end(); ++it) {
@@ -125,6 +175,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
           }
         }
         reply.promised_ballot = server->promised;
+        reply.log_start = server->log_start;
         respond(std::move(reply));
       });
 
@@ -135,15 +186,15 @@ void PaxosCluster::RegisterHandlers(Server* server) {
         AcceptReply reply;
         if (accept.ballot >= server->promised) {
           server->promised = accept.ballot;
-          SlotState& state = server->slots[accept.slot];
-          if (!state.chosen) {
-            state.accepted_ballot = accept.ballot;
-            state.accepted_value = accept.value;
-            state.has_accepted = true;
-            JournalAccept(server, accept.slot, accept.ballot, accept.value);
+          if (SlotState* state = OpenSlot(server, accept.slot)) {
+            state->accepted_ballot = accept.ballot;
+            state->accepted_value = accept.value;
+            state->has_accepted = true;
+            Journal(server, AcceptRecord(accept.slot, accept.ballot,
+                                         accept.value));
           } else {
             // Nothing accepted, but the promise still advanced.
-            JournalPromise(server, server->promised);
+            Journal(server, PromiseRecord(server->promised));
           }
           reply.accepted = true;
         } else {
@@ -152,6 +203,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
           Obs().CounterFor("paxos.accept_conflicts").Inc();
         }
         reply.promised_ballot = server->promised;
+        reply.applied_index = server->applied_index;
         respond(reply);
       });
 
@@ -164,6 +216,8 @@ void PaxosCluster::RegisterHandlers(Server* server) {
   rpc_->network()->RegisterHandler(
       node, t_heartbeat_, [this, server](sim::Message msg) {
         auto hb = std::move(msg.payload).Take<HeartbeatMsg>();
+        // Even a deposed leader's floor is a lower bound.
+        server->group_floor = std::max(server->group_floor, hb.group_floor);
         if (hb.ballot >= server->leader_ballot) {
           server->leader_ballot = hb.ballot;
           server->leader_hint = hb.leader;
@@ -184,6 +238,10 @@ void PaxosCluster::RegisterHandlers(Server* server) {
                        [this, server](Result<sim::Payload> r) {
                          if (!r.ok()) return;
                          auto reply = std::move(r).value().Take<CatchupReply>();
+                         // The responder dropped only slots below the group
+                         // floor, which this server had applied before it
+                         // reported the index the floor came from.
+                         EVC_CHECK(reply.log_start <= server->applied_index);
                          for (const auto& [slot, value] : reply.chosen) {
                            OnChosen(server, slot, value);
                          }
@@ -203,6 +261,7 @@ void PaxosCluster::RegisterHandlers(Server* server) {
             reply.chosen.emplace_back(it->first, it->second.chosen_value);
           }
         }
+        reply.log_start = server->log_start;
         respond(std::move(reply));
       });
 
@@ -250,6 +309,7 @@ void PaxosCluster::Start() {
   for (auto& server_ptr : servers_) {
     Server* server = server_ptr.get();
     server->last_heartbeat = sim->Now();
+    server->peer_applied.assign(servers_.size(), std::nullopt);
     ScheduleElectionCheck(server);
   }
   // Bootstrap: server 0 runs for leadership immediately.
@@ -345,6 +405,8 @@ void PaxosCluster::BecomeLeader(Server* server,
   uint64_t max_slot_seen = from_slot == 0 ? 0 : from_slot - 1;
   bool any_slot = from_slot > 0;
   for (const auto& promise : promises) {
+    // As for catch-up: every slot an acceptor dropped is applied here.
+    EVC_CHECK(promise.log_start <= server->applied_index);
     for (const auto& [slot, value] : promise.chosen) {
       OnChosen(server, slot, value);
       max_slot_seen = std::max(max_slot_seen, slot);
@@ -364,7 +426,7 @@ void PaxosCluster::BecomeLeader(Server* server,
   // Re-propose open values; fill holes with no-ops so the log has no gaps.
   for (uint64_t slot = server->applied_index; slot < server->next_slot;
        ++slot) {
-    if (server->slots.count(slot) && server->slots[slot].chosen) continue;
+    if (IsChosen(*server, slot)) continue;
     std::string value;
     auto it = open.find(slot);
     if (it != open.end()) {
@@ -386,6 +448,8 @@ void PaxosCluster::SendHeartbeats(Server* server) {
   hb.ballot = server->ballot;
   hb.leader = server->node;
   hb.chosen_watermark = server->applied_index;
+  hb.group_floor = GroupFloor(*server);
+  server->group_floor = std::max(server->group_floor, hb.group_floor);
   for (auto& peer : servers_) {
     if (peer->node == server->node) continue;
     rpc_->network()->Send(server->node, peer->node, t_heartbeat_, hb);
@@ -393,6 +457,30 @@ void PaxosCluster::SendHeartbeats(Server* server) {
   server->last_heartbeat = rpc_->simulator()->Now();
   rpc_->simulator()->ScheduleAfter(kHeartbeatInterval,
                                    [this, server] { SendHeartbeats(server); });
+}
+
+uint64_t PaxosCluster::GroupFloor(const Server& leader) const {
+  uint64_t floor = leader.applied_index;
+  for (const auto& peer : servers_) {
+    if (peer->index == leader.index) continue;
+    const std::optional<uint64_t>& reported = leader.peer_applied[peer->index];
+    if (!reported) return 0;
+    floor = std::min(floor, *reported);
+  }
+  return floor;
+}
+
+bool PaxosCluster::IsChosen(const Server& server, uint64_t slot) {
+  if (slot < server.log_start) return true;
+  auto it = server.slots.find(slot);
+  return it != server.slots.end() && it->second.chosen;
+}
+
+PaxosCluster::SlotState* PaxosCluster::OpenSlot(Server* server,
+                                                uint64_t slot) {
+  if (slot < server->log_start) return nullptr;
+  SlotState& state = server->slots[slot];
+  return state.chosen ? nullptr : &state;
 }
 
 void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
@@ -405,16 +493,15 @@ void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
     return;
   }
   // Leader accepts locally first (it is an acceptor too).
-  SlotState& local = server->slots[slot];
-  if (!local.chosen) {
-    local.accepted_ballot = server->ballot;
-    local.accepted_value = encoded;
-    local.has_accepted = true;
-    JournalAccept(server, slot, server->ballot, encoded);
+  if (SlotState* local = OpenSlot(server, slot)) {
+    local->accepted_ballot = server->ballot;
+    local->accepted_value = encoded;
+    local->has_accepted = true;
+    Journal(server, AcceptRecord(slot, server->ballot, encoded));
   }
   if (server->promised < server->ballot) {
     server->promised = server->ballot;
-    JournalPromise(server, server->promised);
+    Journal(server, PromiseRecord(server->promised));
   }
 
   struct AcceptState {
@@ -438,17 +525,24 @@ void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
     if (peer->node == server->node) continue;
     rpc_->Call(server->node, peer->node, m_accept_, req, kRpcTimeout,
                [this, server, state, majority, total, slot, encoded, ballot,
-                pending](Result<sim::Payload> r) {
+                pending, peer_index = peer->index](Result<sim::Payload> r) {
                  ++state->replies;
-                 if (state->done) return;
+                 std::optional<AcceptReply> reply;
                  if (r.ok()) {
-                   auto reply =
-                       std::move(r).value().Take<AcceptReply>();
-                   if (reply.accepted) {
+                   reply = std::move(r).value().Take<AcceptReply>();
+                   // Late replies report too: applied indices only grow,
+                   // so every report stays a lower bound.
+                   std::optional<uint64_t>& known =
+                       server->peer_applied[peer_index];
+                   known = std::max(known.value_or(0), reply->applied_index);
+                 }
+                 if (state->done) return;
+                 if (reply) {
+                   if (reply->accepted) {
                      ++state->acks;
-                   } else if (reply.promised_ballot > ballot) {
+                   } else if (reply->promised_ballot > ballot) {
                      state->done = true;
-                     StepDown(server, reply.promised_ballot);
+                     StepDown(server, reply->promised_ballot);
                      return;
                    }
                  }
@@ -480,8 +574,7 @@ void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
                              server->ballot != my_ballot) {
                            return;  // deposed: next leader fills the slot
                          }
-                         auto it = server->slots.find(slot);
-                         if (it != server->slots.end() && it->second.chosen) {
+                         if (IsChosen(*server, slot)) {
                            return;  // a learn already arrived
                          }
                          ProposeInSlot(server, slot, encoded, pending);
@@ -493,6 +586,7 @@ void PaxosCluster::ProposeInSlot(Server* server, uint64_t slot,
 
 void PaxosCluster::OnChosen(Server* server, uint64_t slot,
                             const std::string& value) {
+  if (slot < server->log_start) return;  // chosen, applied and dropped
   SlotState& state = server->slots[slot];
   if (state.chosen) {
     if (state.chosen_value != value) {
@@ -511,7 +605,7 @@ void PaxosCluster::OnChosen(Server* server, uint64_t slot,
   }
   state.chosen = true;
   state.chosen_value = value;
-  JournalChosen(server, slot, value);
+  Journal(server, ChosenRecord(slot, value));
   ApplyReady(server);
 }
 
@@ -529,14 +623,14 @@ void PaxosCluster::ApplyReady(Server* server) {
       case Command::Type::kNoop:
         break;
       case Command::Type::kPut:
-        if (cmd.op_id == 0 || server->applied_ops.insert(cmd.op_id).second) {
+        if (cmd.op_id == 0 || InsertOpId(&server->applied_ops, cmd.op_id)) {
           server->kv[cmd.key] = cmd.value;
         } else {
           Obs().CounterFor("paxos.dedup_hits").Inc();
         }
         break;
       case Command::Type::kDelete:
-        if (cmd.op_id == 0 || server->applied_ops.insert(cmd.op_id).second) {
+        if (cmd.op_id == 0 || InsertOpId(&server->applied_ops, cmd.op_id)) {
           server->kv.erase(cmd.key);
         } else {
           Obs().CounterFor("paxos.dedup_hits").Inc();
@@ -555,12 +649,14 @@ void PaxosCluster::ApplyReady(Server* server) {
         // key. A dedup hit means an earlier apply of the SAME op won the
         // race, so a retry must still observe "created".
         auto kv_it = server->kv.find(cmd.key);
-        if (cmd.op_id != 0 && server->applied_ops.count(cmd.op_id) > 0) {
+        if (cmd.op_id != 0 && std::binary_search(server->applied_ops.begin(),
+                                                 server->applied_ops.end(),
+                                                 cmd.op_id)) {
           Obs().CounterFor("paxos.dedup_hits").Inc();
           exec.found = false;
           exec.value = cmd.value;
         } else if (kv_it == server->kv.end()) {
-          if (cmd.op_id != 0) server->applied_ops.insert(cmd.op_id);
+          if (cmd.op_id != 0) InsertOpId(&server->applied_ops, cmd.op_id);
           server->kv[cmd.key] = cmd.value;
           exec.found = false;
           exec.value = cmd.value;
@@ -597,36 +693,53 @@ void PaxosCluster::ApplyReady(Server* server) {
   }
 }
 
-void PaxosCluster::JournalPromise(Server* server, const Ballot& ballot) {
+void PaxosCluster::Journal(Server* server, const std::string& record) {
   if (!options_.journal_acceptor_state) return;
-  std::string rec;
-  rec.push_back(kWalPromise);
-  PutVarint64(&rec, ballot.round);
-  PutVarint64(&rec, ballot.node);
-  server->wal.Append(rec);
+  server->wal.Append(record);
+  if (server->wal.CheckpointDue()) Checkpoint(server);
 }
 
-void PaxosCluster::JournalAccept(Server* server, uint64_t slot,
-                                 const Ballot& ballot,
-                                 const std::string& value) {
-  if (!options_.journal_acceptor_state) return;
-  std::string rec;
-  rec.push_back(kWalAccept);
-  PutVarint64(&rec, slot);
-  PutVarint64(&rec, ballot.round);
-  PutVarint64(&rec, ballot.node);
-  PutLengthPrefixed(&rec, value);
-  server->wal.Append(rec);
-}
-
-void PaxosCluster::JournalChosen(Server* server, uint64_t slot,
-                                 const std::string& value) {
-  if (!options_.journal_acceptor_state) return;
-  std::string rec;
-  rec.push_back(kWalChosen);
-  PutVarint64(&rec, slot);
-  PutLengthPrefixed(&rec, value);
-  server->wal.Append(rec);
+void PaxosCluster::Checkpoint(Server* server) {
+  // Never below the last log start: those slots are gone already.
+  const uint64_t keep_from =
+      std::max(server->log_start,
+               std::min(server->applied_index, server->group_floor));
+  std::string snap(1, kWalSnapshot);
+  snap.reserve(server->wal.base_bytes());  // about the last snapshot's size
+  PutBallot(&snap, server->promised);
+  PutVarint64(&snap, keep_from);
+  PutVarint64(&snap, server->applied_index);
+  PutVarint64(&snap, server->kv.size());
+  for (const auto& [key, value] : server->kv) {
+    PutLengthPrefixed(&snap, key);
+    PutLengthPrefixed(&snap, value);
+  }
+  PutVarint64(&snap, server->applied_ops.size());
+  uint64_t prev_op = 0;
+  for (const uint64_t op : server->applied_ops) {
+    PutVarint64(&snap, op - prev_op);
+    prev_op = op;
+  }
+  WriteAheadLog log;
+  log.Append(snap);
+  const auto kept = server->slots.lower_bound(keep_from);
+  const auto dropped =
+      static_cast<uint64_t>(std::distance(server->slots.begin(), kept));
+  server->slots.erase(server->slots.begin(), kept);
+  server->log_start = keep_from;
+  // The chosen slots in [keep_from, applied index) keep serving lagging
+  // members; the slots above carry the acceptor state Paxos safety needs.
+  for (const auto& [slot, state] : server->slots) {
+    if (state.chosen) {
+      log.Append(ChosenRecord(slot, state.chosen_value));
+    } else if (state.has_accepted) {
+      log.Append(AcceptRecord(slot, state.accepted_ballot,
+                              state.accepted_value));
+    }
+  }
+  server->wal.Checkpoint(std::move(log));
+  Obs().CounterFor("wal.checkpoints").Inc();
+  if (dropped > 0) Obs().CounterFor("paxos.slots_dropped").Inc(dropped);
 }
 
 void PaxosCluster::OnCrash(uint32_t node) {
@@ -652,6 +765,9 @@ void PaxosCluster::OnCrash(uint32_t node) {
   server->in_flight.clear();
   server->promised = Ballot{};
   server->slots.clear();
+  server->log_start = 0;
+  server->group_floor = 0;
+  server->peer_applied.assign(servers_.size(), std::nullopt);
   server->applied_index = 0;
   server->kv.clear();
   server->applied_ops.clear();
@@ -675,24 +791,42 @@ void PaxosCluster::OnRestart(uint32_t node) {
     EVC_CHECK(!rec.empty());
     Decoder dec(std::string_view(rec).substr(1));
     switch (rec[0]) {
+      case kWalSnapshot: {
+        // Only ever the first record, so it fills what the crash cleared.
+        server->promised = GetBallot(&dec);
+        EVC_CHECK(dec.GetVarint64(&server->log_start).ok());
+        EVC_CHECK(dec.GetVarint64(&server->applied_index).ok());
+        uint64_t n = 0;
+        EVC_CHECK(dec.GetVarint64(&n).ok());
+        for (uint64_t i = 0; i < n; ++i) {
+          std::string key;
+          std::string value;
+          EVC_CHECK(dec.GetLengthPrefixed(&key).ok());
+          EVC_CHECK(dec.GetLengthPrefixed(&value).ok());
+          server->kv.emplace_hint(server->kv.end(), std::move(key),
+                                  std::move(value));
+        }
+        EVC_CHECK(dec.GetVarint64(&n).ok());
+        uint64_t op = 0;
+        for (uint64_t i = 0; i < n; ++i) {
+          uint64_t delta = 0;
+          EVC_CHECK(dec.GetVarint64(&delta).ok());
+          op += delta;
+          server->applied_ops.push_back(op);
+        }
+        Obs().CounterFor("paxos.snapshots_replayed").Inc();
+        break;
+      }
       case kWalPromise: {
-        Ballot b;
-        EVC_CHECK(dec.GetVarint64(&b.round).ok());
-        uint64_t bnode = 0;
-        EVC_CHECK(dec.GetVarint64(&bnode).ok());
-        b.node = static_cast<uint32_t>(bnode);
+        const Ballot b = GetBallot(&dec);
         if (b > server->promised) server->promised = b;
         break;
       }
       case kWalAccept: {
         uint64_t slot = 0;
-        Ballot b;
-        uint64_t bnode = 0;
         std::string value;
         EVC_CHECK(dec.GetVarint64(&slot).ok());
-        EVC_CHECK(dec.GetVarint64(&b.round).ok());
-        EVC_CHECK(dec.GetVarint64(&bnode).ok());
-        b.node = static_cast<uint32_t>(bnode);
+        const Ballot b = GetBallot(&dec);
         EVC_CHECK(dec.GetLengthPrefixed(&value).ok());
         SlotState& state = server->slots[slot];
         if (!state.chosen) {
@@ -718,8 +852,9 @@ void PaxosCluster::OnRestart(uint32_t node) {
     }
   }
   Obs().CounterFor("wal.replayed_records").Inc(records.size());
-  // Re-apply the contiguous chosen prefix to rebuild the state machine (the
-  // op_id dedup set rebuilds with it, so replay stays exactly-once).
+  // Re-apply the chosen slots after the snapshot's applied index to rebuild
+  // the state machine (the op_id dedup set rebuilds with it, so replay
+  // stays exactly-once).
   ApplyReady(server);
   // Fresh failure-detection clock: give the incumbent a full election
   // timeout to make contact before this node runs for leadership.
@@ -796,6 +931,13 @@ uint64_t PaxosCluster::AppliedIndex(sim::NodeId node) const {
   const Server* server = FindServer(node);
   EVC_CHECK(server != nullptr);
   return server->applied_index;
+}
+
+const std::vector<uint64_t>& PaxosCluster::AppliedOpIds(
+    sim::NodeId node) const {
+  const Server* server = FindServer(node);
+  EVC_CHECK(server != nullptr);
+  return server->applied_ops;
 }
 
 // ---------------------------------------------------------------------------

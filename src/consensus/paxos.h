@@ -14,6 +14,23 @@
 // (accept) per command. Heartbeats suppress elections; followers start a
 // randomized-timeout election when the leader goes quiet. Chosen entries
 // propagate via learn messages, with a catch-up path for gaps.
+//
+// Bounded state (snapshot plus tail, as in "Paxos Made Live"): when a
+// server's acceptor journal is due under the WAL's checkpoint rule, the
+// server rewrites it as a snapshot (promised ballot, applied index, kv and
+// the op-id dedup set) plus the acceptor state of every slot it keeps. It
+// keeps the slots at or above T = min(its applied index, the group floor)
+// and drops the rest. The group floor is the smallest applied index any
+// member has reported: members report theirs on AcceptReply, the leader
+// sends the minimum on heartbeats (0 until every member has replied), and
+// each server keeps the largest floor it has heard. A journaled server
+// journals a chosen slot before applying it, so applied indices never go
+// back and every floor ever sent stays a lower bound: no member ever needs
+// a slot another member dropped (prepare and catch-up replies carry the
+// responder's log start, and the asker checks it), and no snapshot install
+// exists. A slot below a server's log start counts as chosen and applied.
+// A member that stays down holds the floor back, so logs keep growing
+// while it is away.
 
 #ifndef EVC_CONSENSUS_PAXOS_H_
 #define EVC_CONSENSUS_PAXOS_H_
@@ -23,7 +40,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -133,6 +149,9 @@ class PaxosCluster : private sim::CrashParticipant {
                                           const std::string& key) const;
   /// Number of contiguously applied slots at `server`.
   uint64_t AppliedIndex(sim::NodeId server) const;
+  /// Sorted ids of the mutating ops `server` has applied (test hook): state
+  /// machine state, so servers at one applied index agree on it.
+  const std::vector<uint64_t>& AppliedOpIds(sim::NodeId server) const;
 
   const PaxosStats& stats() const { return stats_; }
   size_t server_count() const { return servers_.size(); }
@@ -160,28 +179,38 @@ class PaxosCluster : private sim::CrashParticipant {
   struct Server {
     sim::NodeId node = 0;
     uint32_t index = 0;
-    // Acceptor state.
+    // Acceptor state. Slots below log_start were chosen, applied and
+    // dropped by a checkpoint.
     Ballot promised;
     std::map<uint64_t, SlotState> slots;
+    uint64_t log_start = 0;
+    // Largest group floor heard: no member's applied index is below it.
+    uint64_t group_floor = 0;
     // Learner / state machine.
     // Next slot to apply. ApplyReady runs on every choice and after replay,
     // so this is also the chosen watermark (the contiguous chosen prefix).
     uint64_t applied_index = 0;
     std::map<std::string, std::string> kv;
-    std::set<uint64_t> applied_ops;  // mutating op_ids already applied
+    // Mutating op_ids already applied, sorted. Ids are minted in order and
+    // applied close to it, so inserts land near the end.
+    std::vector<uint64_t> applied_ops;
     // Leader state.
     bool is_leader = false;
     bool electing = false;
     Ballot ballot;            // my current ballot when leading/electing
     uint64_t next_slot = 0;   // next free slot as leader
     std::map<uint64_t, std::shared_ptr<PendingProposal>> in_flight;
+    // Applied index each peer last reported on an AcceptReply, by server
+    // index; nullopt until the peer first replies.
+    std::vector<std::optional<uint64_t>> peer_applied;
     // Failure detection.
     sim::Time last_heartbeat = 0;
     Ballot leader_ballot;     // highest ballot heard from a leader
     sim::NodeId leader_hint = 0;
     bool has_leader_hint = false;
-    // Acceptor journal: promised / accepted / chosen records, replayed on
-    // restart (empty when options_.journal_acceptor_state is off).
+    // Acceptor journal: an optional snapshot, then promised / accepted /
+    // chosen records, replayed on restart (empty when
+    // options_.journal_acceptor_state is off).
     WriteAheadLog wal;
   };
 
@@ -197,6 +226,7 @@ class PaxosCluster : private sim::CrashParticipant {
     std::vector<std::tuple<uint64_t, Ballot, std::string>> accepted;
     // Chosen entries the preparer might be missing.
     std::vector<std::pair<uint64_t, std::string>> chosen;
+    uint64_t log_start = 0;  // the acceptor's; it reports nothing below it
   };
   struct AcceptReq {
     Ballot ballot;
@@ -206,6 +236,7 @@ class PaxosCluster : private sim::CrashParticipant {
   struct AcceptReply {
     bool accepted = false;
     Ballot promised_ballot;
+    uint64_t applied_index = 0;  // the acceptor's, for the group floor
   };
   struct LearnMsg {
     uint64_t slot = 0;
@@ -215,12 +246,14 @@ class PaxosCluster : private sim::CrashParticipant {
     Ballot ballot;
     sim::NodeId leader = 0;
     uint64_t chosen_watermark = 0;  // leader's contiguous chosen prefix
+    uint64_t group_floor = 0;       // see the header comment
   };
   struct CatchupReq {
     uint64_t from_slot = 0;
   };
   struct CatchupReply {
     std::vector<std::pair<uint64_t, std::string>> chosen;
+    uint64_t log_start = 0;  // the responder's; it sends nothing below it
   };
 
   Server* FindServer(sim::NodeId node);
@@ -234,6 +267,14 @@ class PaxosCluster : private sim::CrashParticipant {
                     const std::vector<PrepareReply>& promises,
                     uint64_t from_slot);
   void SendHeartbeats(Server* server);
+  /// Leader side: min of its own and every peer's reported applied index,
+  /// or 0 while some peer has not reported.
+  uint64_t GroupFloor(const Server& leader) const;
+  /// True for a chosen slot, including every slot below log_start.
+  static bool IsChosen(const Server& server, uint64_t slot);
+  /// The state of `slot` while it can still accept a value (creating it);
+  /// nullptr once the slot is chosen.
+  static SlotState* OpenSlot(Server* server, uint64_t slot);
   void ProposeInSlot(Server* server, uint64_t slot, std::string encoded,
                      std::shared_ptr<PendingProposal> pending);
   void OnChosen(Server* server, uint64_t slot, const std::string& value);
@@ -244,10 +285,12 @@ class PaxosCluster : private sim::CrashParticipant {
   // replays the acceptor journal and re-applies the chosen prefix.
   void OnCrash(uint32_t node) override;
   void OnRestart(uint32_t node) override;
-  void JournalPromise(Server* server, const Ballot& ballot);
-  void JournalAccept(Server* server, uint64_t slot, const Ballot& ballot,
-                     const std::string& value);
-  void JournalChosen(Server* server, uint64_t slot, const std::string& value);
+  /// Appends one acceptor record (no-op when journaling is off), then
+  /// checkpoints if the journal is due.
+  void Journal(Server* server, const std::string& record);
+  /// Rewrites the journal as a snapshot plus the kept slots, and drops the
+  /// chosen slots below min(applied index, group floor).
+  void Checkpoint(Server* server);
 
   static std::string EncodeCommand(const Command& cmd);
   static Result<Command> DecodeCommand(const std::string& bytes);

@@ -163,18 +163,21 @@ void TimelineCluster::RegisterHandlers(Server* server) {
       });
 
   // Mastership adoption: install the shipped record (if newer than our
-  // replica copy) and continue its timeline.
+  // replica copy) and continue its timeline. With nothing to adopt the
+  // server keeps what it holds, which may be no record at all.
   rpc_->RegisterHandler(
       server->node, m_adopt_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto adopt = std::move(req).Take<AdoptReq>();
-        Record& rec = server->data[adopt.key];
-        if (adopt.has_record && adopt.seqno > rec.seqno) {
+        auto it = server->data.find(adopt.key);
+        uint64_t held = it == server->data.end() ? 0 : it->second.seqno;
+        if (adopt.has_record && adopt.seqno > held) {
+          Record& rec = server->data[adopt.key];
           rec.value = std::move(adopt.value);
-          rec.seqno = adopt.seqno;
+          rec.seqno = held = adopt.seqno;
           JournalApply(server, adopt.key, rec.value, rec.seqno);
         }
-        respond(rec.seqno);
+        respond(held);
       });
 }
 
@@ -385,14 +388,30 @@ void TimelineCluster::Read(sim::NodeId client, sim::NodeId replica,
              });
 }
 
-void TimelineCluster::JournalApply(Server* server, const std::string& key,
-                                   const std::string& value, uint64_t seqno) {
-  if (!options_.durable) return;
+namespace {
+std::string ApplyRecord(const std::string& key, const std::string& value,
+                        uint64_t seqno) {
   std::string rec;
   PutLengthPrefixed(&rec, key);
   PutLengthPrefixed(&rec, value);
   PutVarint64(&rec, seqno);
-  server->wal.Append(rec);
+  return rec;
+}
+}  // namespace
+
+void TimelineCluster::JournalApply(Server* server, const std::string& key,
+                                   const std::string& value, uint64_t seqno) {
+  if (!options_.durable) return;
+  server->wal.Append(ApplyRecord(key, value, seqno));
+  if (!server->wal.CheckpointDue()) return;
+  // Snapshot: the latest record of every key, this one included. Replay
+  // reads it like any other prefix of the journal.
+  WriteAheadLog snapshot;
+  for (const auto& [k, rec] : server->data) {
+    snapshot.Append(ApplyRecord(k, rec.value, rec.seqno));
+  }
+  server->wal.Checkpoint(std::move(snapshot));
+  Obs().CounterFor("wal.checkpoints").Inc();
 }
 
 void TimelineCluster::OnCrash(uint32_t node) {
@@ -437,6 +456,12 @@ uint64_t TimelineCluster::VisibleSeqno(sim::NodeId server,
   EVC_CHECK(s != nullptr);
   auto it = s->data.find(key);
   return it == s->data.end() ? 0 : it->second.seqno;
+}
+
+const WriteAheadLog& TimelineCluster::JournalOf(sim::NodeId server) {
+  Server* s = FindServer(server);
+  EVC_CHECK(s != nullptr);
+  return s->wal;
 }
 
 }  // namespace evc::repl

@@ -151,6 +151,9 @@ class TimelineCluster : private sim::CrashParticipant {
   /// Test hook: the seqno currently visible for `key` at `server`.
   uint64_t VisibleSeqno(sim::NodeId server, const std::string& key);
 
+  /// Test hook: `server`'s journal (empty when !durable).
+  const WriteAheadLog& JournalOf(sim::NodeId server);
+
  private:
   struct Record {
     std::string value;
@@ -159,7 +162,8 @@ class TimelineCluster : private sim::CrashParticipant {
   struct Server {
     sim::NodeId node = 0;
     std::map<std::string, Record> data;
-    // Applied-record journal, replayed on restart (empty when !durable).
+    // Applied-record journal, replayed on restart (empty when !durable):
+    // a snapshot of one record per key, then the records applied since.
     WriteAheadLog wal;
   };
   struct WriteReq {
@@ -199,7 +203,9 @@ class TimelineCluster : private sim::CrashParticipant {
   /// Ring-walk master, ignoring overrides.
   sim::NodeId DefaultMasterOf(const std::string& key) const;
 
-  /// Journals one applied record; called after every data mutation.
+  /// Journals one applied record; called after every data mutation. When
+  /// the journal is due (WriteAheadLog::CheckpointDue), rewrites it as one
+  /// record per key.
   void JournalApply(Server* server, const std::string& key,
                     const std::string& value, uint64_t seqno);
 

@@ -1,5 +1,7 @@
 #include "storage/replica_storage.h"
 
+#include <utility>
+
 #include "common/encoding.h"
 
 namespace evc {
@@ -10,14 +12,14 @@ ReplicaStorage::ReplicaStorage(uint32_t replica_id,
       store_(replica_id, options.store, options.merkle_depth),
       merkle_(options.merkle_depth) {}
 
-void ReplicaStorage::JournalVersions(const std::string& key,
+void ReplicaStorage::JournalVersions(WriteAheadLog* log, const std::string& key,
                                      const std::vector<Version>& versions) {
   if (!options_.durable || versions.empty()) return;
   std::string record;
   PutLengthPrefixed(&record, key);
   PutVarint64(&record, versions.size());
   for (const auto& v : versions) v.EncodeTo(&record);
-  wal_.Append(record);
+  log->Append(record);
 }
 
 void ReplicaStorage::SyncMerkle(const std::string& key, uint64_t old_digest) {
@@ -28,7 +30,7 @@ Version ReplicaStorage::Put(const std::string& key, std::string value,
                             const VersionVector& context, LamportTimestamp ts) {
   uint64_t old_digest = 0;
   Version v = store_.Put(key, std::move(value), context, ts, &old_digest);
-  JournalVersions(key, {v});
+  JournalVersions(&wal_, key, {v});
   SyncMerkle(key, old_digest);
   return v;
 }
@@ -38,7 +40,7 @@ Version ReplicaStorage::Delete(const std::string& key,
                                LamportTimestamp ts) {
   uint64_t old_digest = 0;
   Version v = store_.Delete(key, context, ts, &old_digest);
-  JournalVersions(key, {v});
+  JournalVersions(&wal_, key, {v});
   SyncMerkle(key, old_digest);
   return v;
 }
@@ -47,7 +49,7 @@ bool ReplicaStorage::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions) {
   uint64_t old_digest = 0;
   if (!store_.MergeRemote(key, remote_versions, &old_digest)) return false;
-  JournalVersions(key, remote_versions);
+  JournalVersions(&wal_, key, remote_versions);
   SyncMerkle(key, old_digest);
   return true;
 }
@@ -58,13 +60,12 @@ Result<size_t> ReplicaStorage::CrashAndRecover() {
 
 uint64_t ReplicaStorage::Checkpoint() {
   const uint64_t before = wal_.size_bytes();
-  wal_.Reset();
-  if (options_.durable) {
-    store_.ForEachKey(
-        [this](const std::string& key, const std::vector<Version>& versions) {
-          JournalVersions(key, versions);
-        });
-  }
+  WriteAheadLog snapshot;
+  store_.ForEachKey([this, &snapshot](const std::string& key,
+                                      const std::vector<Version>& versions) {
+    JournalVersions(&snapshot, key, versions);
+  });
+  wal_.Checkpoint(std::move(snapshot));
   const uint64_t after = wal_.size_bytes();
   return before > after ? before - after : 0;
 }

@@ -80,11 +80,15 @@ class ReplicaStorage {
   /// Checkpoints: rewrites the WAL as one record per live key (the current
   /// sibling sets), discarding the superseded history. Recovery after a
   /// checkpoint replays exactly key_count() records. Returns the bytes
-  /// reclaimed (old log size - new log size; 0 if the log grew).
+  /// reclaimed (old log size - new log size; 0 if the log grew). Manual:
+  /// unlike the Paxos and timeline journals, this log is not rewritten when
+  /// WriteAheadLog::CheckpointDue() says so (see DESIGN.md §4.1).
   uint64_t Checkpoint();
 
  private:
-  void JournalVersions(const std::string& key,
+  /// Appends one (key, versions) record to `log` (the live WAL, or the
+  /// snapshot a checkpoint writes); no-op when not durable.
+  void JournalVersions(WriteAheadLog* log, const std::string& key,
                        const std::vector<Version>& versions);
   void SyncMerkle(const std::string& key, uint64_t old_digest);
 

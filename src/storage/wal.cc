@@ -1,11 +1,18 @@
 #include "storage/wal.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "common/encoding.h"
 #include "common/hash.h"
 
 namespace evc {
+namespace {
+// The checkpoint rule: no log below the floor is due, and a log above it is
+// due at kCheckpointGrowth times its post-checkpoint size.
+constexpr uint64_t kCheckpointFloorBytes = 64 * 1024;
+constexpr uint64_t kCheckpointGrowth = 2;
+}  // namespace
 
 uint64_t WriteAheadLog::Append(std::string_view record) {
   const uint64_t offset = buffer_.size();
@@ -40,6 +47,16 @@ Status WriteAheadLog::ReadAll(std::vector<std::string>* records,
 
 void WriteAheadLog::TruncateTo(uint64_t size) {
   if (size < buffer_.size()) buffer_.resize(size);
+}
+
+bool WriteAheadLog::CheckpointDue() const {
+  return buffer_.size() >= kCheckpointFloorBytes &&
+         buffer_.size() >= kCheckpointGrowth * base_bytes_;
+}
+
+void WriteAheadLog::Checkpoint(WriteAheadLog snapshot) {
+  buffer_ = std::move(snapshot.buffer_);
+  base_bytes_ = buffer_.size();
 }
 
 void WriteAheadLog::CorruptByteAt(uint64_t offset) {

@@ -6,6 +6,14 @@
 // The log is a byte buffer (simulated durable medium) that can also be
 // persisted to a real file. Record framing: [crc32c(4)][len varint][payload];
 // recovery stops cleanly at the first torn/corrupt record.
+//
+// A log that only grows measures how long its owner has run, not what it
+// holds. So every log follows one checkpoint rule, the trigger Redis uses to
+// rewrite its append-only file: the log is due once it holds at least 64 KiB
+// and at least twice the bytes it held just after its last checkpoint. The
+// owner then rewrites it as a snapshot of its live state, and later appends
+// form the tail. Because each rewrite at least halves the log, the bytes
+// rewritten stay proportional to the bytes appended.
 
 #ifndef EVC_STORAGE_WAL_H_
 #define EVC_STORAGE_WAL_H_
@@ -38,10 +46,18 @@ class WriteAheadLog {
   /// Truncates the log to `size` bytes (used after recovery).
   void TruncateTo(uint64_t size);
 
-  /// Drops all contents (e.g. after a checkpoint).
-  void Reset() { buffer_.clear(); }
+  /// True once the log holds at least 64 KiB and at least twice
+  /// base_bytes().
+  bool CheckpointDue() const;
+
+  /// Replaces every record with those of `snapshot`, a log the owner wrote
+  /// from its live state (a real store writes a new file and renames it
+  /// over the old one). Its size becomes the new base_bytes().
+  void Checkpoint(WriteAheadLog snapshot);
 
   uint64_t size_bytes() const { return buffer_.size(); }
+  /// Bytes the log held just after its last checkpoint (0 before the first).
+  uint64_t base_bytes() const { return base_bytes_; }
   const std::string& buffer() const { return buffer_; }
   /// Test hook: corrupts the byte at `offset` (simulated media fault).
   void CorruptByteAt(uint64_t offset);
@@ -52,6 +68,7 @@ class WriteAheadLog {
 
  private:
   std::string buffer_;
+  uint64_t base_bytes_ = 0;
 };
 
 }  // namespace evc

@@ -14,8 +14,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
+
+#include "consensus/paxos.h"
+#include "obs/json.h"
 
 namespace evc::verify {
 namespace {
@@ -271,6 +276,118 @@ TEST(FuzzConsistencyTest, EdgeCacheKeepsGuaranteesUnderCrashAndGrayFaults) {
   }
   EXPECT_GT(total_hits, 0u) << "no run served a read from cache";
   EXPECT_GT(total_revokes, 0u) << "no run exercised revoke-on-write";
+}
+
+// Paxos as the fuzz runner's paxos row drives it, except that every value
+// is padded to 4 KiB on the way in and stripped on the way out. The values
+// the runner records, and so the checkers' histories, stay short; only the
+// acceptor journals grow past the 64 KiB checkpoint floor, after a handful
+// of slots.
+class PaddedPaxosStore : public StoreUnderTest {
+ public:
+  PaddedPaxosStore(sim::Rpc* rpc, const FuzzOptions& o)
+      : cluster_(rpc, {.crash_amnesia = o.amnesia}),
+        servers_(cluster_.AddServers(o.servers)) {
+    cluster_.Start();
+    rpc->simulator()->RunFor(2 * sim::kSecond);  // first leader
+    for (int i = 0; i < o.sessions; ++i) {
+      clients_.push_back(std::make_unique<consensus::PaxosKvClient>(
+          &cluster_, rpc->simulator(), rpc->network()->AddNode(), servers_));
+    }
+  }
+  std::vector<sim::NodeId> FaultTargets() const override { return servers_; }
+  Op Draw(int session, int n, Rng* rng, const KeyDraw&) override {
+    return StoreUnderTest::Draw(session, n, rng, [] { return "reg"; });
+  }
+  void Put(int session, const std::string& key, const std::string& value,
+           Done done) override {
+    std::string padded = value;
+    padded.resize(4096, kPad);
+    clients_[session]->Put(key, std::move(padded), [done](Result<uint64_t> r) {
+      done({.ok = r.ok()});
+    });
+  }
+  void Get(int session, const std::string& key, Done done) override {
+    clients_[session]->Get(key, [done](Result<std::string> r) {
+      OpOutcome out{.ok = r.ok() || r.status().IsNotFound()};
+      if (r.ok()) out.observed = {Strip(*r)};
+      done(std::move(out));
+    });
+  }
+  bool Settled() override {
+    for (sim::NodeId srv : servers_) {
+      if (cluster_.AppliedIndex(srv) != cluster_.AppliedIndex(servers_[0])) {
+        return false;
+      }
+    }
+    return cluster_.AppliedIndex(servers_[0]) > 0;
+  }
+  // Besides the register, each server's op-id dedup table: a snapshot that
+  // lost it would leave a restarted server unable to absorb a retry.
+  std::optional<std::vector<ReplicaState>> Snapshot() override {
+    std::vector<ReplicaState> states(servers_.size());
+    for (size_t i = 0; i < servers_.size(); ++i) {
+      if (auto v = cluster_.AppliedValue(servers_[i], "reg")) {
+        states[i]["reg"] = {Strip(*v)};
+      }
+      std::string ids;
+      for (uint64_t id : cluster_.AppliedOpIds(servers_[i])) {
+        ids += std::to_string(id) + ",";
+      }
+      states[i]["applied op ids"] = {ids};
+    }
+    return states;
+  }
+  bool Covered(const AckedWrite&, const std::vector<std::string>&) override {
+    return true;  // a register keeps its last write; see the paxos row
+  }
+
+ private:
+  static constexpr char kPad = '~';
+  static std::string Strip(const std::string& v) {
+    return v.substr(0, v.find(kPad));
+  }
+  consensus::PaxosCluster cluster_;
+  std::vector<sim::NodeId> servers_;
+  std::vector<std::unique_ptr<consensus::PaxosKvClient>> clients_;
+};
+
+// Bounded Paxos state under crash-heavy amnesia faults: the journals
+// checkpoint, slots below the group floor are dropped, restarts replay
+// snapshots, and every seed still meets the paxos row's claims.
+TEST(FuzzConsistencyTest, PaxosCheckpointsKeepClaimsUnderAmnesia) {
+  auto counter = [](const obs::Json& metrics, const char* name) -> int64_t {
+    const obs::Json* global = metrics.Find("global");
+    const obs::Json* counters = global ? global->Find("counters") : nullptr;
+    const obs::Json* value = counters ? counters->Find(name) : nullptr;
+    return value ? value->AsInt() : 0;
+  };
+  int64_t checkpoints = 0;
+  int64_t dropped = 0;
+  int64_t snapshot_restarts = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    FuzzOptions options = DefaultFuzzOptions(FuzzStore::kPaxos, seed);
+    ASSERT_TRUE(ApplyFuzzProfile("crash-heavy", &options));
+    options.amnesia = true;
+    std::string metrics_json;
+    options.capture_metrics_json = &metrics_json;
+    const FuzzReport report = RunFuzzSeed(options, [&options](sim::Rpc* rpc) {
+      return std::make_unique<PaddedPaxosStore>(rpc, options);
+    });
+    std::string why;
+    EXPECT_TRUE(report.MeetsClaims(&why))
+        << "padded paxos seed " << seed << ": " << why << "\n"
+        << report.Summary();
+    EXPECT_TRUE(report.lin_checked && report.conv_checked) << "seed " << seed;
+    auto metrics = obs::Json::Parse(metrics_json);
+    ASSERT_TRUE(metrics.ok());
+    checkpoints += counter(*metrics, "wal.checkpoints");
+    dropped += counter(*metrics, "paxos.slots_dropped");
+    snapshot_restarts += counter(*metrics, "paxos.snapshots_replayed");
+  }
+  EXPECT_GT(checkpoints, 0);
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(snapshot_restarts, 0);
 }
 
 // The store-name round trip the replay CLI depends on.

@@ -38,6 +38,36 @@ TEST(Crc32cTest, KnownVectors) {
   EXPECT_EQ(Crc32c(""), 0u);
 }
 
+// The sliced implementation must agree bit for bit with the textbook
+// byte-at-a-time loop on every length and alignment, including the tails
+// shorter than one eight-byte step.
+TEST(Crc32cTest, MatchesByteAtATimeReference) {
+  auto reference = [](std::string_view data) {
+    uint32_t crc = 0xffffffffu;
+    for (unsigned char c : data) {
+      crc ^= c;
+      for (int j = 0; j < 8; ++j) {
+        crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : (crc >> 1);
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
+  std::string buffer(256 + 8, '\0');
+  uint64_t x = 0x9e3779b97f4a7c15ULL;
+  for (char& c : buffer) {
+    x = Mix64(x + 1);
+    c = static_cast<char>(x);
+  }
+  const std::string_view all(buffer);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      const std::string_view data = all.substr(offset, len);
+      ASSERT_EQ(Crc32c(data), reference(data))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
 TEST(Crc32cTest, DetectsSingleBitFlip) {
   std::string data = "the quick brown fox";
   const uint32_t base = Crc32c(data);

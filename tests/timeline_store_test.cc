@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace evc::repl {
 namespace {
@@ -248,6 +253,94 @@ TEST_F(TimelineStoreTest, MigrationMovesMasterAndContinuesTimeline) {
   auto read = ReadSync(new_master, "k", TimelineReadLevel::kCritical);
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read->value, "v3");
+}
+
+// Migrating a key no replica holds adopts nothing, so the new master must
+// keep holding nothing rather than a phantom (found, "", seqno 0) record.
+TEST_F(TimelineStoreTest, MigratingAnUnwrittenKeyInventsNoRecord) {
+  Build();
+  const sim::NodeId old_master = cluster_->MasterOf("fresh");
+  const sim::NodeId new_master =
+      servers_[0] == old_master ? servers_[1] : servers_[0];
+  std::optional<Status> migrated;
+  cluster_->MigrateMaster("fresh", new_master,
+                          [&](Status s) { migrated = std::move(s); });
+  sim_->RunFor(2 * kSecond);
+  ASSERT_TRUE(migrated.has_value());
+  ASSERT_TRUE(migrated->ok()) << migrated->ToString();
+  EXPECT_FALSE(cluster_->LocalRecord(new_master, "fresh").found);
+  auto read = ReadSync(new_master, "fresh", TimelineReadLevel::kCritical);
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read->found);
+  auto first = WriteSync("fresh", "v1");
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(*first, 1u);
+}
+
+// Thousands of 1 KiB overwrites over 20 keys: each journal stays within
+// the checkpoint rule's bound, and an amnesia crash right after any
+// checkpoint, or of every server at the end, restores every record.
+TEST_F(TimelineStoreTest, JournalsStayBoundedUnderOverwrites) {
+  Build();
+  constexpr int kKeys = 20;
+  constexpr int kWrites = 3000;
+  constexpr uint64_t kOneRecord = 1100;  // a 1 KiB value plus framing
+  auto records = [this](sim::NodeId server) {
+    std::vector<TimelineRead> out;
+    for (int k = 0; k < kKeys; ++k) {
+      out.push_back(cluster_->LocalRecord(server, "k" + std::to_string(k)));
+    }
+    return out;
+  };
+  auto expect_same = [](const std::vector<TimelineRead>& want,
+                        const std::vector<TimelineRead>& got) {
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(want[k].found, got[k].found) << "k" << k;
+      EXPECT_EQ(want[k].seqno, got[k].seqno) << "k" << k;
+      EXPECT_EQ(want[k].value, got[k].value) << "k" << k;
+    }
+  };
+  auto crash_and_restart = [this](sim::NodeId server) {
+    net_->SetNodeUp(server, false);
+    sim_->NotifyCrash(server);
+    net_->SetNodeUp(server, true);
+    sim_->NotifyRestart(server);
+  };
+
+  std::map<sim::NodeId, uint64_t> last_size;
+  int checkpoints = 0;
+  for (int i = 0; i < kWrites; ++i) {
+    std::string value = std::to_string(i);
+    value.resize(1024, '.');
+    bool acked = false;
+    cluster_->Write(client_, "k" + std::to_string(i % kKeys), value,
+                    [&](Result<uint64_t> r) { acked = r.ok(); });
+    sim_->RunFor(50 * kMillisecond);  // ack plus replication everywhere
+    ASSERT_TRUE(acked) << "write " << i;
+    for (const sim::NodeId s : servers_) {
+      const WriteAheadLog& journal = cluster_->JournalOf(s);
+      ASSERT_LT(journal.size_bytes(),
+                std::max<uint64_t>(64 * 1024, 2 * journal.base_bytes()) +
+                    kOneRecord)
+          << "server " << s << " after write " << i;
+      const uint64_t previous =
+          std::exchange(last_size[s], journal.size_bytes());
+      if (journal.size_bytes() > previous) continue;
+      // The journal shrank, so this write's record triggered a checkpoint:
+      // recovery must give it back along with every other key's record.
+      ++checkpoints;
+      const std::vector<TimelineRead> before = records(s);
+      crash_and_restart(s);
+      expect_same(before, records(s));
+    }
+  }
+  EXPECT_GE(checkpoints, 3 * 20);  // every server checkpointed many times
+
+  std::map<sim::NodeId, std::vector<TimelineRead>> before;
+  for (const sim::NodeId s : servers_) before[s] = records(s);
+  for (const sim::NodeId s : servers_) crash_and_restart(s);
+  for (const sim::NodeId s : servers_) expect_same(before[s], records(s));
 }
 
 TEST_F(TimelineStoreTest, MigrateToSelfIsNoop) {

@@ -113,6 +113,55 @@ TEST(WalTest, LoadMissingFileIsNotFound) {
   EXPECT_TRUE(wal.LoadFromFile("/nonexistent/evc.log").IsNotFound());
 }
 
+// The checkpoint rule: no log below 64 KiB is due; above it, a log is due
+// at twice the size its last checkpoint left, and each checkpoint resets
+// that reference.
+TEST(WalTest, CheckpointDueAtTheFloorThenAtTwiceTheSnapshot) {
+  constexpr uint64_t kFloor = 64 * 1024;
+  const std::string record(1000, 'r');
+  auto fill_until_due = [&record](WriteAheadLog* wal) {
+    while (!wal->CheckpointDue()) wal->Append(record);
+    return wal->size_bytes();
+  };
+  auto snapshot_of = [&record](uint64_t bytes) {
+    WriteAheadLog snapshot;
+    while (snapshot.size_bytes() < bytes) snapshot.Append("s" + record);
+    return snapshot;
+  };
+
+  WriteAheadLog wal;
+  EXPECT_FALSE(wal.CheckpointDue());
+  const uint64_t first = fill_until_due(&wal);
+  EXPECT_GE(first, kFloor);
+  EXPECT_LT(first, kFloor + 1100);  // the record that crossed the floor
+
+  // A 40 KiB snapshot: due again at 80 KiB, not at the floor.
+  WriteAheadLog big = snapshot_of(40 * 1024);
+  const uint64_t base = big.size_bytes();
+  wal.Checkpoint(std::move(big));
+  EXPECT_EQ(wal.size_bytes(), base);
+  EXPECT_EQ(wal.base_bytes(), base);
+  EXPECT_FALSE(wal.CheckpointDue());
+  const uint64_t second = fill_until_due(&wal);
+  EXPECT_GE(second, 2 * base);
+  EXPECT_LT(second, 2 * base + 1100);
+
+  // A small snapshot resets the reference: due again at the floor, not at
+  // twice the previous snapshot or the pre-checkpoint size.
+  wal.Checkpoint(snapshot_of(1));
+  EXPECT_LT(wal.base_bytes(), 1100u);
+  const uint64_t third = fill_until_due(&wal);
+  EXPECT_GE(third, kFloor);
+  EXPECT_LT(third, kFloor + 1100);
+
+  // The log reads back as the snapshot followed by the tail.
+  std::vector<std::string> records;
+  ASSERT_TRUE(wal.ReadAll(&records).ok());
+  ASSERT_GT(records.size(), 1u);
+  EXPECT_EQ(records.front(), "s" + record);
+  EXPECT_EQ(records.back(), record);
+}
+
 TEST(MerkleTest, EmptyTreesHaveEqualRoots) {
   MerkleTree a(8), b(8);
   EXPECT_EQ(a.RootDigest(), b.RootDigest());
