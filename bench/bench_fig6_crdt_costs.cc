@@ -23,6 +23,11 @@ namespace {
 using namespace evc;
 using namespace evc::crdt;
 
+// Seconds each case runs for: enough for stable per-op timings, while the
+// library's default would make this binary most of a full bench sweep.
+// The timings print to stdout only, so the BENCH JSON does not depend on it.
+constexpr double kMinTime = 0.05;
+
 void BM_GCounterIncrement(benchmark::State& state) {
   GCounter counter;
   uint32_t replica = 0;
@@ -31,7 +36,7 @@ void BM_GCounterIncrement(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(counter.Value());
 }
-BENCHMARK(BM_GCounterIncrement);
+BENCHMARK(BM_GCounterIncrement)->MinTime(kMinTime);
 
 void BM_GCounterMerge(benchmark::State& state) {
   const int replicas = static_cast<int>(state.range(0));
@@ -46,7 +51,7 @@ void BM_GCounterMerge(benchmark::State& state) {
     benchmark::DoNotOptimize(merged.Value());
   }
 }
-BENCHMARK(BM_GCounterMerge)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_GCounterMerge)->Arg(4)->Arg(16)->Arg(64)->MinTime(kMinTime);
 
 void BM_LwwRegisterSet(benchmark::State& state) {
   LwwRegister reg;
@@ -56,7 +61,7 @@ void BM_LwwRegisterSet(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(reg.has_value());
 }
-BENCHMARK(BM_LwwRegisterSet);
+BENCHMARK(BM_LwwRegisterSet)->MinTime(kMinTime);
 
 void BM_OrSetAdd(benchmark::State& state) {
   OrSet set(0);
@@ -66,7 +71,7 @@ void BM_OrSetAdd(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(set.size());
 }
-BENCHMARK(BM_OrSetAdd);
+BENCHMARK(BM_OrSetAdd)->MinTime(kMinTime);
 
 void BM_OrSwotAdd(benchmark::State& state) {
   OrSwot set(0);
@@ -76,7 +81,7 @@ void BM_OrSwotAdd(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(set.size());
 }
-BENCHMARK(BM_OrSwotAdd);
+BENCHMARK(BM_OrSwotAdd)->MinTime(kMinTime);
 
 template <typename SetT>
 void MergeBenchBody(benchmark::State& state) {
@@ -98,10 +103,10 @@ void MergeBenchBody(benchmark::State& state) {
 }
 
 void BM_OrSetMerge(benchmark::State& state) { MergeBenchBody<OrSet>(state); }
-BENCHMARK(BM_OrSetMerge)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_OrSetMerge)->Arg(64)->Arg(512)->Arg(4096)->MinTime(kMinTime);
 
 void BM_OrSwotMerge(benchmark::State& state) { MergeBenchBody<OrSwot>(state); }
-BENCHMARK(BM_OrSwotMerge)->Arg(64)->Arg(512)->Arg(4096);
+BENCHMARK(BM_OrSwotMerge)->Arg(64)->Arg(512)->Arg(4096)->MinTime(kMinTime);
 
 void BM_RgaAppend(benchmark::State& state) {
   Rga doc(0);
@@ -110,7 +115,7 @@ void BM_RgaAppend(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(doc.live_size());
 }
-BENCHMARK(BM_RgaAppend);
+BENCHMARK(BM_RgaAppend)->MinTime(kMinTime);
 
 void BM_RgaMergeDivergentEdits(benchmark::State& state) {
   const int edits = static_cast<int>(state.range(0));
@@ -128,7 +133,7 @@ void BM_RgaMergeDivergentEdits(benchmark::State& state) {
     benchmark::DoNotOptimize(a.live_size());
   }
 }
-BENCHMARK(BM_RgaMergeDivergentEdits)->Arg(16)->Arg(128);
+BENCHMARK(BM_RgaMergeDivergentEdits)->Arg(16)->Arg(128)->MinTime(kMinTime);
 
 }  // namespace
 

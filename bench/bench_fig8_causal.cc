@@ -33,8 +33,7 @@ struct Harness {
     wan = latency.get();
     net = std::make_unique<sim::Network>(&sim, std::move(latency));
     rpc = std::make_unique<sim::Rpc>(net.get());
-    cluster = std::make_unique<causal::CausalCluster>(rpc.get(),
-                                                      causal::CausalOptions{});
+    cluster = std::make_unique<causal::CausalCluster>(rpc.get());
     dcs = cluster->AddDatacenters(3);
     for (int i = 0; i < 3; ++i) wan->AssignNode(dcs[i], i);
     for (int i = 0; i < 3; ++i) {

@@ -27,7 +27,7 @@ int main() {
   auto* wan = latency.get();
   sim::Network net(&sim, std::move(latency));
   sim::Rpc rpc(&net);
-  causal::CausalCluster cluster(&rpc, causal::CausalOptions{});
+  causal::CausalCluster cluster(&rpc);
   auto dcs = cluster.AddDatacenters(3);
   for (int i = 0; i < 3; ++i) wan->AssignNode(dcs[i], i);
 

@@ -198,9 +198,7 @@ void EdgeCacheTier::AttachServer(sim::NodeId node) {
         HandleCacheRead(raw, from, std::move(req).Take<CacheReadReq>(),
                         std::move(respond));
       });
-  if (options_.crash_amnesia) {
-    crash_registrar_.Register(rpc_->simulator(), node, this);
-  }
+  crash_registrar_.Register(rpc_->simulator(), node, this);
   servers_[node] = std::move(st);
 }
 
@@ -218,9 +216,7 @@ EdgeCacheClient* EdgeCacheTier::AddClient(sim::NodeId node) {
         // Always ack: revoking an absent entry is an idempotent no-op.
         respond(uint64_t{1});
       });
-  if (options_.crash_amnesia) {
-    crash_registrar_.Register(rpc_->simulator(), node, this);
-  }
+  crash_registrar_.Register(rpc_->simulator(), node, this);
   clients_[node] = std::move(client);
   return raw;
 }

@@ -62,10 +62,6 @@ struct EdgeCacheOptions {
   /// stop early at the lease's own expiry (deadline propagation).
   sim::Time revoke_timeout = 100 * sim::kMillisecond;
   int revoke_attempts = 4;
-  /// Register servers and clients as simulator CrashParticipants: a master
-  /// crash drops its lease table and fences writes for one ttl on restart;
-  /// a client crash drops its cache.
-  bool crash_amnesia = true;
   /// When a record's mastership moves (TimelineCluster::MigrateMaster), the
   /// NEW master has no record of leases the OLD one granted, so it fences
   /// writes on that key for one ttl — the key-scoped version of the crash

@@ -12,8 +12,7 @@ constexpr char kReplicate[] = "cc.replicate";
 constexpr sim::Time kRpcTimeout = 500 * sim::kMillisecond;
 }  // namespace
 
-CausalCluster::CausalCluster(sim::Rpc* rpc, CausalOptions options)
-    : rpc_(rpc), options_(options) {
+CausalCluster::CausalCluster(sim::Rpc* rpc) : rpc_(rpc) {
   EVC_CHECK(rpc_ != nullptr);
   m_put_ = rpc_->InternMethod(kPut);
   m_get_ = rpc_->InternMethod(kGet);
@@ -28,9 +27,7 @@ sim::NodeId CausalCluster::AddDatacenter() {
   dc->index = static_cast<uint32_t>(dcs_.size());
   RegisterHandlers(dc.get());
   by_node_[dc->node] = dc.get();
-  if (options_.crash_amnesia) {
-    crash_registrar_.Register(rpc_->simulator(), dc->node, this);
-  }
+  crash_registrar_.Register(rpc_->simulator(), dc->node, this);
   dcs_.push_back(std::move(dc));
   return dcs_.back()->node;
 }

@@ -57,11 +57,6 @@ struct CausalRead {
   std::vector<Dependency> deps;
 };
 
-struct CausalOptions {
-  /// Register datacenters as simulator CrashParticipants (sim/nemesis.h).
-  bool crash_amnesia = true;
-};
-
 struct CausalStats {
   uint64_t writes = 0;
   uint64_t remote_applied_immediately = 0;  ///< dep check passed on arrival
@@ -76,7 +71,7 @@ struct CausalStats {
 /// One logical datacenter = one server node holding a full replica.
 class CausalCluster : private sim::CrashParticipant {
  public:
-  CausalCluster(sim::Rpc* rpc, CausalOptions options);
+  explicit CausalCluster(sim::Rpc* rpc);
   ~CausalCluster();
 
   /// Adds a datacenter replica; returns its node id.
@@ -184,7 +179,6 @@ class CausalCluster : private sim::CrashParticipant {
   sim::MethodId m_put_ = 0;
   sim::MethodId m_get_ = 0;
   sim::MsgType t_replicate_ = 0;
-  CausalOptions options_;
   std::vector<std::unique_ptr<Datacenter>> dcs_;
   std::map<sim::NodeId, Datacenter*> by_node_;
   CausalStats stats_;

@@ -107,9 +107,7 @@ sim::NodeId PaxosCluster::AddServer() {
   server->index = static_cast<uint32_t>(servers_.size());
   RegisterHandlers(server.get());
   by_node_[server->node] = server.get();
-  if (options_.crash_amnesia) {
-    crash_registrar_.Register(rpc_->simulator(), server->node, this);
-  }
+  crash_registrar_.Register(rpc_->simulator(), server->node, this);
   servers_.push_back(std::move(server));
   return servers_.back()->node;
 }

@@ -85,14 +85,11 @@ struct Execution {
 };
 
 struct PaxosOptions {
-  /// Register servers as simulator CrashParticipants: a nemesis crash drops
-  /// all volatile state and a restart recovers from the acceptor journal.
-  /// Off means the pre-durability behavior (crash = network silence only).
-  bool crash_amnesia = true;
   /// Journal promised/accepted ballots to a per-acceptor WAL before acking
-  /// Prepare/Accept. Turning this off under crash_amnesia reproduces the
-  /// classic unsound acceptor: a restarted node forgets its promises and can
-  /// let two different values be chosen for one slot (pinned by test).
+  /// Prepare/Accept. Turning this off under amnesia crashes (sim/nemesis.h)
+  /// reproduces the classic unsound acceptor: a restarted node forgets its
+  /// promises and can let two different values be chosen for one slot
+  /// (pinned by test).
   bool journal_acceptor_state = true;
 };
 

@@ -113,8 +113,7 @@ ReplicatedStore::ReplicatedStore(StoreOptions options)
       break;
     }
     case ConsistencyLevel::kCausal: {
-      impl_->causal = std::make_unique<causal::CausalCluster>(
-          rpc_.get(), causal::CausalOptions{});
+      impl_->causal = std::make_unique<causal::CausalCluster>(rpc_.get());
       for (int d = 0; d < options_.datacenters; ++d) {
         const sim::NodeId node = impl_->causal->AddDatacenter();
         wan_->AssignNode(node, d);

@@ -104,9 +104,7 @@ DynamoCluster::Server* DynamoCluster::CreateServer() {
   RegisterHandlers(server.get());
   by_node_[server->node] = server.get();
   ResolveInstruments();
-  if (config_.crash_amnesia) {
-    crash_registrar_.Register(rpc_->simulator(), server->node, this);
-  }
+  crash_registrar_.Register(rpc_->simulator(), server->node, this);
   servers_.push_back(std::move(server));
   return servers_.back().get();
 }

@@ -51,11 +51,6 @@ struct QuorumConfig {
   bool use_hash_ring = false;
   int ring_vnodes = 64;
   ReplicaStorageOptions storage;
-  /// Register servers as simulator CrashParticipants: a nemesis crash drops
-  /// the volatile hint buffers (counted in hints_lost) and restart replays
-  /// the storage WAL. Hints are deliberately NOT journaled — Dynamo treats
-  /// them as best-effort, with anti-entropy as the backstop.
-  bool crash_amnesia = true;
   /// Opt-out: use the simulator's omniscient CanCommunicate oracle for
   /// sloppy-quorum target selection and hint-delivery gating instead of the
   /// default client-side phi-accrual detector. The oracle is blind to gray
@@ -396,9 +391,11 @@ class DynamoCluster : private sim::CrashParticipant {
   void DeliverHints(Server* server);
   void ScheduleHintTick(Server* server, sim::Time interval);
 
-  // CrashParticipant: crash drops the hint buffer (and, for non-durable
-  // storage, the whole store); restart replays the storage WAL and restores
-  // the coordinator's version counter so minted versions never reuse a slot.
+  // CrashParticipant: crash drops the hint buffer (counted in hints_lost;
+  // hints are deliberately not journaled — Dynamo treats them as best-effort,
+  // with anti-entropy as the backstop) and, for non-durable storage, the
+  // whole store; restart replays the storage WAL and restores the
+  // coordinator's version counter so minted versions never reuse a slot.
   void OnCrash(uint32_t node) override;
   void OnRestart(uint32_t node) override;
 

@@ -34,8 +34,6 @@ struct TimelineOptions {
   /// replica recovers its timeline prefix. A non-durable master that
   /// forgets its seqnos would re-mint them and fork the timeline.
   bool durable = true;
-  /// Register servers as simulator CrashParticipants (see sim/nemesis.h).
-  bool crash_amnesia = true;
 };
 
 /// A read result from the timeline store.

@@ -59,81 +59,48 @@ std::string FormatGroups(const std::vector<std::vector<NodeId>>& groups) {
 }  // namespace
 
 std::string FaultAction::ToString() const {
+  // Drawn targets print as "drawn" until the Nemesis resolves them.
+  auto name = [](NodeId n) {
+    return n == kDrawn ? std::string("drawn") : std::to_string(n);
+  };
+  char buf[80];
   std::string out = FormatTime(at) + " ";
   switch (kind) {
     case Kind::kPartition:
-      out += "partition " + FormatGroups(groups);
-      break;
-    case Kind::kRandomPartition:
-      out += std::string("random-partition(") + sim::ToString(style) + ")";
+      out += groups.empty()
+                 ? std::string("partition drawn ") + sim::ToString(style)
+                 : "partition " + FormatGroups(groups);
       break;
     case Kind::kHeal:
       out += "heal";
       break;
     case Kind::kCrash:
-      out += "crash node " + std::to_string(node);
+      out += "crash node " + name(node);
       break;
     case Kind::kRestart:
-      out += "restart node " + std::to_string(node);
+      out += "restart node " + name(node);
       break;
-    case Kind::kRandomCrash:
-      out += "random-crash";
-      break;
-    case Kind::kRandomRestart:
-      out += "random-restart";
-      break;
-    case Kind::kLossRate: {
-      char buf[48];
+    case Kind::kLossRate:
       std::snprintf(buf, sizeof(buf), "loss-rate %.3f", rate);
       out += buf;
       break;
-    }
-    case Kind::kDuplicateRate: {
-      char buf[48];
+    case Kind::kDuplicateRate:
       std::snprintf(buf, sizeof(buf), "duplicate-rate %.3f", rate);
       out += buf;
       break;
-    }
-    case Kind::kSlowLink: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "slow-link %u<->%u x%.2f", node, node_b,
-                    factor);
-      out += buf;
+    case Kind::kSlowLink:
+      std::snprintf(buf, sizeof(buf), " x%.2f", factor);
+      out += "slow-link " + name(node) + "<->" + name(node_b) + buf;
       break;
-    }
-    case Kind::kFlakyLink: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "flaky-link %u<->%u drop %.3f", node,
-                    node_b, rate);
-      out += buf;
+    case Kind::kFlakyLink:
+      std::snprintf(buf, sizeof(buf), " drop %.3f", rate);
+      out += "flaky-link " + name(node) + "<->" + name(node_b) + buf;
       break;
-    }
-    case Kind::kSlowNode: {
-      char buf[64];
-      std::snprintf(buf, sizeof(buf), "slow-node %u +%.1fms", node,
+    case Kind::kSlowNode:
+      std::snprintf(buf, sizeof(buf), " +%.1fms",
                     static_cast<double>(delay) / kMillisecond);
-      out += buf;
+      out += "slow-node " + name(node) + buf;
       break;
-    }
-    case Kind::kRandomSlowLink: {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "random-slow-link x%.2f", factor);
-      out += buf;
-      break;
-    }
-    case Kind::kRandomFlakyLink: {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "random-flaky-link drop %.3f", rate);
-      out += buf;
-      break;
-    }
-    case Kind::kRandomSlowNode: {
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "random-slow-node +%.1fms",
-                    static_cast<double>(delay) / kMillisecond);
-      out += buf;
-      break;
-    }
     case Kind::kGrayRecover:
       out += "gray-recover";
       break;
@@ -144,30 +111,24 @@ std::string FaultAction::ToString() const {
       out += "add-node";
       break;
     case Kind::kRemoveNode:
-      out += "remove-node";
+      out += "remove-node " + name(node);
       break;
-    case Kind::kRollingRestart: {
-      char buf[80];
+    case Kind::kRollingRestart:
       std::snprintf(buf, sizeof(buf),
                     "rolling-restart stagger %.1fs hold %.1fs",
                     static_cast<double>(delay) / kSecond,
                     static_cast<double>(hold) / kSecond);
       out += buf;
       break;
-    }
-    case Kind::kFlashCrowd: {
-      char buf[48];
+    case Kind::kFlashCrowd:
       std::snprintf(buf, sizeof(buf), "flash-crowd x%.2f", factor);
       out += buf;
       break;
-    }
-    case Kind::kLoadSpike: {
-      char buf[48];
+    case Kind::kLoadSpike:
       std::snprintf(buf, sizeof(buf), "load-spike x%.2f + hot-key shift",
                     factor);
       out += buf;
       break;
-    }
   }
   return out;
 }
@@ -186,9 +147,9 @@ FaultPlan& FaultPlan::PartitionAt(Time at,
   return Push(std::move(a));
 }
 
-FaultPlan& FaultPlan::RandomPartitionAt(Time at, PartitionStyle style) {
+FaultPlan& FaultPlan::PartitionAt(Time at, PartitionStyle style) {
   FaultAction a;
-  a.kind = FaultAction::Kind::kRandomPartition;
+  a.kind = FaultAction::Kind::kPartition;
   a.at = at;
   a.style = style;
   return Push(std::move(a));
@@ -214,20 +175,6 @@ FaultPlan& FaultPlan::RestartAt(Time at, NodeId node) {
   a.kind = FaultAction::Kind::kRestart;
   a.at = at;
   a.node = node;
-  return Push(std::move(a));
-}
-
-FaultPlan& FaultPlan::RandomCrashAt(Time at) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kRandomCrash;
-  a.at = at;
-  return Push(std::move(a));
-}
-
-FaultPlan& FaultPlan::RandomRestartAt(Time at) {
-  FaultAction a;
-  a.kind = FaultAction::Kind::kRandomRestart;
-  a.at = at;
   return Push(std::move(a));
 }
 
@@ -277,30 +224,6 @@ FaultPlan& FaultPlan::SlowNodeAt(Time at, NodeId node, Time delay) {
   return Push(std::move(action));
 }
 
-FaultPlan& FaultPlan::RandomSlowLinkAt(Time at, double factor) {
-  FaultAction action;
-  action.kind = FaultAction::Kind::kRandomSlowLink;
-  action.at = at;
-  action.factor = factor;
-  return Push(std::move(action));
-}
-
-FaultPlan& FaultPlan::RandomFlakyLinkAt(Time at, double drop_rate) {
-  FaultAction action;
-  action.kind = FaultAction::Kind::kRandomFlakyLink;
-  action.at = at;
-  action.rate = drop_rate;
-  return Push(std::move(action));
-}
-
-FaultPlan& FaultPlan::RandomSlowNodeAt(Time at, Time delay) {
-  FaultAction action;
-  action.kind = FaultAction::Kind::kRandomSlowNode;
-  action.at = at;
-  action.delay = delay;
-  return Push(std::move(action));
-}
-
 FaultPlan& FaultPlan::GrayRecoverAt(Time at) {
   FaultAction action;
   action.kind = FaultAction::Kind::kGrayRecover;
@@ -326,6 +249,7 @@ FaultPlan& FaultPlan::RemoveNodeAt(Time at) {
   FaultAction a;
   a.kind = FaultAction::Kind::kRemoveNode;
   a.at = at;
+  a.node = FaultAction::kDrawn;
   return Push(std::move(a));
 }
 
@@ -370,8 +294,10 @@ std::string FaultPlan::ToString() const {
   return out;
 }
 
-Nemesis::Nemesis(Network* network, std::vector<NodeId> targets, uint64_t seed)
-    : net_(network), targets_(std::move(targets)), rng_(seed) {
+Nemesis::Nemesis(Network* network, std::vector<NodeId> targets, uint64_t seed,
+                 bool amnesia)
+    : net_(network), amnesia_(amnesia), targets_(std::move(targets)),
+      rng_(seed) {
   EVC_CHECK(net_ != nullptr);
   EVC_CHECK(!targets_.empty());
   gray_pool_ = targets_;
@@ -454,13 +380,13 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
         constexpr PartitionStyle kStyles[] = {
             PartitionStyle::kMajorityMinority, PartitionStyle::kRingSplit,
             PartitionStyle::kIsolateOne, PartitionStyle::kRandomBisect};
-        plan.RandomPartitionAt(t, kStyles[rng_.NextBounded(4)]);
+        plan.PartitionAt(t, kStyles[rng_.NextBounded(4)]);
         plan.HealAt(recover_at);
         break;
       }
       case kCrashF:
-        plan.RandomCrashAt(t);
-        plan.RandomRestartAt(recover_at);
+        plan.CrashAt(t, FaultAction::kDrawn);
+        plan.RestartAt(recover_at, FaultAction::kDrawn);
         crash_ends.push_back(recover_at);
         break;
       case kLossF:
@@ -473,22 +399,24 @@ FaultPlan Nemesis::GeneratePlan(const NemesisScheduleOptions& options) {
         break;
       case kSlowLinkF:
         // Factor in [2, max]: a x1 slow link would be a no-op draw.
-        plan.RandomSlowLinkAt(
-            t, 2.0 + rng_.NextDouble() * (kMaxLatencyFactor - 2.0));
+        plan.SlowLinkAt(t, FaultAction::kDrawn, FaultAction::kDrawn,
+                        2.0 + rng_.NextDouble() * (kMaxLatencyFactor - 2.0));
         plan.GrayRecoverAt(recover_at);
         break;
       case kFlakyLinkF:
         // Rate in [0.2, max]: low rates are indistinguishable from loss.
-        plan.RandomFlakyLinkAt(
-            t, 0.2 + rng_.NextDouble() * (options.max_flaky_drop_rate - 0.2));
+        plan.FlakyLinkAt(
+            t, FaultAction::kDrawn, FaultAction::kDrawn,
+            0.2 + rng_.NextDouble() * (options.max_flaky_drop_rate - 0.2));
         plan.GrayRecoverAt(recover_at);
         break;
       case kSlowNodeF:
-        plan.RandomSlowNodeAt(
-            t, std::max<Time>(kMillisecond,
-                              static_cast<Time>(
-                                  rng_.NextDouble() *
-                                  static_cast<double>(kMaxNodeDelay))));
+        plan.SlowNodeAt(
+            t, FaultAction::kDrawn,
+            std::max<Time>(kMillisecond,
+                           static_cast<Time>(
+                               rng_.NextDouble() *
+                               static_cast<double>(kMaxNodeDelay))));
         plan.GrayRecoverAt(recover_at);
         break;
       case kMembershipF:
@@ -544,11 +472,16 @@ void Nemesis::Execute(const FaultPlan& plan) {
   }
 }
 
-void Nemesis::Note(const std::string& what) {
-  log_.push_back(FormatTime(net_->simulator()->Now()) + " " + what);
+void Nemesis::Log(const FaultAction& applied) {
+  log_.push_back(applied.ToString());
 }
 
-void Nemesis::ApplyRandomPartition(PartitionStyle style) {
+void Nemesis::Skip(const FaultAction& action) {
+  ++stats_.skipped;
+  log_.push_back(action.ToString() + " skipped");
+}
+
+std::vector<NodeId> Nemesis::DrawCut(PartitionStyle style) {
   const size_t n = targets_.size();
   std::vector<NodeId> cut;
   switch (style) {
@@ -580,161 +513,155 @@ void Nemesis::ApplyRandomPartition(PartitionStyle style) {
       }
       break;
   }
-  if (cut.empty() || cut.size() == n) {
-    // Degenerate draw (everyone or no one on the cut side): treat as heal
-    // so the action is still deterministic and visible in the log.
-    net_->Heal();
-    ++stats_.heals;
-    Note("partition degenerated to heal");
-    return;
-  }
-  // Only the cut side is listed: every unlisted node (remaining targets and
-  // all client nodes) stays together in group 0.
-  net_->Partition({cut});
-  ++stats_.partitions;
-  Note(std::string("partition(") + sim::ToString(style) + ") cut " +
-       FormatGroups({cut}));
+  return cut;
 }
 
-void Nemesis::Apply(const FaultAction& action) {
+NodeId Nemesis::DrawGrayTarget(NodeId other) {
+  const auto skip = std::find(gray_pool_.begin(), gray_pool_.end(), other);
+  const bool in_pool = skip != gray_pool_.end();
+  size_t i = rng_.NextBounded(gray_pool_.size() - (in_pool ? 1 : 0));
+  if (in_pool && i >= static_cast<size_t>(skip - gray_pool_.begin())) ++i;
+  return gray_pool_[i];
+}
+
+void Nemesis::SetGray(const FaultAction& fault) {
+  switch (fault.kind) {
+    case FaultAction::Kind::kSlowLink:
+      net_->SetLinkLatencyFactor(fault.node, fault.node_b, fault.factor);
+      break;
+    case FaultAction::Kind::kFlakyLink:
+      net_->SetLinkDropRate(fault.node, fault.node_b, fault.rate);
+      break;
+    case FaultAction::Kind::kSlowNode:
+      net_->SetNodeProcessingDelay(fault.node, fault.delay);
+      break;
+    default:
+      EVC_CHECK(false);
+  }
+}
+
+void Nemesis::RecoverGray(FaultAction fault) {
+  fault.at = net_->simulator()->Now();
+  fault.factor = 1.0;
+  fault.rate = 0.0;
+  fault.delay = 0;
+  SetGray(fault);
+  ++stats_.gray_recoveries;
+  Log(fault);
+}
+
+void Nemesis::Apply(FaultAction action) {
   using Kind = FaultAction::Kind;
+  constexpr NodeId kDrawn = FaultAction::kDrawn;
+  Simulator* sim = net_->simulator();
+  action.at = sim->Now();
   switch (action.kind) {
     case Kind::kPartition:
+      if (action.groups.empty()) {
+        std::vector<NodeId> cut = DrawCut(action.style);
+        if (cut.empty() || cut.size() == targets_.size()) {
+          // Degenerate draw (everyone or no one on the cut side): apply a
+          // heal so the action stays deterministic and visible in the log.
+          action.kind = Kind::kHeal;
+          net_->Heal();
+          ++stats_.heals;
+          break;
+        }
+        // Only the cut side is listed: every unlisted node (remaining
+        // targets and all client nodes) stays together in group 0.
+        action.groups = {std::move(cut)};
+      }
       net_->Partition(action.groups);
       ++stats_.partitions;
-      Note("partition " + FormatGroups(action.groups));
-      break;
-    case Kind::kRandomPartition:
-      ApplyRandomPartition(action.style);
       break;
     case Kind::kHeal:
       net_->Heal();
       ++stats_.heals;
-      Note("heal");
       break;
     case Kind::kCrash: {
-      // A nemesis crash is a power loss: volatile state goes with the node.
-      // Notify participants only on the up->down edge so a repeated crash of
-      // an already-down node cannot double-drop state.
+      if (action.node == kDrawn) {
+        std::vector<NodeId> up;
+        for (NodeId node : targets_) {
+          if (net_->IsNodeUp(node)) up.push_back(node);
+        }
+        if (up.empty()) return Skip(action);
+        action.node = up[rng_.NextBounded(up.size())];
+      }
+      // Under amnesia a crash is a power loss: volatile state goes with the
+      // node. Participants hear only the up->down edge, so crashing a node
+      // that is already down cannot drop its state twice.
       const bool was_up = net_->IsNodeUp(action.node);
       net_->SetNodeUp(action.node, false);
-      if (was_up) net_->simulator()->NotifyCrash(action.node);
+      if (amnesia_ && was_up) sim->NotifyCrash(action.node);
       if (std::find(crashed_.begin(), crashed_.end(), action.node) ==
           crashed_.end()) {
         crashed_.push_back(action.node);
       }
       ++stats_.crashes;
-      Note("crash node " + std::to_string(action.node));
       break;
     }
     case Kind::kRestart:
-      // Recover from durable state before the network marks the node up, so
-      // no message can observe half-recovered state.
-      if (!net_->IsNodeUp(action.node)) {
-        net_->simulator()->NotifyRestart(action.node);
+      if (action.node == kDrawn) {
+        if (crashed_.empty()) return Skip(action);
+        action.node = crashed_.front();
       }
+      // Recover from durable state before the network marks the node up, so
+      // no message can observe half-recovered state. The simulator delivers
+      // the restart only if it pairs with a crash it delivered.
+      if (amnesia_) sim->NotifyRestart(action.node);
       net_->SetNodeUp(action.node, true);
       std::erase(crashed_, action.node);
       ++stats_.restarts;
-      Note("restart node " + std::to_string(action.node));
       break;
-    case Kind::kRandomCrash: {
-      std::vector<NodeId> up;
-      for (NodeId node : targets_) {
-        if (net_->IsNodeUp(node)) up.push_back(node);
-      }
-      if (up.empty()) {
-        ++stats_.skipped;
-        Note("random-crash skipped (no target up)");
-        break;
-      }
-      const NodeId victim = up[rng_.NextBounded(up.size())];
-      net_->SetNodeUp(victim, false);
-      net_->simulator()->NotifyCrash(victim);
-      crashed_.push_back(victim);
-      ++stats_.crashes;
-      Note("crash node " + std::to_string(victim) + " (random)");
-      break;
-    }
-    case Kind::kRandomRestart: {
-      if (crashed_.empty()) {
-        ++stats_.skipped;
-        Note("random-restart skipped (nothing crashed)");
-        break;
-      }
-      const NodeId node = crashed_.front();
-      crashed_.pop_front();
-      net_->simulator()->NotifyRestart(node);
-      net_->SetNodeUp(node, true);
-      ++stats_.restarts;
-      Note("restart node " + std::to_string(node));
-      break;
-    }
-    case Kind::kLossRate: {
+    case Kind::kLossRate:
       net_->set_loss_rate(action.rate);
       ++stats_.rate_changes;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "loss-rate %.3f", action.rate);
-      Note(buf);
       break;
-    }
-    case Kind::kDuplicateRate: {
+    case Kind::kDuplicateRate:
       net_->set_duplicate_rate(action.rate);
       ++stats_.rate_changes;
-      char buf[48];
-      std::snprintf(buf, sizeof(buf), "duplicate-rate %.3f", action.rate);
-      Note(buf);
       break;
-    }
     case Kind::kSlowLink:
     case Kind::kFlakyLink:
-    case Kind::kSlowNode:
-    case Kind::kRandomSlowLink:
-    case Kind::kRandomFlakyLink:
-    case Kind::kRandomSlowNode:
-      ApplyGray(action);
-      break;
-    case Kind::kGrayRecover: {
-      if (gray_active_.empty()) {
-        ++stats_.skipped;
-        Note("gray-recover skipped (no active gray fault)");
-        break;
+    case Kind::kSlowNode: {
+      // A drawn link end never equals the other end, so a link with a
+      // drawn end needs two nodes in the pool.
+      const bool link = action.kind != Kind::kSlowNode;
+      if (link && gray_pool_.size() < 2 &&
+          (action.node == kDrawn || action.node_b == kDrawn)) {
+        return Skip(action);
       }
-      const GrayFault fault = gray_active_.front();
-      gray_active_.pop_front();
-      RecoverGray(fault);
+      if (action.node == kDrawn) {
+        action.node = DrawGrayTarget(link ? action.node_b : kDrawn);
+      }
+      if (link && action.node_b == kDrawn) {
+        action.node_b = DrawGrayTarget(action.node);
+      }
+      SetGray(action);
+      gray_active_.push_back(action);
+      ++stats_.gray_faults;
       break;
+    }
+    case Kind::kGrayRecover: {
+      if (gray_active_.empty()) return Skip(action);
+      FaultAction fault = std::move(gray_active_.front());
+      gray_active_.pop_front();
+      return RecoverGray(std::move(fault));
     }
     case Kind::kHealAll:
-      HealAll();
-      break;
-    case Kind::kAddNode: {
-      if (actuator_ == nullptr || !actuator_->AddNode()) {
-        ++stats_.skipped;
-        Note("add-node skipped (no actuator or reconfig in flight)");
-        break;
-      }
+      return HealAll();
+    case Kind::kAddNode:
+      if (actuator_ == nullptr || !actuator_->AddNode()) return Skip(action);
       ++stats_.membership_ops;
-      Note("add-node proposed");
       break;
-    }
     case Kind::kRemoveNode: {
-      std::vector<NodeId> pool =
+      const std::vector<NodeId> pool =
           actuator_ == nullptr ? std::vector<NodeId>{}
                                : actuator_->RemovableNodes();
-      if (pool.empty()) {
-        ++stats_.skipped;
-        Note("remove-node skipped (no removable member)");
-        break;
-      }
-      const NodeId victim = pool[rng_.NextBounded(pool.size())];
-      if (!actuator_->RemoveNode(victim)) {
-        ++stats_.skipped;
-        Note("remove-node skipped (proposal refused)");
-        break;
-      }
+      if (pool.empty()) return Skip(action);
+      action.node = pool[rng_.NextBounded(pool.size())];
+      if (!actuator_->RemoveNode(action.node)) return Skip(action);
       ++stats_.membership_ops;
-      Note("remove-node " + std::to_string(victim) + " proposed");
       break;
     }
     case Kind::kRollingRestart: {
@@ -742,7 +669,6 @@ void Nemesis::Apply(const FaultAction& action) {
       // down at i*stagger and returns `hold` later. Reuses the kCrash /
       // kRestart bookkeeping so crash participants and the crashed_ queue
       // see ordinary crashes.
-      Simulator* sim = net_->simulator();
       Time offset = 0;
       int waved = 0;
       for (NodeId node : targets_) {
@@ -762,156 +688,48 @@ void Nemesis::Apply(const FaultAction& action) {
         offset += action.delay;
         ++waved;
       }
-      if (waved == 0) {
-        ++stats_.skipped;
-        Note("rolling-restart skipped (no target up)");
-        break;
-      }
+      if (waved == 0) return Skip(action);
       ++stats_.rolling_restarts;
-      Note("rolling-restart of " + std::to_string(waved) + " targets");
       break;
     }
     case Kind::kFlashCrowd:
-    case Kind::kLoadSpike: {
-      if (load_actuator_ == nullptr) {
-        ++stats_.skipped;
-        Note("load fault skipped (no load actuator)");
-        break;
-      }
+    case Kind::kLoadSpike:
+      if (load_actuator_ == nullptr) return Skip(action);
       load_actuator_->SetLoadFactor(action.factor);
       if (action.kind == Kind::kLoadSpike) load_actuator_->ShiftHotKeys();
-      char buf[64];
-      if (action.factor > 1.0) {
-        load_spike_active_ = true;
-        ++stats_.load_spikes;
-        std::snprintf(buf, sizeof(buf), "%s x%.2f",
-                      action.kind == Kind::kLoadSpike ? "load-spike"
-                                                      : "flash-crowd",
-                      action.factor);
-      } else {
-        load_spike_active_ = false;
-        std::snprintf(buf, sizeof(buf), "load recovered (x%.2f)",
-                      action.factor);
-      }
-      Note(buf);
+      load_spike_active_ = action.factor > 1.0;
+      if (load_spike_active_) ++stats_.load_spikes;
       break;
-    }
   }
-}
-
-bool Nemesis::DrawTargetPair(NodeId* a, NodeId* b) {
-  if (gray_pool_.size() < 2) return false;
-  const size_t i = rng_.NextBounded(gray_pool_.size());
-  const size_t j_raw = rng_.NextBounded(gray_pool_.size() - 1);
-  const size_t j = j_raw < i ? j_raw : j_raw + 1;
-  *a = gray_pool_[i];
-  *b = gray_pool_[j];
-  return true;
-}
-
-void Nemesis::ApplyGray(const FaultAction& action) {
-  using Kind = FaultAction::Kind;
-  GrayFault fault;
-  fault.node = action.node;
-  fault.node_b = action.node_b;
-  switch (action.kind) {
-    case Kind::kSlowLink:
-    case Kind::kRandomSlowLink: {
-      fault.kind = Kind::kSlowLink;
-      if (action.kind == Kind::kRandomSlowLink &&
-          !DrawTargetPair(&fault.node, &fault.node_b)) {
-        ++stats_.skipped;
-        Note("random-slow-link skipped (fewer than two targets)");
-        return;
-      }
-      net_->SetLinkLatencyFactor(fault.node, fault.node_b, action.factor);
-      char buf[80];
-      std::snprintf(buf, sizeof(buf), "slow-link %u<->%u x%.2f", fault.node,
-                    fault.node_b, action.factor);
-      Note(buf);
-      break;
-    }
-    case Kind::kFlakyLink:
-    case Kind::kRandomFlakyLink: {
-      fault.kind = Kind::kFlakyLink;
-      if (action.kind == Kind::kRandomFlakyLink &&
-          !DrawTargetPair(&fault.node, &fault.node_b)) {
-        ++stats_.skipped;
-        Note("random-flaky-link skipped (fewer than two targets)");
-        return;
-      }
-      net_->SetLinkDropRate(fault.node, fault.node_b, action.rate);
-      char buf[80];
-      std::snprintf(buf, sizeof(buf), "flaky-link %u<->%u drop %.3f",
-                    fault.node, fault.node_b, action.rate);
-      Note(buf);
-      break;
-    }
-    case Kind::kSlowNode:
-    case Kind::kRandomSlowNode: {
-      fault.kind = Kind::kSlowNode;
-      if (action.kind == Kind::kRandomSlowNode) {
-        fault.node = gray_pool_[rng_.NextBounded(gray_pool_.size())];
-      }
-      net_->SetNodeProcessingDelay(fault.node, action.delay);
-      char buf[80];
-      std::snprintf(buf, sizeof(buf), "slow-node %u +%.1fms", fault.node,
-                    static_cast<double>(action.delay) / kMillisecond);
-      Note(buf);
-      break;
-    }
-    default:
-      EVC_CHECK(false);
-  }
-  gray_active_.push_back(fault);
-  ++stats_.gray_faults;
-}
-
-void Nemesis::RecoverGray(const GrayFault& fault) {
-  using Kind = FaultAction::Kind;
-  switch (fault.kind) {
-    case Kind::kSlowLink:
-      net_->SetLinkLatencyFactor(fault.node, fault.node_b, 1.0);
-      Note("gray-recover slow-link " + std::to_string(fault.node) + "<->" +
-           std::to_string(fault.node_b));
-      break;
-    case Kind::kFlakyLink:
-      net_->SetLinkDropRate(fault.node, fault.node_b, 0.0);
-      Note("gray-recover flaky-link " + std::to_string(fault.node) + "<->" +
-           std::to_string(fault.node_b));
-      break;
-    case Kind::kSlowNode:
-      net_->SetNodeProcessingDelay(fault.node, 0);
-      Note("gray-recover slow-node " + std::to_string(fault.node));
-      break;
-    default:
-      EVC_CHECK(false);
-  }
-  ++stats_.gray_recoveries;
+  Log(action);
 }
 
 void Nemesis::HealAll() {
+  Simulator* sim = net_->simulator();
   net_->Heal();
   while (!crashed_.empty()) {
     const NodeId node = crashed_.front();
     crashed_.pop_front();
-    net_->simulator()->NotifyRestart(node);
+    if (amnesia_) sim->NotifyRestart(node);
     net_->SetNodeUp(node, true);
     ++stats_.restarts;
   }
   net_->set_loss_rate(0.0);
   net_->set_duplicate_rate(0.0);
   while (!gray_active_.empty()) {
-    const GrayFault fault = gray_active_.front();
+    FaultAction fault = std::move(gray_active_.front());
     gray_active_.pop_front();
-    RecoverGray(fault);
+    RecoverGray(std::move(fault));
   }
   if (load_spike_active_ && load_actuator_ != nullptr) {
     load_actuator_->SetLoadFactor(1.0);
     load_spike_active_ = false;
   }
   ++stats_.heals;
-  Note("heal-all");
+  FaultAction heal_all;
+  heal_all.kind = FaultAction::Kind::kHealAll;
+  heal_all.at = sim->Now();
+  Log(heal_all);
 }
 
 }  // namespace evc::sim

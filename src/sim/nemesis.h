@@ -3,17 +3,21 @@
 // Benchmarks and tests used to hand-roll fault injection with raw
 // Network::Partition / SetNodeUp / ScheduleAt calls; the Nemesis gives them
 // one shared, declarative path. A FaultPlan is a time-ordered list of fault
-// actions (explicit or randomized); a Nemesis executes a plan against a
-// Network, resolving the randomized actions from its own seeded Rng so that
-// an entire adversarial schedule is a pure function of (seed, options) and
-// any failure replays bit-identically. The fuzz harness (verify/fuzz.h,
-// tools/evc_fuzz) drives thousands of these schedules against every store.
+// actions, each naming its target or leaving it drawn; a Nemesis executes a
+// plan against a Network, drawing targets from its own seeded Rng when each
+// fault fires, so that an entire adversarial schedule is a pure function of
+// (seed, options) and any failure replays bit-identically. The Nemesis also
+// owns the crash model: whether its crashes drop volatile state is one
+// constructor argument, not a per-store option. The fuzz harness
+// (verify/fuzz.h, tools/evc_fuzz) drives thousands of these schedules
+// against every store.
 
 #ifndef EVC_SIM_NEMESIS_H_
 #define EVC_SIM_NEMESIS_H_
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,7 +26,7 @@
 
 namespace evc::sim {
 
-/// Shapes of randomized partitions the Nemesis can draw.
+/// Shapes of partitions the Nemesis can draw.
 enum class PartitionStyle {
   kMajorityMinority,  ///< cut off a random minority (< half) of the targets
   kRingSplit,         ///< split a contiguous run of the target ring away
@@ -33,38 +37,41 @@ enum class PartitionStyle {
 const char* ToString(PartitionStyle style);
 
 /// One scheduled fault. Times are relative to the instant the plan is
-/// executed (Nemesis::Execute adds Simulator::Now()).
+/// executed (Nemesis::Execute adds Simulator::Now()). A fault either names
+/// its target or leaves it drawn: a node or link end of kDrawn, or a
+/// partition without groups, is drawn from the Nemesis's targets when the
+/// fault fires.
 struct FaultAction {
+  /// A node or link end the Nemesis draws at fire time.
+  static constexpr NodeId kDrawn = std::numeric_limits<NodeId>::max();
+
   enum class Kind {
-    kPartition,        ///< explicit groups (Network::Partition semantics)
-    kRandomPartition,  ///< Nemesis picks the cut set by `style` at fire time
+    kPartition,        ///< `groups` (Network::Partition semantics); without
+                       ///< groups, a cut drawn by `style`
     kHeal,             ///< remove any partition
-    kCrash,            ///< take an explicit node down
-    kRestart,          ///< bring an explicit node back up
-    kRandomCrash,      ///< crash a random currently-up target
-    kRandomRestart,    ///< restart the longest-crashed nemesis-crashed target
+    kCrash,            ///< take `node` down (drawn: a random up target)
+    kRestart,          ///< bring `node` back up (drawn: the longest-crashed
+                       ///< target this Nemesis crashed)
     kLossRate,         ///< set the network loss probability
     kDuplicateRate,    ///< set the network duplication probability
     // Gray failures: the link/node keeps "working" as far as the
-    // CanCommunicate oracle is concerned, but degrades service.
-    kSlowLink,         ///< inflate latency on an explicit link by `factor`
-    kFlakyLink,        ///< drop transmissions on an explicit link at `rate`
-    kSlowNode,         ///< add processing `delay` to an explicit node
-    kRandomSlowLink,   ///< kSlowLink on a random target pair
-    kRandomFlakyLink,  ///< kFlakyLink on a random target pair
-    kRandomSlowNode,   ///< kSlowNode on a random target
+    // CanCommunicate oracle is concerned, but degrades service. Drawn ends
+    // come from the gray pool (Nemesis::SetGrayTargets).
+    kSlowLink,         ///< inflate latency on link node<->node_b by `factor`
+    kFlakyLink,        ///< drop transmissions on node<->node_b at `rate`
+    kSlowNode,         ///< add processing `delay` to `node`
     kGrayRecover,      ///< undo the oldest still-active gray fault
     kHealAll,          ///< heal partition, restart crashed targets, zero
                        ///< rates, clear gray faults
-    // Membership faults (appended so historical kinds keep their values).
-    // They act through the installed MembershipActuator and are skipped
-    // (stats_.skipped) when none is installed.
+    // Membership faults act through the installed MembershipActuator and
+    // are skipped (stats_.skipped) when none is installed.
     kAddNode,          ///< propose joining a brand-new node
-    kRemoveNode,       ///< propose removing a random removable member
+    kRemoveNode,       ///< propose removing a random removable member,
+                       ///< always drawn into `node`
     kRollingRestart,   ///< crash+restart every up target, staggered
-    // Load faults (appended; act through the installed LoadActuator and are
-    // skipped when none is installed). Unlike network faults these attack
-    // the workload itself — the trigger for metastable failures.
+    // Load faults act through the installed LoadActuator and are skipped
+    // when none is installed. Unlike network faults these attack the
+    // workload itself — the trigger for metastable failures.
     kFlashCrowd,       ///< multiply offered load by `factor` (1.0 recovers)
     kLoadSpike,        ///< kFlashCrowd plus a hot-key shift
   };
@@ -72,36 +79,34 @@ struct FaultAction {
   Kind kind = Kind::kHeal;
   Time at = 0;
   std::vector<std::vector<NodeId>> groups;  ///< kPartition only
-  NodeId node = 0;     ///< kCrash / kRestart / kSlowNode / link endpoint a
+  NodeId node = 0;     ///< kCrash / kRestart / kSlowNode / kRemoveNode /
+                       ///< link endpoint a
   NodeId node_b = 0;   ///< link endpoint b (kSlowLink / kFlakyLink)
   double rate = 0.0;   ///< kLossRate / kDuplicateRate / kFlakyLink
   double factor = 1.0; ///< kSlowLink latency multiplier
   Time delay = 0;      ///< kSlowNode processing delay / kRollingRestart stagger
   Time hold = 0;       ///< kRollingRestart: per-node down time
-  PartitionStyle style = PartitionStyle::kMajorityMinority;
+  PartitionStyle style = PartitionStyle::kMajorityMinority;  ///< drawn cuts
 
   std::string ToString() const;
 };
 
 /// Declarative, time-ordered fault schedule. Build one explicitly with the
-/// fluent *At() calls, or let Nemesis::GeneratePlan draw a random one.
+/// fluent *At() calls, or let Nemesis::GeneratePlan draw a random one. Pass
+/// FaultAction::kDrawn for a node or link end the Nemesis should draw.
 class FaultPlan {
  public:
   FaultPlan& PartitionAt(Time at, std::vector<std::vector<NodeId>> groups);
-  FaultPlan& RandomPartitionAt(Time at, PartitionStyle style);
+  /// A partition whose cut the Nemesis draws by `style` at fire time.
+  FaultPlan& PartitionAt(Time at, PartitionStyle style);
   FaultPlan& HealAt(Time at);
   FaultPlan& CrashAt(Time at, NodeId node);
   FaultPlan& RestartAt(Time at, NodeId node);
-  FaultPlan& RandomCrashAt(Time at);
-  FaultPlan& RandomRestartAt(Time at);
   FaultPlan& LossRateAt(Time at, double rate);
   FaultPlan& DuplicateRateAt(Time at, double rate);
   FaultPlan& SlowLinkAt(Time at, NodeId a, NodeId b, double factor);
   FaultPlan& FlakyLinkAt(Time at, NodeId a, NodeId b, double drop_rate);
   FaultPlan& SlowNodeAt(Time at, NodeId node, Time delay);
-  FaultPlan& RandomSlowLinkAt(Time at, double factor);
-  FaultPlan& RandomFlakyLinkAt(Time at, double drop_rate);
-  FaultPlan& RandomSlowNodeAt(Time at, Time delay);
   FaultPlan& GrayRecoverAt(Time at);
   FaultPlan& HealAllAt(Time at);
   FaultPlan& AddNodeAt(Time at);
@@ -175,7 +180,8 @@ struct NemesisStats {
   uint64_t membership_ops = 0;   ///< add/remove proposals actually started
   uint64_t rolling_restarts = 0; ///< rolling-restart waves launched
   uint64_t load_spikes = 0;      ///< flash crowds / load spikes applied
-  uint64_t skipped = 0;  ///< random actions with no eligible target
+  uint64_t skipped = 0;  ///< actions with no eligible (drawn) target or no
+                         ///< actuator
   uint64_t total() const {
     return partitions + heals + crashes + restarts + rate_changes +
            gray_faults + gray_recoveries + membership_ops + rolling_restarts +
@@ -212,24 +218,33 @@ class LoadActuator {
   virtual void ShiftHotKeys() = 0;
 };
 
-/// Executes fault plans against a network. `targets` is the set of nodes the
-/// randomized faults may touch (typically the servers — leave clients out so
-/// a partition never strands them in their own group). All randomness comes
+/// Executes fault plans against a network. `targets` is the set of nodes
+/// drawn faults may touch (typically the servers — leave clients out so a
+/// partition never strands them in their own group). All randomness comes
 /// from `seed`, so a schedule replays exactly.
+///
+/// `amnesia` is the crash model. On (the default), a crash is a power loss:
+/// the Nemesis notifies the simulator's CrashParticipants on the node's
+/// up->down edge, so every stateful component drops its volatile state, and
+/// a restart lets them recover from their journals. Off, a crash is network
+/// silence only: the node receives nothing, but no participant hears of it
+/// and all state survives.
 class Nemesis {
  public:
-  Nemesis(Network* network, std::vector<NodeId> targets, uint64_t seed);
+  Nemesis(Network* network, std::vector<NodeId> targets, uint64_t seed,
+          bool amnesia = true);
 
   Nemesis(const Nemesis&) = delete;
   Nemesis& operator=(const Nemesis&) = delete;
 
-  /// Extends the pool the *gray* draws (kRandomSlowLink / kRandomFlakyLink /
-  /// kRandomSlowNode) pick from to `targets` plus `gray_targets` — e.g. edge
-  /// cache clients, which a realistic adversary can degrade but which must
-  /// never be partition/crash targets (a crashed client just stops issuing
-  /// ops; a gray-degraded one keeps serving its cache). Partition, crash and
-  /// rate faults still draw from `targets` alone. With an empty extension
-  /// the draw stream is bit-identical to a Nemesis without this call.
+  /// Extends the pool that drawn gray targets (a kDrawn node or link end of
+  /// kSlowLink / kFlakyLink / kSlowNode) come from to `targets` plus
+  /// `gray_targets` — e.g. edge cache clients, which a realistic adversary
+  /// can degrade but which must never be partition/crash targets (a crashed
+  /// client just stops issuing ops; a gray-degraded one keeps serving its
+  /// cache). Partition and crash draws still come from `targets` alone.
+  /// With an empty extension the draw stream is bit-identical to a Nemesis
+  /// without this call.
   void SetGrayTargets(const std::vector<NodeId>& gray_targets);
 
   /// Installs the handler for kAddNode / kRemoveNode (not owned; must
@@ -270,29 +285,28 @@ class Nemesis {
 
   const NemesisStats& stats() const { return stats_; }
 
-  /// Time-stamped record of every fault actually applied (randomized
-  /// actions appear with their resolved nodes/groups).
+  /// One entry per fault applied or skipped: FaultAction::ToString of the
+  /// action as applied, stamped with the simulator time and with drawn
+  /// targets resolved. A gray recovery shows its fault set back to the
+  /// healthy value (x1.00, drop 0.000, +0.0ms); a skipped action keeps its
+  /// drawn targets and ends in " skipped".
   const std::vector<std::string>& log() const { return log_; }
 
  private:
-  /// One gray fault this Nemesis currently holds active (for GrayRecover /
-  /// HealAll undo). `node_b` is unused for slow-node entries.
-  struct GrayFault {
-    FaultAction::Kind kind = FaultAction::Kind::kSlowNode;
-    NodeId node = 0;
-    NodeId node_b = 0;
-  };
-
-  void Apply(const FaultAction& action);
-  void ApplyRandomPartition(PartitionStyle style);
-  void ApplyGray(const FaultAction& action);
-  void RecoverGray(const GrayFault& fault);
-  /// Draws a random unordered pair from the gray pool; false if fewer than
-  /// two nodes in it.
-  bool DrawTargetPair(NodeId* a, NodeId* b);
-  void Note(const std::string& what);
+  void Apply(FaultAction action);
+  /// Draws a partition cut by `style` from the targets.
+  std::vector<NodeId> DrawCut(PartitionStyle style);
+  /// Draws a gray-pool node other than `other`; the pool must hold one.
+  NodeId DrawGrayTarget(NodeId other);
+  /// Sets the network's gray-failure knob for `fault` (resolved targets).
+  void SetGray(const FaultAction& fault);
+  /// Resets an active gray fault's knob to its healthy value.
+  void RecoverGray(FaultAction fault);
+  void Log(const FaultAction& applied);
+  void Skip(const FaultAction& action);
 
   Network* net_;
+  const bool amnesia_;
   MembershipActuator* actuator_ = nullptr;
   LoadActuator* load_actuator_ = nullptr;
   std::vector<NodeId> targets_;
@@ -302,7 +316,7 @@ class Nemesis {
   Rng rng_;
   NemesisStats stats_;
   std::deque<NodeId> crashed_;  ///< targets crashed by us, oldest first
-  std::deque<GrayFault> gray_active_;  ///< active gray faults, oldest first
+  std::deque<FaultAction> gray_active_;  ///< active gray faults, oldest first
   bool load_spike_active_ = false;  ///< a factor > 1 is currently applied
   std::vector<std::string> log_;
 };

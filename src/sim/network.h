@@ -114,9 +114,10 @@ class Network {
   void set_duplicate_rate(double p) { duplicate_rate_ = p; }
 
   /// Crashes or restarts a node at the network layer only: a crashed node
-  /// receives nothing, but volatile protocol state survives. Nemesis-driven
-  /// crashes additionally notify Simulator CrashParticipants so components
-  /// drop volatile state and recover from their journals (see sim/nemesis.h).
+  /// receives nothing, but volatile protocol state survives. A Nemesis with
+  /// amnesia (its default) additionally notifies Simulator CrashParticipants
+  /// so components drop volatile state and recover from their journals (see
+  /// sim/nemesis.h).
   void SetNodeUp(NodeId node, bool up);
   bool IsNodeUp(NodeId node) const;
 

@@ -31,12 +31,14 @@ void Simulator::UnregisterCrashParticipant(CrashParticipant* p) {
 }
 
 void Simulator::NotifyCrash(uint32_t node) {
+  crashed_.insert(node);
   auto it = crash_participants_.find(node);
   if (it == crash_participants_.end()) return;
   for (CrashParticipant* p : it->second) p->OnCrash(node);
 }
 
 void Simulator::NotifyRestart(uint32_t node) {
+  if (crashed_.erase(node) == 0) return;
   auto it = crash_participants_.find(node);
   if (it == crash_participants_.end() || it->second.empty()) return;
   for (CrashParticipant* p : it->second) p->OnRestart(node);

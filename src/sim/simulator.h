@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -135,8 +136,9 @@ class Simulator {
   const obs::Tracer& tracer() const { return tracer_; }
 
   // --- crash participants --------------------------------------------------
-  // The nemesis fault layer (sim/nemesis.h) drives these; a direct
-  // Network::SetNodeUp remains a network-only fault (no state loss).
+  // The nemesis fault layer (sim/nemesis.h) drives these when its crashes
+  // drop volatile state; a direct Network::SetNodeUp remains a network-only
+  // fault (no state loss).
 
   /// Registers `p` to receive crash/restart notifications for `node`.
   /// Multiple participants per node run in registration order.
@@ -145,8 +147,10 @@ class Simulator {
   void UnregisterCrashParticipant(CrashParticipant* p);
   /// Invokes OnCrash on every participant registered for `node`.
   void NotifyCrash(uint32_t node);
-  /// Invokes OnRestart on every participant registered for `node` and bumps
-  /// the global `crash.recoveries` counter when any participant recovered.
+  /// Pairs with the last unmatched NotifyCrash(node): invokes OnRestart on
+  /// every participant registered for `node` and bumps the global
+  /// `crash.recoveries` counter when any participant recovered. Without an
+  /// unmatched crash it does nothing, so no journal replays over live state.
   void NotifyRestart(uint32_t node);
 
   /// Liveness token for participants whose destruction order relative to
@@ -169,6 +173,7 @@ class Simulator {
   obs::Tracer tracer_;
   // Ordered map so notification order is deterministic across runs.
   std::map<uint32_t, std::vector<CrashParticipant*>> crash_participants_;
+  std::set<uint32_t> crashed_;  ///< nodes with an unmatched NotifyCrash
   std::shared_ptr<void> liveness_ = std::make_shared<int>(0);
 };
 

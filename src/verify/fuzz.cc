@@ -134,7 +134,7 @@ std::string KeyName(uint64_t k) { return "k" + std::to_string(k); }
 class PaxosStore : public StoreUnderTest {
  public:
   PaxosStore(sim::Rpc* rpc, const FuzzOptions& o)
-      : cluster_(rpc, {.crash_amnesia = o.amnesia}),
+      : cluster_(rpc, {}),
         servers_(cluster_.AddServers(o.servers)) {
     cluster_.Start();
     rpc->simulator()->RunFor(2 * kSecond);  // first leader before faults
@@ -324,7 +324,6 @@ class QuorumStore : public StoreUnderTest, private sim::MembershipActuator {
     cfg.sloppy = elastic ? o.elastic_sloppy : !strict;
     cfg.read_repair = true;
     cfg.use_hash_ring = elastic;
-    cfg.crash_amnesia = o.amnesia;
     cfg.use_oracle_detector = o.use_oracle_detector;
     // Overload profile: full defense stack on. Shedding / failing fast is
     // legal; the claims still have to hold.
@@ -390,7 +389,6 @@ class TimelineStore : public StoreUnderTest {
     if (o.store == FuzzStore::kEdgeCache) {
       tier_.emplace(rpc, &cluster_,
                     cache::EdgeCacheOptions{.lease_ttl = 300 * kMillisecond,
-                                            .crash_amnesia = o.amnesia,
                                             .resilience = {}});
     }
     for (int i = 0; i < o.sessions; ++i) {
@@ -467,7 +465,6 @@ class TimelineStore : public StoreUnderTest {
   static repl::TimelineOptions Options(const FuzzOptions& o) {
     repl::TimelineOptions topt;
     topt.replication_factor = o.servers;
-    topt.crash_amnesia = o.amnesia;
     // A gated write can legally stall for a full lease TTL (unreachable
     // holder) plus a crash-recovery fence; the per-attempt write timeout
     // must cover that, or every contended write would time out.
@@ -491,7 +488,7 @@ class CausalStore : public StoreUnderTest {
   CausalStore(sim::Rpc* rpc, const FuzzOptions& o)
       : net_(rpc->network()),
         keyspace_(o.keyspace),
-        cluster_(rpc, {.crash_amnesia = o.amnesia}),
+        cluster_(rpc),
         dcs_(cluster_.AddDatacenters(o.servers)) {
     for (int i = 0; i < o.sessions; ++i) {
       clients_.push_back(std::make_unique<causal::CausalClient>(
@@ -600,11 +597,11 @@ class CrdtStore : public StoreUnderTest, private sim::CrashParticipant {
     // local op is journaled synchronously, so it survives a crash), while
     // gossip-merged state is volatile. A crash resets the live replica to
     // its durable copy; peers re-supply the lost merges after restart.
-    if (amnesia_) {
-      durable_ = replicas_;
-      for (sim::NodeId node : nodes_) {
-        crash_.Register(net_->simulator(), node, this);
-      }
+    // Without amnesia the nemesis never reports a crash, and writes skip
+    // the durable copy.
+    durable_ = replicas_;
+    for (sim::NodeId node : nodes_) {
+      crash_.Register(net_->simulator(), node, this);
     }
     // Periodic push gossip: every replica ships full state to a random peer.
     gossip_ = [this, n, gossip_msg] {
@@ -672,8 +669,8 @@ class CrdtStore : public StoreUnderTest, private sim::CrashParticipant {
 
   sim::Network* net_;
   const std::string key_;
-  const bool amnesia_;
-  std::vector<State> durable_;  // amnesia only
+  const bool amnesia_;          // writes go through durable_
+  std::vector<State> durable_;  // written under amnesia only
   std::vector<sim::NodeId> nodes_;
   Rng gossip_rng_;
   std::function<void()> gossip_;
@@ -848,7 +845,8 @@ class Driver : public sim::LoadActuator {
         row_(row),
         store_(store),
         nemesis_(&s->net, store->FaultTargets(),  // salt "neme"
-                 options.seed * 0x9e3779b97f4a7c15ULL + 0x6e656d65ULL),
+                 options.seed * 0x9e3779b97f4a7c15ULL + 0x6e656d65ULL,
+                 options.amnesia),
         options_(options),
         rep_(rep) {
     // Load faults drive this driver's pacing. Consumes no randomness and is

@@ -86,10 +86,10 @@ struct FuzzOptions {
   sim::NemesisScheduleOptions nemesis{};
   /// Virtual time allowed for post-heal repair before the convergence check.
   sim::Time quiescence_timeout = 60 * sim::kSecond;
-  /// Amnesia crashes: register every store as a simulator CrashParticipant,
-  /// so a nemesis crash drops volatile state and restart replays the
-  /// store's journal. Off (the default, matching the pinned seed corpora)
-  /// reproduces the historical crash-is-just-network-silence behavior.
+  /// The run's crash model, handed to its Nemesis: on, a nemesis crash
+  /// drops every store's volatile state and a restart replays the store's
+  /// journal. Off (the default, matching the pinned seed corpora), a crash
+  /// is network silence only and every store keeps its state.
   bool amnesia = false;
   /// Quorum stores only: use the omniscient CanCommunicate oracle for
   /// sloppy-quorum target selection instead of the default phi-accrual

@@ -22,7 +22,7 @@ class CausalGtTest : public ::testing::Test {
     wan_ = latency.get();
     net_ = std::make_unique<sim::Network>(sim_.get(), std::move(latency));
     rpc_ = std::make_unique<sim::Rpc>(net_.get());
-    cluster_ = std::make_unique<CausalCluster>(rpc_.get(), CausalOptions{});
+    cluster_ = std::make_unique<CausalCluster>(rpc_.get());
     dcs_ = cluster_->AddDatacenters(3);
     for (int i = 0; i < 3; ++i) wan_->AssignNode(dcs_[i], i);
   }

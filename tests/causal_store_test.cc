@@ -20,7 +20,7 @@ class CausalStoreTest : public ::testing::Test {
     wan_ = latency.get();
     net_ = std::make_unique<sim::Network>(sim_.get(), std::move(latency));
     rpc_ = std::make_unique<sim::Rpc>(net_.get());
-    cluster_ = std::make_unique<CausalCluster>(rpc_.get(), CausalOptions{});
+    cluster_ = std::make_unique<CausalCluster>(rpc_.get());
     dcs_ = cluster_->AddDatacenters(dc_count);
     for (int i = 0; i < dc_count; ++i) {
       wan_->AssignNode(dcs_[i], i % 3);

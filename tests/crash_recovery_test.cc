@@ -1,7 +1,8 @@
 // Crash participants: nemesis crashes drop volatile state, restarts replay
-// journals. Covers the simulator registry, the nemesis wiring edges, hint
-// loss accounting, timeline/causal WAL recovery, and the determinism of the
-// metrics export with the crash.*/wal.* instruments live.
+// journals. Covers the simulator registry, the nemesis wiring edges and its
+// crash model, hint loss accounting, Paxos/timeline/causal WAL recovery, and
+// the determinism of the metrics export with the crash.*/wal.* instruments
+// live.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "causal/causal_store.h"
+#include "consensus/paxos.h"
 #include "obs/export.h"
 #include "replication/quorum_store.h"
 #include "replication/timeline_store.h"
@@ -51,6 +53,27 @@ TEST(CrashParticipantRegistryTest, NotifiesOnlyRegisteredNodes) {
   sim.UnregisterCrashParticipant(&p);
   sim.NotifyCrash(1);
   EXPECT_EQ(p.crashes[1], 1);  // unchanged
+}
+
+// A restart pairs with the crash before it: without an unmatched crash there
+// is no lost state to rebuild, so no participant replays its journal over
+// live state and no recovery is counted.
+TEST(CrashParticipantRegistryTest, RestartWithoutCrashReachesNoParticipant) {
+  sim::Simulator sim(1);
+  CountingParticipant p;
+  sim.RegisterCrashParticipant(1, &p);
+  auto& recoveries = sim.metrics().global().CounterFor("crash.recoveries");
+
+  sim.NotifyRestart(1);
+  EXPECT_EQ(p.restarts[1], 0);
+  EXPECT_EQ(recoveries.value(), 0.0);
+
+  sim.NotifyCrash(1);
+  sim.NotifyRestart(1);
+  sim.NotifyRestart(1);  // already paired with the crash
+  EXPECT_EQ(p.crashes[1], 1);
+  EXPECT_EQ(p.restarts[1], 1);
+  EXPECT_EQ(recoveries.value(), 1.0);
 }
 
 TEST(CrashParticipantRegistryTest, RegistrarToleratesSimulatorDyingFirst) {
@@ -97,6 +120,74 @@ TEST(NemesisCrashWiringTest, NotifiesOnRealStateEdgesOnly) {
   EXPECT_EQ(p.restarts[nodes[2]], 1);
   EXPECT_EQ(sim.metrics().global().CounterFor("crash.recoveries").value(),
             3.0);
+}
+
+// Without amnesia a nemesis crash is network silence only: the node goes down
+// and comes back, and no participant hears of it.
+TEST(NemesisCrashWiringTest, NetworkOnlyCrashNotifiesNoParticipant) {
+  sim::Simulator sim(3);
+  sim::Network net(&sim, std::make_unique<sim::ConstantLatency>(kMillisecond));
+  std::vector<sim::NodeId> nodes;
+  for (int i = 0; i < 3; ++i) nodes.push_back(net.AddNode());
+  CountingParticipant p;
+  for (sim::NodeId n : nodes) sim.RegisterCrashParticipant(n, &p);
+  sim::Nemesis nemesis(&net, nodes, /*seed=*/5, /*amnesia=*/false);
+
+  nemesis.Execute(sim::FaultPlan()
+                      .CrashAt(0, nodes[0])
+                      .CrashAt(0, sim::FaultAction::kDrawn)
+                      .RestartAt(5 * kMillisecond, nodes[0]));
+  sim.RunFor(10 * kMillisecond);
+  EXPECT_TRUE(net.IsNodeUp(nodes[0]));
+  EXPECT_FALSE(nemesis.AllTargetsUp());
+  nemesis.HealAll();
+  EXPECT_TRUE(nemesis.AllTargetsUp());
+  EXPECT_EQ(nemesis.stats().crashes, 2u);
+  EXPECT_EQ(nemesis.stats().restarts, 2u);
+  EXPECT_TRUE(p.crashes.empty());
+  EXPECT_TRUE(p.restarts.empty());
+}
+
+// A follower paused at the network layer and then crashed by the nemesis was
+// never told of a crash: its state is intact, so its restart must not replay
+// the acceptor journal. Replaying the snapshot over live state appended
+// every op id in it to the dedup table a second time.
+TEST(PaxosCrashTest, RestartOfAPausedServerReplaysNothing) {
+  sim::Simulator sim(5);
+  sim::Network net(&sim, std::make_unique<sim::UniformLatency>(
+                             2 * kMillisecond, 10 * kMillisecond));
+  sim::Rpc rpc(&net);
+  consensus::PaxosCluster cluster(&rpc, consensus::PaxosOptions{});
+  auto servers = cluster.AddServers(3);
+  consensus::PaxosKvClient client(&cluster, &sim, net.AddNode(), servers);
+  cluster.Start();
+  sim.RunFor(kSecond);
+  int acked = 0;
+  for (int i = 0; i < 200; ++i) {
+    std::string value = std::to_string(i);
+    value.resize(1024, '.');
+    client.Put("k" + std::to_string(i % 10), value,
+               [&acked](Result<uint64_t> r) { acked += r.ok() ? 1 : 0; });
+    sim.RunFor(500 * kMillisecond);
+    ASSERT_EQ(acked, i + 1);
+  }
+  sim.RunFor(kSecond);
+  auto& metrics = sim.metrics().global();
+  ASSERT_GT(metrics.CounterFor("wal.checkpoints").value(), 0.0);
+  const auto leader = cluster.CurrentLeader();
+  ASSERT_TRUE(leader.has_value());
+  const sim::NodeId follower = servers[0] == *leader ? servers[1] : servers[0];
+  const std::vector<uint64_t> ids = cluster.AppliedOpIds(follower);
+  ASSERT_EQ(ids.size(), 200u);
+
+  net.SetNodeUp(follower, false);  // a pause, not a crash
+  sim::Nemesis nemesis(&net, servers, /*seed=*/1);
+  nemesis.Execute(sim::FaultPlan().CrashAt(0, follower).RestartAt(
+      100 * kMillisecond, follower));
+  sim.RunFor(kSecond);
+  EXPECT_TRUE(net.IsNodeUp(follower));
+  EXPECT_EQ(cluster.AppliedOpIds(follower), ids);
+  EXPECT_EQ(metrics.CounterFor("crash.recoveries").value(), 0.0);
 }
 
 // Satellite pin: the hint ledger balances after crashes. Every stored hint
@@ -213,7 +304,7 @@ TEST(CausalCrashTest, DatacenterRecoversAppliedWritesAndClock) {
   sim::Network net(&sim, std::make_unique<sim::UniformLatency>(
                              5 * kMillisecond, 20 * kMillisecond));
   sim::Rpc rpc(&net);
-  causal::CausalCluster cluster(&rpc, causal::CausalOptions{});
+  causal::CausalCluster cluster(&rpc);
   auto dcs = cluster.AddDatacenters(3);
   const sim::NodeId client = net.AddNode();
 

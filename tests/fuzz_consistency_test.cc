@@ -25,6 +25,14 @@
 namespace evc::verify {
 namespace {
 
+// A global counter from a run's metrics export, 0 when it never fired.
+int64_t GlobalCounter(const obs::Json& metrics, const char* name) {
+  const obs::Json* global = metrics.Find("global");
+  const obs::Json* counters = global ? global->Find("counters") : nullptr;
+  const obs::Json* value = counters ? counters->Find(name) : nullptr;
+  return value ? value->AsInt() : 0;
+}
+
 // Regression corpus: these seeds caught a real duplicate-apply bug in the
 // Paxos KV client. A proposal that timed out at the client could be
 // completed later by a new leader's prepare phase while the client's retry
@@ -286,7 +294,7 @@ TEST(FuzzConsistencyTest, EdgeCacheKeepsGuaranteesUnderCrashAndGrayFaults) {
 class PaddedPaxosStore : public StoreUnderTest {
  public:
   PaddedPaxosStore(sim::Rpc* rpc, const FuzzOptions& o)
-      : cluster_(rpc, {.crash_amnesia = o.amnesia}),
+      : cluster_(rpc, {}),
         servers_(cluster_.AddServers(o.servers)) {
     cluster_.Start();
     rpc->simulator()->RunFor(2 * sim::kSecond);  // first leader
@@ -356,12 +364,6 @@ class PaddedPaxosStore : public StoreUnderTest {
 // checkpoint, slots below the group floor are dropped, restarts replay
 // snapshots, and every seed still meets the paxos row's claims.
 TEST(FuzzConsistencyTest, PaxosCheckpointsKeepClaimsUnderAmnesia) {
-  auto counter = [](const obs::Json& metrics, const char* name) -> int64_t {
-    const obs::Json* global = metrics.Find("global");
-    const obs::Json* counters = global ? global->Find("counters") : nullptr;
-    const obs::Json* value = counters ? counters->Find(name) : nullptr;
-    return value ? value->AsInt() : 0;
-  };
   int64_t checkpoints = 0;
   int64_t dropped = 0;
   int64_t snapshot_restarts = 0;
@@ -381,13 +383,43 @@ TEST(FuzzConsistencyTest, PaxosCheckpointsKeepClaimsUnderAmnesia) {
     EXPECT_TRUE(report.lin_checked && report.conv_checked) << "seed " << seed;
     auto metrics = obs::Json::Parse(metrics_json);
     ASSERT_TRUE(metrics.ok());
-    checkpoints += counter(*metrics, "wal.checkpoints");
-    dropped += counter(*metrics, "paxos.slots_dropped");
-    snapshot_restarts += counter(*metrics, "paxos.snapshots_replayed");
+    checkpoints += GlobalCounter(*metrics, "wal.checkpoints");
+    dropped += GlobalCounter(*metrics, "paxos.slots_dropped");
+    snapshot_restarts += GlobalCounter(*metrics, "paxos.snapshots_replayed");
   }
   EXPECT_GT(checkpoints, 0);
   EXPECT_GT(dropped, 0);
   EXPECT_GT(snapshot_restarts, 0);
+}
+
+// The nemesis alone decides what a crash forgets (sim/nemesis.h): every store
+// always registers as a crash participant, and only an amnesia run's
+// nemesis notifies them. One crash-heavy seed per store, run twice: the
+// amnesia run's recoveries show the seed restarts a node, and the same
+// schedule without amnesia must leave no crash.* counter at all.
+TEST(FuzzConsistencyTest, OnlyAmnesiaCrashesReachTheStores) {
+  for (FuzzStore store : AllFuzzStores()) {
+    for (const bool amnesia : {false, true}) {
+      FuzzOptions options = DefaultFuzzOptions(store, /*seed=*/1);
+      ASSERT_TRUE(ApplyFuzzProfile("crash-heavy", &options));
+      options.amnesia = amnesia;
+      std::string metrics_json;
+      options.capture_metrics_json = &metrics_json;
+      const FuzzReport report = RunFuzzSeed(options);
+      std::string why;
+      EXPECT_TRUE(report.MeetsClaims(&why))
+          << ToString(store) << " amnesia=" << amnesia << ": " << why;
+      auto metrics = obs::Json::Parse(metrics_json);
+      ASSERT_TRUE(metrics.ok());
+      if (amnesia) {
+        EXPECT_GT(GlobalCounter(*metrics, "crash.recoveries"), 0)
+            << ToString(store);
+      } else {
+        EXPECT_EQ(metrics_json.find("\"crash."), std::string::npos)
+            << ToString(store);
+      }
+    }
+  }
 }
 
 // The store-name round trip the replay CLI depends on.

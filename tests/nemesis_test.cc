@@ -236,7 +236,7 @@ TEST_F(NemesisTest, GrayTogglesOffPreserveHistoricalSchedules) {
 TEST_F(NemesisTest, LogRecordsResolvedActions) {
   Nemesis nemesis(&net_, servers_, 31);
   FaultPlan plan;
-  plan.RandomPartitionAt(kSecond, PartitionStyle::kIsolateOne)
+  plan.PartitionAt(kSecond, PartitionStyle::kIsolateOne)
       .HealAt(2 * kSecond);
   nemesis.Execute(plan);
   sim_.RunFor(3 * kSecond);
