@@ -1,10 +1,9 @@
 // Edge cache tier over the timeline store, with lease-based invalidation.
 //
-// ROADMAP's edge cache tier item: at millions of clients, most reads must
-// never reach a replica — but a cache that silently serves revoked data
-// breaks the very session guarantees (RYW/MR) the rest of this repo exists
-// to verify. This tier keeps them with the classic Gray & Cheriton
-// lease-callback protocol:
+// At millions of clients, most reads must never reach a replica — but a
+// cache that silently serves revoked data breaks the very session
+// guarantees (RYW/MR) the rest of this repo exists to verify. This tier
+// keeps them with the classic Gray & Cheriton lease-callback protocol:
 //
 //   * read-through with piggybacked grant — a cache miss RPCs the key's
 //     MASTER (the one serializing writes), which answers with its record

@@ -50,31 +50,4 @@ std::string GCounter::ToString() const {
   return out + "}";
 }
 
-PNCounter PNCounter::Increment(uint32_t replica, uint64_t amount) {
-  PNCounter delta;
-  delta.positive_ = positive_.Increment(replica, amount);
-  return delta;
-}
-
-PNCounter PNCounter::Decrement(uint32_t replica, uint64_t amount) {
-  PNCounter delta;
-  delta.negative_ = negative_.Increment(replica, amount);
-  return delta;
-}
-
-int64_t PNCounter::Value() const {
-  return static_cast<int64_t>(positive_.Value()) -
-         static_cast<int64_t>(negative_.Value());
-}
-
-void PNCounter::Merge(const PNCounter& other) {
-  positive_.Merge(other.positive_);
-  negative_.Merge(other.negative_);
-}
-
-std::string PNCounter::ToString() const {
-  return "PNCounter{+" + std::to_string(positive_.Value()) + ",-" +
-         std::to_string(negative_.Value()) + "}";
-}
-
 }  // namespace evc::crdt

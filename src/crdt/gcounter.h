@@ -51,35 +51,6 @@ class GCounter {
   std::map<uint32_t, uint64_t> shares_;
 };
 
-/// Positive-negative counter: a pair of GCounters (increments, decrements).
-class PNCounter {
- public:
-  PNCounter() = default;
-
-  /// Returns the delta (a PNCounter with only the changed entry).
-  PNCounter Increment(uint32_t replica, uint64_t amount = 1);
-  PNCounter Decrement(uint32_t replica, uint64_t amount = 1);
-
-  /// May be negative.
-  int64_t Value() const;
-
-  void Merge(const PNCounter& other);
-
-  bool operator==(const PNCounter& other) const {
-    return positive_ == other.positive_ && negative_ == other.negative_;
-  }
-
-  size_t StateBytes() const {
-    return positive_.StateBytes() + negative_.StateBytes();
-  }
-
-  std::string ToString() const;
-
- private:
-  GCounter positive_;
-  GCounter negative_;
-};
-
 }  // namespace evc::crdt
 
 #endif  // EVC_CRDT_GCOUNTER_H_

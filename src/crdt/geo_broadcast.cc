@@ -32,39 +32,41 @@ void GeoBroadcast::Publish(uint32_t index, sim::Payload op) {
   Member& origin = members_[index];
   StampedOp stamped;
   stamped.origin = index;
-  stamped.deps = origin.clock;
-  stamped.seq = origin.clock.Get(index) + 1;
+  stamped.deps = origin.seen.vector();
+  stamped.seq = origin.seen.NextDot(index).counter;  // local echo's dot
   stamped.op = std::move(op);
 
-  // Local echo.
-  origin.clock.Increment(index);
   ++origin.delivered;
   origin.deliver(index, stamped.op);
 
   // Each peer gets its own deep copy, as each send owns its payload (the
   // seed's std::any made the same per-peer copy implicitly).
+  const uint64_t stamp_bytes = 12 * (1 + stamped.deps.size());
   for (Member& peer : members_) {
     if (peer.index == index) continue;
+    stamp_bytes_sent_ += stamp_bytes;
     network_->Send(origin.node, peer.node, op_type_, stamped.Clone());
   }
 }
 
 bool GeoBroadcast::Ready(const Member& member, const StampedOp& op) const {
-  if (member.clock.Get(op.origin) + 1 != op.seq) return false;
+  const VectorClock& clock = member.seen.vector();
+  if (clock.Get(op.origin) + 1 != op.seq) return false;
   for (const auto& [replica, counter] : op.deps.entries()) {
     if (replica == op.origin) continue;
-    if (member.clock.Get(replica) < counter) return false;
+    if (clock.Get(replica) < counter) return false;
   }
   return true;
 }
 
 void GeoBroadcast::Receive(Member* member, StampedOp op) {
   if (!options_.causal) {
-    // Arrival-order delivery (the broken baseline). Still exactly-once:
-    // drop duplicates/stale by per-origin seq tracking.
-    const uint64_t seen = member->clock.Get(op.origin);
-    if (op.seq <= seen) return;
-    member->clock.Set(op.origin, op.seq);
+    // Arrival-order delivery (the broken baseline), still exactly once: an
+    // op is a duplicate only if its exact (origin, seq) was delivered, so
+    // an earlier op that arrives late is applied, not dropped.
+    const Dot dot{op.origin, op.seq};
+    if (member->seen.Contains(dot)) return;
+    member->seen.Add(dot);
     ++member->delivered;
     member->deliver(op.origin, op.op);
     return;
@@ -84,7 +86,7 @@ void GeoBroadcast::Drain(Member* member) {
     progress = false;
     for (auto it = member->pending.begin(); it != member->pending.end();
          ++it) {
-      if (it->seq <= member->clock.Get(it->origin)) {
+      if (member->seen.Contains(Dot{it->origin, it->seq})) {
         member->pending.erase(it);  // duplicate
         progress = true;
         break;
@@ -92,7 +94,7 @@ void GeoBroadcast::Drain(Member* member) {
       if (!Ready(*member, *it)) continue;
       StampedOp op = std::move(*it);
       member->pending.erase(it);
-      member->clock.Increment(op.origin);
+      member->seen.Add(Dot{op.origin, op.seq});
       ++member->delivered;
       member->deliver(op.origin, op.op);
       progress = true;

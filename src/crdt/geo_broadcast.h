@@ -1,14 +1,13 @@
 // Causal broadcast over the simulated network, for op-based CRDT
 // replication between geo-distributed replicas.
 //
-// CausalBus (causal_bus.h) provides the delivery contract in-memory; this
-// component provides it across the simulated WAN: each published op is
-// stamped with the origin's vector clock and broadcast; receivers buffer
-// ops until causally ready. The `causal` switch exists to measure what the
-// contract is worth: with it off, ops apply in arrival order, and an
-// OR-set remove can arrive before the add it observed — the removed
-// element then resurrects on that replica *permanently* (tests and the
-// docs call this the zombie-element anomaly).
+// Each published op is stamped with its origin, a per-origin sequence
+// number and the origin's delivered vector, then broadcast; receivers
+// buffer ops until causally ready. The `causal` switch exists to measure
+// what the contract is worth (Fig. 6e): with it off, ops apply in arrival
+// order, still exactly once, and an OR-set remove can arrive before the add
+// it observed — the removed element then resurrects on that replica
+// *permanently* (the zombie-element anomaly).
 
 #ifndef EVC_CRDT_GEO_BROADCAST_H_
 #define EVC_CRDT_GEO_BROADCAST_H_
@@ -20,19 +19,21 @@
 #include <vector>
 
 #include "clock/version_vector.h"
+#include "crdt/delta_orset.h"
 #include "sim/network.h"
 
 namespace evc::crdt {
 
 struct GeoBroadcastOptions {
   /// Enforce causal delivery (buffer out-of-order ops). Off = apply in
-  /// arrival order (the broken baseline).
+  /// arrival order (the broken baseline Fig. 6e measures).
   bool causal = true;
 };
 
-/// Reliable broadcast among a fixed group of network nodes. Delivery
-/// callbacks receive the op payload (a slab-backed sim::Payload, as
-/// elsewhere on the simulated network) in causal order when enabled.
+/// Broadcast among a fixed group of network nodes. Delivery callbacks
+/// receive the op payload (a slab-backed sim::Payload, as elsewhere on the
+/// simulated network) in causal order when enabled. Nothing is
+/// retransmitted: an op the network drops never reaches that peer.
 class GeoBroadcast {
  public:
   GeoBroadcast(sim::Network* network, GeoBroadcastOptions options = {});
@@ -63,6 +64,9 @@ class GeoBroadcast {
   uint64_t delivered_at(uint32_t index) const {
     return members_[index].delivered;
   }
+  /// Bytes of (origin, seq) and deps stamps sent to peers, at the 12 bytes
+  /// per entry that StateBytes uses; the ops' own bytes are the caller's.
+  uint64_t stamp_bytes_sent() const { return stamp_bytes_sent_; }
 
  private:
   struct StampedOp {
@@ -89,7 +93,7 @@ class GeoBroadcast {
 
     sim::NodeId node = 0;
     uint32_t index = 0;
-    VectorClock clock;
+    DotContext seen;  // every (origin, seq) delivered here
     std::deque<StampedOp> pending;
     DeliverFn deliver;
     uint64_t delivered = 0;
@@ -103,6 +107,7 @@ class GeoBroadcast {
   sim::Network* network_;
   GeoBroadcastOptions options_;
   std::vector<Member> members_;
+  uint64_t stamp_bytes_sent_ = 0;
 };
 
 }  // namespace evc::crdt

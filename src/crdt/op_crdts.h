@@ -1,6 +1,8 @@
 // Operation-based (commutative) CRDTs, to contrast with the state-based
 // variants: smaller messages (one op instead of full state) but a delivery
-// contract — exactly-once, and causal order for the OR-set.
+// contract — exactly-once, and causal order for the OR-set. GeoBroadcast
+// (geo_broadcast.h) provides the contract; Fig. 6e measures both the bytes
+// and what breaks without causal order.
 
 #ifndef EVC_CRDT_OP_CRDTS_H_
 #define EVC_CRDT_OP_CRDTS_H_
@@ -21,6 +23,9 @@ class OpCounter {
  public:
   struct Op {
     int64_t delta = 0;
+
+    /// Serialized-size proxy: one 12-byte entry, as StateBytes counts.
+    size_t Bytes() const { return 12; }
   };
 
   /// Produces the op for a local increment (caller broadcasts it; local
@@ -45,6 +50,12 @@ class OpOrSet {
     std::string element;
     Dot tag;                 ///< add: the new tag
     std::vector<Dot> tags;   ///< remove: observed tags
+
+    /// Serialized-size proxy, as StateBytes counts: the element plus 12
+    /// bytes per tag.
+    size_t Bytes() const {
+      return element.size() + 12 * (type == Type::kAdd ? 1 : tags.size());
+    }
   };
 
   explicit OpOrSet(uint32_t replica_id) : replica_id_(replica_id) {}

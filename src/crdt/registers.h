@@ -1,18 +1,14 @@
-// Register CRDTs: last-writer-wins and multi-value.
+// Last-writer-wins register CRDT.
 //
-// LWWRegister resolves concurrent assignments by timestamp (arbitrary but
-// convergent — one write silently loses). MVRegister keeps all concurrent
-// assignments as siblings for the application to reconcile, trading
-// convergence-to-one-value for no-lost-updates. Fig. 5 contrasts the two.
+// LwwRegister resolves concurrent assignments by timestamp: arbitrary but
+// convergent, and one write silently loses. Fig. 6 times its Set.
 
 #ifndef EVC_CRDT_REGISTERS_H_
 #define EVC_CRDT_REGISTERS_H_
 
 #include <string>
-#include <vector>
 
 #include "clock/lamport.h"
-#include "clock/version_vector.h"
 
 namespace evc::crdt {
 
@@ -51,39 +47,6 @@ class LwwRegister {
   std::string value_;
   LamportTimestamp ts_{};
   bool has_value_ = false;
-};
-
-/// Multi-value register: concurrent assignments become siblings.
-class MvRegister {
- public:
-  MvRegister() = default;
-
-  /// Assigns `value` at `replica`, superseding every sibling currently
-  /// visible (their contexts are absorbed).
-  void Set(std::string value, uint32_t replica);
-
-  /// Current sibling values (more than one iff there were concurrent Sets).
-  std::vector<std::string> Values() const;
-
-  /// Number of concurrent siblings.
-  size_t sibling_count() const { return siblings_.size(); }
-
-  void Merge(const MvRegister& other);
-
-  bool operator==(const MvRegister& other) const;
-
-  std::string ToString() const;
-
- private:
-  struct Entry {
-    std::string value;
-    VersionVector vv;
-  };
-  /// Observed context = join of all sibling vectors.
-  VersionVector Context() const;
-  static void Insert(std::vector<Entry>* entries, const Entry& e);
-
-  std::vector<Entry> siblings_;
 };
 
 }  // namespace evc::crdt

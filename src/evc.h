@@ -30,7 +30,6 @@
 #include "sim/simulator.h"  // IWYU pragma: export
 
 // Version tracking.
-#include "clock/hlc.h"             // IWYU pragma: export
 #include "clock/lamport.h"         // IWYU pragma: export
 #include "clock/version_vector.h"  // IWYU pragma: export
 
@@ -55,16 +54,13 @@
 #include "txn/redblue.h"                 // IWYU pragma: export
 
 // CRDTs.
-#include "crdt/causal_bus.h"   // IWYU pragma: export
 #include "crdt/delta_orset.h"  // IWYU pragma: export
 #include "crdt/gcounter.h"       // IWYU pragma: export
 #include "crdt/geo_broadcast.h"  // IWYU pragma: export
 #include "crdt/op_crdts.h"     // IWYU pragma: export
-#include "crdt/ormap.h"        // IWYU pragma: export
 #include "crdt/orset.h"        // IWYU pragma: export
 #include "crdt/registers.h"    // IWYU pragma: export
 #include "crdt/rga.h"          // IWYU pragma: export
-#include "crdt/sets.h"         // IWYU pragma: export
 
 // Workloads, verification, facade.
 #include "core/replicated_store.h"        // IWYU pragma: export

@@ -14,6 +14,7 @@
 // This is the storage model Riak adopted; the tests contrast it with the
 // plain-VV store on the exact anomaly.
 
+// evc-lint: allow(orphan-module) reason=tests-only until ROADMAP's dotted-version-vectors item folds DvvStore into VersionedStore
 #ifndef EVC_STORAGE_DVV_STORE_H_
 #define EVC_STORAGE_DVV_STORE_H_
 

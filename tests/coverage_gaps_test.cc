@@ -6,7 +6,6 @@
 #include <memory>
 #include <optional>
 
-#include "crdt/causal_bus.h"
 #include "sla/pileus.h"
 #include "txn/redblue.h"
 #include "workload/workload.h"
@@ -82,28 +81,6 @@ TEST(PileusEdgeTest, GetBeforeProbeFallsBackToLastRow) {
   ASSERT_TRUE(read.has_value());
   EXPECT_TRUE(read->found);
   EXPECT_EQ(read->value, "v");
-}
-
-TEST(CausalBusEdgeTest, PullRespectsMaxOps) {
-  crdt::CausalBus<int> bus(2);
-  std::vector<int> got;
-  bus.OnDeliver(1, [&](uint32_t, const int& op) { got.push_back(op); });
-  for (int i = 0; i < 5; ++i) bus.Broadcast(0, i);
-  EXPECT_EQ(bus.Pull(1, 2), 2u);
-  EXPECT_EQ(got.size(), 2u);
-  EXPECT_EQ(bus.PendingAt(1), 3u);
-  EXPECT_EQ(bus.Pull(1), 3u);
-}
-
-TEST(CausalBusEdgeTest, ClockOfTracksDeliveries) {
-  crdt::CausalBus<int> bus(2);
-  bus.OnDeliver(1, [](uint32_t, const int&) {});
-  bus.Broadcast(0, 1);
-  bus.Broadcast(0, 2);
-  EXPECT_EQ(bus.clock_of(0).Get(0), 2u);  // origin echoes immediately
-  EXPECT_EQ(bus.clock_of(1).Get(0), 0u);
-  bus.PullAll();
-  EXPECT_EQ(bus.clock_of(1).Get(0), 2u);
 }
 
 TEST(WorkloadEdgeTest, RmwOpsCarryValues) {

@@ -100,38 +100,6 @@ TEST(GCounterTest, StateBytesGrowsWithReplicas) {
   EXPECT_GT(c.StateBytes(), empty);
 }
 
-TEST(PNCounterTest, IncrementAndDecrement) {
-  PNCounter c;
-  c.Increment(0, 10);
-  c.Decrement(0, 3);
-  c.Decrement(1, 12);
-  EXPECT_EQ(c.Value(), -5);
-}
-
-TEST(PNCounterTest, MergeCommutative) {
-  PNCounter a, b;
-  a.Increment(0, 5);
-  a.Decrement(0, 1);
-  b.Increment(1, 2);
-  b.Decrement(1, 9);
-  PNCounter ab = a;
-  ab.Merge(b);
-  PNCounter ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab, ba);
-  EXPECT_EQ(ab.Value(), -3);
-}
-
-TEST(PNCounterTest, DeltaRoundTrip) {
-  PNCounter source, sink;
-  sink.Merge(source.Increment(0, 7));
-  sink.Merge(source.Decrement(1, 2));
-  EXPECT_EQ(sink, source);
-  EXPECT_EQ(sink.Value(), 5);
-}
-
-// Property: arbitrary interleavings of increments and pairwise merges across
-// N replicas converge to the sum of all increments.
 class GCounterConvergenceTest
     : public ::testing::TestWithParam<std::tuple<int, uint64_t>> {};
 

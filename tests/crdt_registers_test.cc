@@ -77,90 +77,5 @@ TEST(LwwRegisterTest, ConcurrentWriteIsSilentlyLost) {
   EXPECT_EQ(a.value(), "eggs");  // "milk" is gone with no trace
 }
 
-TEST(MvRegisterTest, EmptyHasNoValues) {
-  MvRegister reg;
-  EXPECT_TRUE(reg.Values().empty());
-  EXPECT_EQ(reg.sibling_count(), 0u);
-}
-
-TEST(MvRegisterTest, SequentialSetsKeepOneValue) {
-  MvRegister reg;
-  reg.Set("a", 0);
-  reg.Set("b", 0);
-  EXPECT_EQ(reg.Values(), (std::vector<std::string>{"b"}));
-}
-
-TEST(MvRegisterTest, ConcurrentSetsKeepBothValues) {
-  MvRegister a, b;
-  a.Set("milk", 0);
-  b.Set("eggs", 1);
-  a.Merge(b);
-  EXPECT_EQ(a.Values(), (std::vector<std::string>{"eggs", "milk"}));
-  EXPECT_EQ(a.sibling_count(), 2u);
-}
-
-TEST(MvRegisterTest, SetAfterMergeResolvesSiblings) {
-  MvRegister a, b;
-  a.Set("milk", 0);
-  b.Set("eggs", 1);
-  a.Merge(b);
-  a.Set("milk+eggs", 0);  // a has observed both siblings
-  EXPECT_EQ(a.Values(), (std::vector<std::string>{"milk+eggs"}));
-  // And the resolution propagates: b merging from a drops its sibling.
-  b.Merge(a);
-  EXPECT_EQ(b.Values(), (std::vector<std::string>{"milk+eggs"}));
-}
-
-TEST(MvRegisterTest, MergeIsCommutativeAndIdempotent) {
-  MvRegister a, b;
-  a.Set("x", 0);
-  b.Set("y", 1);
-  MvRegister ab = a;
-  ab.Merge(b);
-  MvRegister ba = b;
-  ba.Merge(a);
-  EXPECT_TRUE(ab == ba);
-  MvRegister again = ab;
-  again.Merge(b);
-  EXPECT_TRUE(again == ab);
-}
-
-TEST(MvRegisterTest, ThreeWayConcurrencyKeepsThreeSiblings) {
-  MvRegister r0, r1, r2;
-  r0.Set("a", 0);
-  r1.Set("b", 1);
-  r2.Set("c", 2);
-  r0.Merge(r1);
-  r0.Merge(r2);
-  EXPECT_EQ(r0.sibling_count(), 3u);
-}
-
-class MvRegisterPropertyTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(MvRegisterPropertyTest, ReplicasConvergeUnderRandomGossip) {
-  Rng rng(GetParam());
-  MvRegister regs[4];
-  for (int step = 0; step < 300; ++step) {
-    const auto r = static_cast<uint32_t>(rng.NextBounded(4));
-    if (rng.NextBool(0.4)) {
-      regs[r].Set("v" + std::to_string(step), r);
-    } else {
-      regs[r].Merge(regs[rng.NextBounded(4)]);
-    }
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (auto& a : regs) {
-      for (const auto& b : regs) a.Merge(b);
-    }
-  }
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_TRUE(regs[0] == regs[i]) << regs[0].ToString() << " vs "
-                                    << regs[i].ToString();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, MvRegisterPropertyTest,
-                         ::testing::Range(uint64_t{1}, uint64_t{9}));
-
 }  // namespace
 }  // namespace evc::crdt

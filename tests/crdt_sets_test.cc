@@ -4,69 +4,9 @@
 
 #include "common/rng.h"
 #include "crdt/orset.h"
-#include "crdt/sets.h"
 
 namespace evc::crdt {
 namespace {
-
-TEST(GSetTest, AddAndContains) {
-  GSet s;
-  EXPECT_TRUE(s.Add("a"));
-  EXPECT_FALSE(s.Add("a"));  // duplicate
-  EXPECT_TRUE(s.Contains("a"));
-  EXPECT_FALSE(s.Contains("b"));
-  EXPECT_EQ(s.size(), 1u);
-}
-
-TEST(GSetTest, MergeIsUnion) {
-  GSet a, b;
-  a.Add("x");
-  b.Add("y");
-  a.Merge(b);
-  EXPECT_TRUE(a.Contains("x"));
-  EXPECT_TRUE(a.Contains("y"));
-  GSet c = b;
-  c.Merge(a);
-  EXPECT_TRUE(a == c);
-}
-
-TEST(TwoPhaseSetTest, AddThenRemove) {
-  TwoPhaseSet s;
-  s.Add("a");
-  EXPECT_TRUE(s.Contains("a"));
-  s.Remove("a");
-  EXPECT_FALSE(s.Contains("a"));
-}
-
-TEST(TwoPhaseSetTest, RemoveWinsForever) {
-  // The 2P-set limitation: re-adding after removal has no effect.
-  TwoPhaseSet s;
-  s.Add("a");
-  s.Remove("a");
-  s.Add("a");
-  EXPECT_FALSE(s.Contains("a"));
-}
-
-TEST(TwoPhaseSetTest, ConcurrentAddRemoveRemoveWins) {
-  TwoPhaseSet a, b;
-  a.Add("item");
-  b.Merge(a);
-  a.Remove("item");
-  b.Add("item");  // concurrent re-add on b
-  a.Merge(b);
-  b.Merge(a);
-  EXPECT_FALSE(a.Contains("item"));
-  EXPECT_TRUE(a == b);
-}
-
-TEST(TwoPhaseSetTest, LiveElementsExcludeTombstoned) {
-  TwoPhaseSet s;
-  s.Add("keep");
-  s.Add("drop");
-  s.Remove("drop");
-  EXPECT_EQ(s.LiveElements(), (std::vector<std::string>{"keep"}));
-  EXPECT_EQ(s.tombstone_count(), 1u);
-}
 
 // ---------------------------------------------------------------------------
 // Observed-remove sets. Every behavioural test runs against both the

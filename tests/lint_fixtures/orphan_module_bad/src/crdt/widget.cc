@@ -1,0 +1,3 @@
+#include "crdt/widget.h"
+
+int Widget() { return 0; }

@@ -1,11 +1,12 @@
 // Self-test for tools/evc_lint: fixture-based positive/negative coverage per
 // check (including the v2 checks: unordered-snapshot, pointer-taint,
-// thread-hostile, layering, include-cycle), suppression-comment parsing,
-// --werror exit codes, the JSON/DOT/worklist output modes, deterministic
-// directory walks, and the compile-fail proof that a dropped Status is now a
-// compile error (the [[nodiscard]] attribute on Status/Result), not just a
-// scanner finding. The real tree is pinned too: zero layering violations,
-// zero cycles, and a clean --werror sweep over src/bench/tools/tests.
+// thread-hostile, layering, include-cycle, orphan-module), suppression-comment
+// parsing, --werror exit codes, the JSON/DOT/worklist output modes,
+// deterministic directory walks, and the compile-fail proof that a dropped
+// Status is now a compile error (the [[nodiscard]] attribute on
+// Status/Result), not just a scanner finding. The real tree is pinned too:
+// zero layering violations, zero cycles, no orphan module but the one
+// allowed, and a clean --werror sweep over src/bench/tools/tests/examples.
 
 #include "evc_lint/lint.h"
 
@@ -56,13 +57,14 @@ std::vector<int> LinesOf(const std::vector<Finding>& findings,
   return lines;
 }
 
-TEST(EvcLint, ListsTenChecks) {
+TEST(EvcLint, ListsElevenChecks) {
   const std::vector<std::string>& names = AllCheckNames();
-  ASSERT_EQ(names.size(), 10u);
+  ASSERT_EQ(names.size(), 11u);
   for (const char* expected :
        {"wall-clock", "raw-random", "unordered-iteration",
         "unordered-snapshot", "discarded-status", "check-macro",
-        "pointer-taint", "thread-hostile", "layering", "include-cycle"}) {
+        "pointer-taint", "thread-hostile", "layering", "include-cycle",
+        "orphan-module"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing check " << expected;
   }
@@ -252,6 +254,32 @@ TEST(EvcLint, SameRankLayerCycleIsFlagged) {
       << "same-rank includes are not upward edges";
 }
 
+// --- orphan modules ---------------------------------------------------------
+
+TEST(EvcLint, OrphanModulePositive) {
+  // A mini tree whose widget header is included only by the umbrella
+  // header, its own .cc and a test: one finding, at the include guard.
+  std::vector<std::string> errors;
+  std::vector<Finding> findings =
+      ScanPaths({FixturePath("orphan_module_bad")}, Options{}, &errors);
+  EXPECT_TRUE(errors.empty());
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].check, "orphan-module");
+  EXPECT_EQ(findings[0].file,
+            FixturePath("orphan_module_bad") + "/src/crdt/widget.h");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(EvcLint, OrphanModuleNegative) {
+  // The same tree plus one example that includes the header. Examples are
+  // .cpp files, and they count as users.
+  std::vector<std::string> errors;
+  EXPECT_TRUE(
+      ScanPaths({FixturePath("orphan_module_ok")}, Options{}, &errors)
+          .empty());
+  EXPECT_TRUE(errors.empty());
+}
+
 // --- real-tree pins -------------------------------------------------------
 
 std::string ReadRealSource(const std::string& rel) {
@@ -322,6 +350,40 @@ TEST(EvcLint, SlabTestPointerTaintAllowIsLoadBearing) {
   EXPECT_EQ(LinesOf(ScanFiles({stripped}), "pointer-taint").size(), 1u);
 }
 
+TEST(EvcLint, DvvStoreOrphanAllowIsLoadBearing) {
+  // Over the whole tree, the only test-only module is storage/dvv_store.h,
+  // and its allow(orphan-module) keeps the scan clean...
+  std::string root(EVC_REPO_ROOT_DIR);
+  std::vector<std::string> errors;
+  std::vector<SourceFile> tree;
+  for (const std::string& path :
+       ListSourceFiles({root + "/src", root + "/bench", root + "/tools",
+                        root + "/tests", root + "/examples"},
+                       &errors)) {
+    if (path.find("lint_fixtures") != std::string::npos) continue;
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    tree.push_back({path, ss.str()});
+  }
+  EXPECT_TRUE(errors.empty());
+  Options options;
+  options.only_checks = {"orphan-module"};
+  for (const Finding& f : ScanFiles(tree, options)) {
+    ADD_FAILURE() << "orphan module in real tree: " << FormatFinding(f);
+  }
+  // ...and stripping the allow line resurfaces exactly that finding.
+  const std::string dvv = root + "/src/storage/dvv_store.h";
+  for (SourceFile& f : tree) {
+    if (f.path == dvv) {
+      f.content = StripLineContaining(f.content, "allow(orphan-module)");
+    }
+  }
+  std::vector<Finding> findings = ScanFiles(tree, options);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].file, dvv);
+}
+
 TEST(EvcLint, TreeWideWerrorSweepIsClean) {
   // The exact invocation CI runs (fixtures excluded — they are deliberately
   // dirty). This pins the whole-tree acceptance criterion as a unit test.
@@ -329,7 +391,7 @@ TEST(EvcLint, TreeWideWerrorSweepIsClean) {
   std::vector<std::string> out;
   int rc = RunCommandLine({"--werror", "--exclude=lint_fixtures",
                            root + "/src", root + "/bench", root + "/tools",
-                           root + "/tests"},
+                           root + "/tests", root + "/examples"},
                           &out);
   ASSERT_FALSE(out.empty());
   EXPECT_EQ(rc, 0) << "tree no longer lint-clean; first line: " << out.front();
@@ -345,7 +407,8 @@ TEST(EvcLint, ListSourceFilesWalksInSortedOrder) {
   fs::create_directories(root / "zeta");
   fs::create_directories(root / "alpha");
   for (const char* rel :
-       {"zeta/m.cc", "alpha/b.h", "alpha/a.cc", "top.cc", "notes.txt"}) {
+       {"zeta/m.cc", "alpha/b.h", "alpha/a.cc", "alpha/c.cpp", "top.cc",
+        "notes.txt"}) {
     std::ofstream(root / rel) << "// stub\n";
   }
   std::vector<std::string> errors;
@@ -356,6 +419,7 @@ TEST(EvcLint, ListSourceFilesWalksInSortedOrder) {
   std::vector<std::string> expected = {
       (root / "alpha/a.cc").generic_string(),
       (root / "alpha/b.h").generic_string(),
+      (root / "alpha/c.cpp").generic_string(),
       (root / "top.cc").generic_string(),
       (root / "zeta/m.cc").generic_string(),
   };
@@ -475,7 +539,7 @@ TEST(EvcLint, ExcludeFlagSkipsMatchingPaths) {
 TEST(EvcLint, ListChecksExitsZero) {
   std::vector<std::string> out;
   EXPECT_EQ(RunCommandLine({"--list-checks"}, &out), 0);
-  EXPECT_EQ(out.size(), 10u);
+  EXPECT_EQ(out.size(), 11u);
 }
 
 // --- machine-readable outputs ---------------------------------------------

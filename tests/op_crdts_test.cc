@@ -2,184 +2,139 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
-#include "crdt/causal_bus.h"
-#include "crdt/ormap.h"
+#include "crdt/geo_broadcast.h"
 
 namespace evc::crdt {
 namespace {
 
-// ---------------------------------------------------------------------------
-// CausalBus delivery contract
-// ---------------------------------------------------------------------------
+using sim::kMillisecond;
+using sim::kSecond;
 
-TEST(CausalBusTest, LocalEchoIsImmediate) {
-  CausalBus<int> bus(2);
-  std::vector<int> got;
-  bus.OnDeliver(0, [&](uint32_t, const int& op) { got.push_back(op); });
-  bus.Broadcast(0, 7);
-  EXPECT_EQ(got, (std::vector<int>{7}));
-}
-
-TEST(CausalBusTest, RemoteDeliveryOnPull) {
-  CausalBus<int> bus(2);
-  std::vector<int> got;
-  bus.OnDeliver(1, [&](uint32_t, const int& op) { got.push_back(op); });
-  bus.Broadcast(0, 1);
-  bus.Broadcast(0, 2);
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(bus.Pull(1), 2u);
-  EXPECT_EQ(got, (std::vector<int>{1, 2}));
-}
-
-TEST(CausalBusTest, FifoFromSingleOrigin) {
-  CausalBus<int> bus(2);
-  std::vector<int> got;
-  bus.OnDeliver(1, [&](uint32_t, const int& op) { got.push_back(op); });
-  for (int i = 0; i < 10; ++i) bus.Broadcast(0, i);
-  bus.Pull(1);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(got[i], i);
-}
-
-TEST(CausalBusTest, CausalOrderAcrossOrigins) {
-  // r0 broadcasts A; r1 delivers A then broadcasts B (B causally after A).
-  // r2 must deliver A before B even though it pulls in one batch.
-  CausalBus<std::string> bus(3);
-  std::vector<std::string> at2;
-  bus.OnDeliver(1, [&](uint32_t, const std::string&) {});
-  bus.OnDeliver(2,
-                [&](uint32_t, const std::string& op) { at2.push_back(op); });
-  bus.Broadcast(0, "A");
-  bus.Pull(1);            // r1 sees A
-  bus.Broadcast(1, "B");  // causally depends on A
-  bus.PullAll();
-  ASSERT_EQ(at2.size(), 2u);
-  EXPECT_EQ(at2[0], "A");
-  EXPECT_EQ(at2[1], "B");
-}
-
-TEST(CausalBusTest, DependentOpWaitsForDependency) {
-  CausalBus<std::string> bus(3);
-  std::vector<std::string> at2;
-  bus.OnDeliver(1, [](uint32_t, const std::string&) {});
-  bus.OnDeliver(2,
-                [&](uint32_t, const std::string& op) { at2.push_back(op); });
-  bus.Broadcast(0, "A");
-  bus.Pull(1);
-  bus.Broadcast(1, "B");
-  // r2 somehow tries to pull only r1's op first: it must stay pending
-  // because A hasn't been delivered at r2 yet. Pull(2, 1) delivers A (the
-  // only ready op).
-  EXPECT_EQ(bus.Pull(2, 1), 1u);
-  ASSERT_EQ(at2.size(), 1u);
-  EXPECT_EQ(at2[0], "A");
-  EXPECT_EQ(bus.Pull(2), 1u);
-  EXPECT_EQ(at2[1], "B");
-}
-
-TEST(CausalBusTest, PendingCountTracksBacklog) {
-  CausalBus<int> bus(2);
-  bus.OnDeliver(1, [](uint32_t, const int&) {});
-  bus.Broadcast(0, 1);
-  EXPECT_EQ(bus.PendingAt(1), 1u);
-  bus.Pull(1);
-  EXPECT_EQ(bus.PendingAt(1), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// OpCounter
-// ---------------------------------------------------------------------------
-
-TEST(OpCounterTest, ConvergesUnderAnyDeliveryOrder) {
-  CausalBus<OpCounter::Op> bus(3);
-  OpCounter counters[3];
-  for (uint32_t r = 0; r < 3; ++r) {
-    bus.OnDeliver(r, [&counters, r](uint32_t, const OpCounter::Op& op) {
-      counters[r].Apply(op);
-    });
-  }
-  bus.Broadcast(0, OpCounter::MakeIncrement(5));
-  bus.Broadcast(1, OpCounter::MakeIncrement(-2));
-  bus.Broadcast(2, OpCounter::MakeIncrement(10));
-  bus.PullAll();
-  for (const auto& c : counters) EXPECT_EQ(c.Value(), 13);
-}
-
-TEST(OpCounterTest, InterleavedIncrementsAllCounted) {
-  CausalBus<OpCounter::Op> bus(2);
-  OpCounter counters[2];
-  for (uint32_t r = 0; r < 2; ++r) {
-    bus.OnDeliver(r, [&counters, r](uint32_t, const OpCounter::Op& op) {
-      counters[r].Apply(op);
-    });
-  }
-  Rng rng(5);
-  int64_t expected = 0;
-  for (int i = 0; i < 200; ++i) {
-    const int64_t delta = rng.NextInRange(-3, 3);
-    expected += delta;
-    bus.Broadcast(static_cast<uint32_t>(rng.NextBounded(2)),
-                  OpCounter::MakeIncrement(delta));
-    if (rng.NextBool(0.2)) bus.Pull(rng.NextBounded(2));
-  }
-  bus.PullAll();
-  EXPECT_EQ(counters[0].Value(), expected);
-  EXPECT_EQ(counters[1].Value(), expected);
-}
-
-// ---------------------------------------------------------------------------
-// OpOrSet (requires the bus's causal order)
-// ---------------------------------------------------------------------------
-
-struct OrSetHarness {
-  explicit OrSetHarness(uint32_t n) : bus(n) {
-    for (uint32_t r = 0; r < n; ++r) {
-      sets.emplace_back(r);
-    }
-    for (uint32_t r = 0; r < n; ++r) {
-      bus.OnDeliver(r, [this, r](uint32_t, const OpOrSet::Op& op) {
-        sets[r].Apply(op);
+// One op-based CRDT replicated by GeoBroadcast over the three-region WAN.
+// Heavy jitter reorders ops in flight and duplication delivers some twice,
+// so the broadcast must hand each replica every op exactly once (and, with
+// `causal`, in causal order).
+template <typename Crdt>
+class OpReplicas {
+ public:
+  OpReplicas(std::vector<Crdt> initial, bool causal, uint64_t seed)
+      : replicas(std::move(initial)), sim_(seed) {
+    auto latency = std::make_unique<sim::WanMatrixLatency>(
+        sim::WanMatrixLatency::ThreeRegionBaseUs(), /*jitter=*/3.0);
+    auto* wan = latency.get();
+    net_ = std::make_unique<sim::Network>(&sim_, std::move(latency));
+    net_->set_duplicate_rate(0.3);
+    GeoBroadcastOptions options;
+    options.causal = causal;
+    gb_ = std::make_unique<GeoBroadcast>(net_.get(), options);
+    for (size_t i = 0; i < replicas.size(); ++i) {
+      const sim::NodeId node = net_->AddNode();
+      wan->AssignNode(node, static_cast<uint32_t>(i % 3));
+      gb_->AddMember(node, [this, i](uint32_t, const sim::Payload& op) {
+        replicas[i].Apply(op.Peek<typename Crdt::Op>());
       });
     }
   }
+
+  void Publish(uint32_t origin, typename Crdt::Op op) {
+    gb_->Publish(origin, std::move(op));
+  }
+  void RunFor(sim::Time duration) { sim_.RunFor(duration); }
+  void Settle() { sim_.RunFor(10 * kSecond); }
+
+  std::vector<Crdt> replicas;
+
+ private:
+  sim::Simulator sim_;
+  std::unique_ptr<sim::Network> net_;
+  std::unique_ptr<GeoBroadcast> gb_;
+};
+
+// ---------------------------------------------------------------------------
+// OpCounter: needs exactly-once delivery only, so arrival order suffices.
+// ---------------------------------------------------------------------------
+
+TEST(OpCounterTest, ConvergesUnderAnyDeliveryOrder) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    OpReplicas<OpCounter> h(std::vector<OpCounter>(3), /*causal=*/false,
+                            seed);
+    h.Publish(0, OpCounter::MakeIncrement(5));
+    h.Publish(1, OpCounter::MakeIncrement(-2));
+    h.Publish(2, OpCounter::MakeIncrement(10));
+    h.Settle();
+    for (const auto& c : h.replicas) EXPECT_EQ(c.Value(), 13) << seed;
+  }
+}
+
+TEST(OpCounterTest, InterleavedIncrementsAllCounted) {
+  for (bool causal : {true, false}) {
+    OpReplicas<OpCounter> h(std::vector<OpCounter>(2), causal, /*seed=*/5);
+    Rng rng(5);
+    int64_t expected = 0;
+    for (int i = 0; i < 200; ++i) {
+      const int64_t delta = rng.NextInRange(-3, 3);
+      expected += delta;
+      h.Publish(static_cast<uint32_t>(rng.NextBounded(2)),
+                OpCounter::MakeIncrement(delta));
+      if (rng.NextBool(0.2)) h.RunFor(20 * kMillisecond);
+    }
+    h.Settle();
+    EXPECT_EQ(h.replicas[0].Value(), expected) << "causal=" << causal;
+    EXPECT_EQ(h.replicas[1].Value(), expected) << "causal=" << causal;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// OpOrSet (requires causal order)
+// ---------------------------------------------------------------------------
+
+struct OrSetHarness : OpReplicas<OpOrSet> {
+  OrSetHarness(uint32_t n, uint64_t seed)
+      : OpReplicas<OpOrSet>(Sets(n), /*causal=*/true, seed) {}
+  static std::vector<OpOrSet> Sets(uint32_t n) {
+    std::vector<OpOrSet> sets;
+    for (uint32_t r = 0; r < n; ++r) sets.emplace_back(r);
+    return sets;
+  }
   void Add(uint32_t r, const std::string& e) {
-    bus.Broadcast(r, sets[r].MakeAdd(e));
+    Publish(r, replicas[r].MakeAdd(e));
   }
   void Remove(uint32_t r, const std::string& e) {
-    bus.Broadcast(r, sets[r].MakeRemove(e));
+    Publish(r, replicas[r].MakeRemove(e));
   }
-  CausalBus<OpOrSet::Op> bus;
-  std::vector<OpOrSet> sets;
 };
 
 TEST(OpOrSetTest, AddRemoveLocal) {
-  OrSetHarness h(2);
+  OrSetHarness h(2, /*seed=*/1);
   h.Add(0, "x");
-  EXPECT_TRUE(h.sets[0].Contains("x"));
+  EXPECT_TRUE(h.replicas[0].Contains("x"));
   h.Remove(0, "x");
-  EXPECT_FALSE(h.sets[0].Contains("x"));
-  h.bus.PullAll();
-  EXPECT_FALSE(h.sets[1].Contains("x"));
+  EXPECT_FALSE(h.replicas[0].Contains("x"));
+  h.Settle();
+  EXPECT_FALSE(h.replicas[1].Contains("x"));
 }
 
 TEST(OpOrSetTest, ConcurrentAddSurvivesRemove) {
-  OrSetHarness h(2);
+  OrSetHarness h(2, /*seed=*/2);
   h.Add(0, "beer");
-  h.bus.PullAll();
+  h.Settle();
   // Concurrent: r0 removes (observing r0's tag), r1 adds a fresh tag.
   h.Remove(0, "beer");
   h.Add(1, "beer");
-  h.bus.PullAll();
-  EXPECT_TRUE(h.sets[0].Contains("beer"));
-  EXPECT_TRUE(h.sets[1].Contains("beer"));
-  EXPECT_TRUE(h.sets[0] == h.sets[1]);
+  h.Settle();
+  EXPECT_TRUE(h.replicas[0].Contains("beer"));
+  EXPECT_TRUE(h.replicas[1].Contains("beer"));
+  EXPECT_TRUE(h.replicas[0] == h.replicas[1]);
 }
 
 TEST(OpOrSetTest, RandomScriptConverges) {
   Rng rng(11);
-  OrSetHarness h(3);
+  OrSetHarness h(3, /*seed=*/11);
   const char* items[] = {"a", "b", "c"};
   for (int step = 0; step < 300; ++step) {
     const uint32_t r = static_cast<uint32_t>(rng.NextBounded(3));
@@ -189,94 +144,11 @@ TEST(OpOrSetTest, RandomScriptConverges) {
     } else {
       h.Remove(r, item);
     }
-    if (rng.NextBool(0.3)) h.bus.Pull(rng.NextBounded(3), rng.NextBounded(5));
+    if (rng.NextBool(0.3)) h.RunFor(20 * kMillisecond);
   }
-  h.bus.PullAll();
-  EXPECT_TRUE(h.sets[0] == h.sets[1]);
-  EXPECT_TRUE(h.sets[1] == h.sets[2]);
-}
-
-// ---------------------------------------------------------------------------
-// OrMap
-// ---------------------------------------------------------------------------
-
-LamportTimestamp Ts(uint64_t c, uint32_t node = 0) {
-  return LamportTimestamp{c, node};
-}
-
-TEST(OrMapTest, PutGetRemove) {
-  OrMap m(0);
-  m.Put("k", "v", Ts(1));
-  EXPECT_EQ(m.Get("k"), std::optional<std::string>("v"));
-  m.Remove("k");
-  EXPECT_EQ(m.Get("k"), std::nullopt);
-  EXPECT_FALSE(m.Contains("k"));
-}
-
-TEST(OrMapTest, LwwValueOnConcurrentPuts) {
-  OrMap a(0), b(1);
-  a.Put("k", "from-a", Ts(5, 0));
-  b.Put("k", "from-b", Ts(6, 1));
-  a.Merge(b);
-  b.Merge(a);
-  EXPECT_EQ(a.Get("k"), std::optional<std::string>("from-b"));
-  EXPECT_TRUE(a == b);
-}
-
-TEST(OrMapTest, ConcurrentPutSurvivesRemove) {
-  OrMap a(0), b(1);
-  a.Put("k", "v1", Ts(1, 0));
-  b.Merge(a);
-  a.Remove("k");
-  b.Put("k", "v2", Ts(2, 1));  // concurrent re-put
-  a.Merge(b);
-  b.Merge(a);
-  EXPECT_EQ(a.Get("k"), std::optional<std::string>("v2"));
-  EXPECT_TRUE(a == b);
-}
-
-TEST(OrMapTest, GarbageCollectDropsDeadRegisters) {
-  OrMap m(0);
-  m.Put("k", "v", Ts(1));
-  m.Remove("k");
-  EXPECT_EQ(m.GarbageCollect(), 1u);
-  EXPECT_EQ(m.Get("k"), std::nullopt);
-}
-
-TEST(OrMapTest, KeysListsLiveOnly) {
-  OrMap m(0);
-  m.Put("a", "1", Ts(1));
-  m.Put("b", "2", Ts(2));
-  m.Remove("a");
-  auto keys = m.Keys();
-  EXPECT_EQ(keys, (std::vector<std::string>{"b"}));
-  EXPECT_EQ(m.size(), 1u);
-}
-
-TEST(OrMapTest, RandomGossipConverges) {
-  Rng rng(13);
-  OrMap maps[3] = {OrMap(0), OrMap(1), OrMap(2)};
-  const char* keys[] = {"x", "y"};
-  uint64_t ts = 1;
-  for (int step = 0; step < 300; ++step) {
-    const uint32_t r = static_cast<uint32_t>(rng.NextBounded(3));
-    const std::string key = keys[rng.NextBounded(2)];
-    const double dice = rng.NextDouble();
-    if (dice < 0.45) {
-      maps[r].Put(key, "v" + std::to_string(step), Ts(ts++, r));
-    } else if (dice < 0.65) {
-      maps[r].Remove(key);
-    } else {
-      maps[r].Merge(maps[rng.NextBounded(3)]);
-    }
-  }
-  for (int round = 0; round < 2; ++round) {
-    for (auto& a : maps) {
-      for (const auto& b : maps) a.Merge(b);
-    }
-  }
-  EXPECT_TRUE(maps[0] == maps[1]);
-  EXPECT_TRUE(maps[1] == maps[2]);
+  h.Settle();
+  EXPECT_TRUE(h.replicas[0] == h.replicas[1]);
+  EXPECT_TRUE(h.replicas[1] == h.replicas[2]);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@ constexpr const char* kPointerTaint = "pointer-taint";
 constexpr const char* kThreadHostile = "thread-hostile";
 constexpr const char* kLayering = "layering";
 constexpr const char* kIncludeCycle = "include-cycle";
+constexpr const char* kOrphanModule = "orphan-module";
 constexpr const char* kBadSuppression = "bad-suppression";
 
 bool IsIdentChar(char c) {
@@ -1330,6 +1331,52 @@ void RunCycleChecks(const std::vector<SourceFile>& files,
   }
 }
 
+/// True if `includer` is the .cc that implements `header` (same directory
+/// and stem).
+bool IsOwnSource(const std::string& includer, const std::string& header) {
+  std::filesystem::path source(includer);
+  if (source.extension() != ".cc") return false;
+  return NormalizePath(source.replace_extension(".h").generic_string()) ==
+         NormalizePath(header);
+}
+
+/// orphan-module findings: src/ headers that only the umbrella header, their
+/// own .cc and tests/ include. Each is reported at its first line of code
+/// (the include guard), so an allow() sits directly above the guard. Only a
+/// scan that holds the umbrella header is judged: a scan of a few files
+/// cannot see a module's users.
+void RunOrphanChecks(const std::vector<SourceFile>& files,
+                     const std::vector<Preprocessed>& pres,
+                     const IncludeGraph& g,
+                     std::map<std::string, std::vector<Finding>>* extra) {
+  if (std::find(g.layer.begin(), g.layer.end(), "api") == g.layer.end()) {
+    return;
+  }
+  std::vector<bool> used(files.size(), false);
+  for (size_t i = 0; i < files.size(); ++i) {
+    if (g.layer[i] == "api" || g.layer[i] == "tests") continue;
+    for (const IncludeEdge& e : g.edges[i]) {
+      if (e.target < 0) continue;
+      if (IsOwnSource(files[i].path, files[e.target].path)) continue;
+      used[e.target] = true;
+    }
+  }
+  for (size_t i = 0; i < files.size(); ++i) {
+    const std::string& path = files[i].path;
+    if (used[i] || g.layer[i] == "api" || !PathIsInSrc(path) ||
+        std::filesystem::path(path).extension() != ".h") {
+      continue;
+    }
+    const size_t code_at = pres[i].code.find_first_not_of(" \t\r\n");
+    (*extra)[path].push_back(
+        {kOrphanModule, path,
+         code_at == std::string::npos ? 1 : LineAt(pres[i], code_at),
+         "only the umbrella header, its own .cc and tests/ include this "
+         "header: no bench, example, tool or other module uses it, so it "
+         "reports no number; give it a user or delete it"});
+  }
+}
+
 bool IsSuppressed(std::vector<Suppression>& sups, const Finding& f) {
   for (Suppression& sup : sups) {
     if (sup.checks.count(f.check) > 0 &&
@@ -1348,7 +1395,7 @@ const std::vector<std::string>& AllCheckNames() {
       kWallClock,        kRawRandom,     kUnorderedIteration,
       kUnorderedSnapshot, kDiscardedStatus, kCheckMacro,
       kPointerTaint,     kThreadHostile, kLayering,
-      kIncludeCycle};
+      kIncludeCycle,     kOrphanModule};
   return *names;
 }
 
@@ -1384,12 +1431,17 @@ std::vector<Finding> ScanFiles(const std::vector<SourceFile>& files,
   };
 
   // Whole-set passes over the include graph; findings are attributed to the
-  // includer file so its suppressions apply.
+  // file at fault (the includer, or the orphaned header) so its
+  // suppressions apply.
   std::map<std::string, std::vector<Finding>> graph_findings;
-  if (enabled(kLayering) || enabled(kIncludeCycle)) {
+  if (enabled(kLayering) || enabled(kIncludeCycle) ||
+      enabled(kOrphanModule)) {
     IncludeGraph graph = BuildIncludeGraph(files, pres);
     if (enabled(kLayering)) RunLayeringChecks(files, graph, &graph_findings);
     if (enabled(kIncludeCycle)) RunCycleChecks(files, graph, &graph_findings);
+    if (enabled(kOrphanModule)) {
+      RunOrphanChecks(files, pres, graph, &graph_findings);
+    }
   }
 
   std::vector<Finding> all;
@@ -1458,7 +1510,9 @@ std::vector<std::string> ListSourceFiles(const std::vector<std::string>& paths,
         walk(e);
       } else if (fs::is_regular_file(e, ec2)) {
         std::string ext = e.extension().string();
-        if (ext == ".cc" || ext == ".h") out.push_back(e.generic_string());
+        if (ext == ".cc" || ext == ".cpp" || ext == ".h") {
+          out.push_back(e.generic_string());
+        }
       }
     }
   };
@@ -1686,9 +1740,9 @@ int RunCommandLine(const std::vector<std::string>& args,
           "...] [--format=text|json] [--layers=dot] [--runtime-worklist] "
           "[--list-checks] [paths...]");
       out->push_back(
-          "scans .cc/.h files (default paths: src bench tools) for "
-          "determinism, layering, thread-readiness and error-discipline "
-          "violations");
+          "scans .cc/.cpp/.h files (default paths: src bench tools "
+          "examples) for determinism, layering, thread-readiness, "
+          "error-discipline and orphan-module violations");
       out->push_back(
           "  --layers=dot         print the observed layer graph as "
           "Graphviz DOT and exit");
@@ -1703,7 +1757,7 @@ int RunCommandLine(const std::vector<std::string>& args,
       paths.push_back(arg);
     }
   }
-  if (paths.empty()) paths = {"src", "bench", "tools"};
+  if (paths.empty()) paths = {"src", "bench", "tools", "examples"};
 
   std::vector<std::string> errors;
   std::vector<SourceFile> files = LoadFiles(paths, options, &errors);

@@ -61,6 +61,14 @@
 //   include-cycle        cycles in the file-level include graph, and cycles
 //                        between same-rank layers — both are layering bugs
 //                        that header guards merely hide.
+//   orphan-module        a src/ header whose only includers are the
+//                        umbrella src/evc.h, its own .cc and tests/ (evc.h
+//                        itself is exempt). No bench, example, tool or other
+//                        module reaches it, so it reports no number: give it
+//                        a user or delete it. Judged only when the scan
+//                        holds src/evc.h, and includers count only if they
+//                        are in the scan set: scan every user directory
+//                        (bench, tools, examples) with src.
 //   thread-hostile       (src/ only) non-const namespace-scope globals,
 //                        mutable `static` function-locals, and thread_local:
 //                        state the deterministic single-threaded sim tolerates
@@ -137,7 +145,7 @@ std::vector<Finding> ScanFiles(const std::vector<SourceFile>& files,
                                const Options& options = {});
 
 /// Convenience: loads paths (files, or directories walked recursively for
-/// .cc/.h files) and scans them. IO errors append to `*errors`.
+/// .cc/.cpp/.h files) and scans them. IO errors append to `*errors`.
 std::vector<Finding> ScanPaths(const std::vector<std::string>& paths,
                                const Options& options,
                                std::vector<std::string>* errors);
@@ -145,8 +153,8 @@ std::vector<Finding> ScanPaths(const std::vector<std::string>& paths,
 /// Deterministic source-file discovery: each directory's entries are sorted
 /// bytewise before recursing, so the returned order is byte-identical across
 /// filesystems and platforms (readdir order is arbitrary). Files are
-/// filtered to .cc/.h. Used by ScanPaths; exposed so the order itself can be
-/// pinned by tests.
+/// filtered to .cc/.cpp/.h. Used by ScanPaths; exposed so the order itself
+/// can be pinned by tests.
 std::vector<std::string> ListSourceFiles(const std::vector<std::string>& paths,
                                          std::vector<std::string>* errors);
 
