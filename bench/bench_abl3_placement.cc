@@ -30,9 +30,6 @@ double Imbalance(const std::map<sim::NodeId, int>& owned, int keys,
 }
 
 void BalanceSweep(bench::Harness* out) {
-  std::printf("--- (a) primary-load imbalance, 8 servers, 50k keys ---\n");
-  std::printf("%-16s %-12s\n", "placement", "max/fair");
-  std::printf("------------------------------\n");
   const int keys = 50000;
   const int servers = 8;
   // Modulo placement is perfectly balanced by construction over a uniform
@@ -42,10 +39,12 @@ void BalanceSweep(bench::Harness* out) {
     for (int i = 0; i < keys; ++i) {
       owned[Fnv1a64("key" + std::to_string(i)) % servers]++;
     }
-    const double imbalance = Imbalance(owned, keys, servers);
-    std::printf("%-16s %-12.3f\n", "modulo", imbalance);
-    out->Row("balance", {obs::Json("modulo"), obs::Json(imbalance)});
+    out->Row("balance",
+             {obs::Json("modulo"), obs::Json(Imbalance(owned, keys, servers))});
   }
+  double one_vnode = 0;
+  double prev = 1e18;
+  bool falls = true;
   for (int vnodes : {1, 4, 16, 64, 256}) {
     HashRing ring(vnodes);
     for (sim::NodeId n = 0; n < servers; ++n) ring.AddServer(n);
@@ -53,46 +52,46 @@ void BalanceSweep(bench::Harness* out) {
     for (int i = 0; i < keys; ++i) {
       owned[ring.PrimaryFor("key" + std::to_string(i))]++;
     }
-    char label[32];
-    std::snprintf(label, sizeof(label), "ring vnodes=%d", vnodes);
     const double imbalance = Imbalance(owned, keys, servers);
-    std::printf("%-16s %-12.3f\n", label, imbalance);
-    out->Row("balance", {obs::Json(label), obs::Json(imbalance)});
+    out->Row("balance", {obs::Json("ring vnodes=" + std::to_string(vnodes)),
+                         obs::Json(imbalance)});
+    if (vnodes == 1) one_vnode = imbalance;
+    falls = falls && imbalance < prev;
+    prev = imbalance;
   }
+  out->Claim("one_vnode_overloads", one_vnode >= 2.0,
+             "with 1 vnode per server the hottest of 8 servers owns at "
+             "least 2x its fair share of primaries");
+  out->Claim("imbalance_falls_with_vnodes", falls,
+             "the imbalance falls at each step from 1 to 256 vnodes");
 }
 
 void RemapSweep(bench::Harness* out) {
-  std::printf("\n--- (b) keys remapped when adding server #9 (50k keys) ---\n");
-  std::printf("%-16s %-14s\n", "placement", "moved");
-  std::printf("------------------------------\n");
   const int keys = 50000;
-  {
-    int moved = 0;
-    for (int i = 0; i < keys; ++i) {
-      const uint64_t h = Fnv1a64("key" + std::to_string(i));
-      if (h % 8 != h % 9) ++moved;
-    }
-    std::printf("%-16s %6d (%.1f%%)\n", "modulo", moved, 100.0 * moved / keys);
-    out->Row("remap", {obs::Json("modulo"), obs::Json(moved),
-                       obs::Json(100.0 * moved / keys)});
+  int modulo_moved = 0;
+  for (int i = 0; i < keys; ++i) {
+    const uint64_t h = Fnv1a64("key" + std::to_string(i));
+    if (h % 8 != h % 9) ++modulo_moved;
   }
-  {
-    HashRing ring(64);
-    for (sim::NodeId n = 0; n < 8; ++n) ring.AddServer(n);
-    std::vector<sim::NodeId> before(keys);
-    for (int i = 0; i < keys; ++i) {
-      before[i] = ring.PrimaryFor("key" + std::to_string(i));
-    }
-    ring.AddServer(8);
-    int moved = 0;
-    for (int i = 0; i < keys; ++i) {
-      if (ring.PrimaryFor("key" + std::to_string(i)) != before[i]) ++moved;
-    }
-    std::printf("%-16s %6d (%.1f%%)\n", "ring vnodes=64", moved,
-                100.0 * moved / keys);
-    out->Row("remap", {obs::Json("ring vnodes=64"), obs::Json(moved),
-                       obs::Json(100.0 * moved / keys)});
+  out->Row("remap", {obs::Json("modulo"), obs::Json(modulo_moved),
+                     obs::Json(100.0 * modulo_moved / keys)});
+  HashRing ring(64);
+  for (sim::NodeId n = 0; n < 8; ++n) ring.AddServer(n);
+  std::vector<sim::NodeId> before(keys);
+  for (int i = 0; i < keys; ++i) {
+    before[i] = ring.PrimaryFor("key" + std::to_string(i));
   }
+  ring.AddServer(8);
+  int ring_moved = 0;
+  for (int i = 0; i < keys; ++i) {
+    if (ring.PrimaryFor("key" + std::to_string(i)) != before[i]) ++ring_moved;
+  }
+  out->Row("remap", {obs::Json("ring vnodes=64"), obs::Json(ring_moved),
+                     obs::Json(100.0 * ring_moved / keys)});
+  out->Claim("ring_remaps_few",
+             modulo_moved > keys * 8 / 10 && ring_moved < keys * 2 / 10,
+             "adding a 9th server remaps over 80% of keys under modulo "
+             "placement (~8/9) and under 20% on a 64-vnode ring (~1/9)");
 }
 
 }  // namespace
@@ -101,15 +100,9 @@ int main() {
   bench::Harness harness("abl3_placement");
   harness.Table("balance", {"placement", "max_over_fair"});
   harness.Table("remap", {"placement", "moved", "moved_pct"});
-  std::printf("=== Ablation 3: key placement schemes ===\n\n");
+  std::printf(
+      "=== Ablation 3: key placement schemes, 8 servers, 50k keys ===\n");
   BalanceSweep(&harness);
   RemapSweep(&harness);
-  EVC_CHECK_OK(harness.Write());
-  std::printf(
-      "\nExpected shape: (a) 1 vnode leaves some server ~2-3x overloaded;\n"
-      "imbalance falls toward 1.0 as vnodes grow (modulo is balanced by\n"
-      "construction). (b) modulo remaps ~8/9 of all keys when a server\n"
-      "joins; the ring moves only ~1/9 — the reason Dynamo-style systems\n"
-      "can scale elastically without mass data migration.\n");
-  return 0;
+  return harness.Finish();
 }

@@ -105,34 +105,31 @@ int main() {
                 {"concurrency", "lww_survivors", "lww_siblings",
                  "siblings_survivors", "siblings_siblings", "crdt_survivors"});
   std::printf(
-      "=== Fig. 5: surviving updates after C concurrent cart adds ===\n\n");
-  std::printf("%-12s | %-22s | %-22s | %-10s\n", "concurrency",
-              "LWW survivors (sib.)", "siblings survivors (sib.)",
-              "OR-Set");
-  std::printf("-------------+------------------------+---------------------"
-              "---+-----------\n");
+      "=== Fig. 5: surviving updates after C concurrent cart adds ===\n");
+  bool lww_keeps_one = true, siblings_keep_all = true, crdt_keeps_all = true;
   for (int c : {2, 4, 8, 16, 32}) {
     auto [lww_survivors, lww_siblings] =
         RunQuorumCart(ConflictPolicy::kLastWriterWins, c, 100 + c);
     auto [sib_survivors, sib_siblings] =
         RunQuorumCart(ConflictPolicy::kSiblings, c, 200 + c);
     const int crdt_survivors = RunCrdtCart(c);
-    std::printf("%-12d | %3d/%-3d (%2zu siblings)  | %3d/%-3d (%2zu siblings)"
-                "  | %3d/%-3d\n",
-                c, lww_survivors, c, lww_siblings, sib_survivors, c,
-                sib_siblings, crdt_survivors, c);
     harness.Row("survivors",
                 {obs::Json(c), obs::Json(lww_survivors),
                  obs::Json(static_cast<uint64_t>(lww_siblings)),
                  obs::Json(sib_survivors),
                  obs::Json(static_cast<uint64_t>(sib_siblings)),
                  obs::Json(crdt_survivors)});
+    lww_keeps_one = lww_keeps_one && lww_survivors == 1;
+    siblings_keep_all = siblings_keep_all && sib_survivors == c &&
+                        sib_siblings == static_cast<size_t>(c);
+    crdt_keeps_all = crdt_keeps_all && crdt_survivors == c;
   }
-  EVC_CHECK_OK(harness.Write());
-  std::printf(
-      "\nExpected shape: LWW keeps exactly ONE of C concurrent updates\n"
-      "(loss rate (C-1)/C, worsening with contention); the siblings policy\n"
-      "keeps all C as siblings for the app to merge; the OR-Set keeps all\n"
-      "C with no application merge at all.\n");
-  return 0;
+  harness.Claim("lww_keeps_one", lww_keeps_one,
+                "last-writer-wins keeps exactly one of C concurrent adds");
+  harness.Claim("siblings_keep_all", siblings_keep_all,
+                "the siblings policy keeps all C adds, as C siblings for the "
+                "application to merge");
+  harness.Claim("orset_keeps_all", crdt_keeps_all,
+                "the OR-set keeps all C adds with no application merge");
+  return harness.Finish();
 }

@@ -295,7 +295,7 @@ DeliveryArm RunDeliveryArm(bool causal, uint64_t seed) {
 
 }  // namespace
 
-// Custom epilogue after the microbenchmarks: the state-size table.
+// The state-size and replication tables run after the microbenchmarks.
 int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
@@ -314,12 +314,13 @@ int main(int argc, char** argv) {
   harness.Table("replication_bytes", {"crdt", "style", "bytes_per_update"});
   harness.Table("causal_delivery", {"causal", "seed", "min_ops_delivered",
                                     "counter_converged", "orset_zombies"});
+  std::printf(
+      "\n=== Fig. 6b-e: CRDT state growth and bytes per replication style "
+      "===\n");
 
-  std::printf("\n=== Fig. 6b: OR-set state bytes after add/remove churn ===\n");
-  std::printf("(each round adds then removes one of 16 hot items)\n\n");
-  std::printf("%-12s %-18s %-18s %-8s\n", "churn ops", "tombstoned OrSet",
-              "optimized OrSwot", "ratio");
-  std::printf("------------------------------------------------------\n");
+  // 6b: each round adds then removes one of 16 hot items.
+  bool churn_shape = true;
+  size_t prev_tombstoned = 0, prev_optimized = 0;
   for (int churn : {100, 1000, 10000, 50000}) {
     evc::crdt::OrSet tombstoned(0);
     evc::crdt::OrSwot optimized(0);
@@ -332,20 +333,24 @@ int main(int argc, char** argv) {
     }
     const double ratio = static_cast<double>(tombstoned.StateBytes()) /
                          static_cast<double>(optimized.StateBytes());
-    std::printf("%-12d %-18zu %-18zu %-8.1fx\n", churn,
-                tombstoned.StateBytes(), optimized.StateBytes(), ratio);
     harness.Row("state_growth",
                 {evc::obs::Json(churn),
                  evc::obs::Json(static_cast<uint64_t>(tombstoned.StateBytes())),
                  evc::obs::Json(static_cast<uint64_t>(optimized.StateBytes())),
                  evc::obs::Json(ratio)});
+    churn_shape = churn_shape && tombstoned.StateBytes() > prev_tombstoned &&
+                  (prev_optimized == 0 ||
+                   optimized.StateBytes() == prev_optimized);
+    prev_tombstoned = tombstoned.StateBytes();
+    prev_optimized = optimized.StateBytes();
   }
+  harness.Claim("tombstones_grow", churn_shape,
+                "under churn the tombstoned OR-set grows every round while "
+                "the optimized one keeps its size");
 
-  std::printf("\n=== Fig. 6c: delta vs full-state replication bytes ===\n");
-  std::printf("(GCounter across 16 replicas, 1 increment shipped per sync)\n\n");
-  std::printf("%-12s %-18s %-18s\n", "increments", "full-state bytes",
-              "delta bytes");
-  std::printf("--------------------------------------------\n");
+  // 6c: a GCounter across 16 replicas ships one increment per sync.
+  bool counter_shape = true;
+  double prev_delta_per_op = 0, prev_full_per_op = 0;
   for (int increments : {10, 100, 1000, 10000}) {
     evc::crdt::GCounter full;
     size_t full_bytes = 0, delta_bytes = 0;
@@ -355,38 +360,44 @@ int main(int argc, char** argv) {
       full_bytes += full.StateBytes();   // shipping the whole state each time
       delta_bytes += delta.StateBytes(); // shipping only the delta
     }
-    std::printf("%-12d %-18zu %-18zu\n", increments, full_bytes, delta_bytes);
     harness.Row("gcounter_delta",
                 {evc::obs::Json(increments),
                  evc::obs::Json(static_cast<uint64_t>(full_bytes)),
                  evc::obs::Json(static_cast<uint64_t>(delta_bytes))});
+    const double delta_per_op = static_cast<double>(delta_bytes) / increments;
+    const double full_per_op = static_cast<double>(full_bytes) / increments;
+    counter_shape =
+        counter_shape && full_per_op > prev_full_per_op &&
+        (prev_delta_per_op == 0 || delta_per_op == prev_delta_per_op);
+    prev_delta_per_op = delta_per_op;
+    prev_full_per_op = full_per_op;
   }
+  harness.Claim("counter_delta_constant", counter_shape,
+                "GCounter deltas ship the same bytes per increment at every "
+                "run length; full state per increment grows");
 
-  std::printf("\n=== Fig. 6d: delta vs full-state OR-set (dot-cloud deltas) "
-              "===\n");
-  std::printf("(replica with L live items syncing one add to a peer)\n\n");
-  std::printf("%-12s %-18s %-18s\n", "live items", "full-state bytes",
-              "delta bytes");
-  std::printf("--------------------------------------------\n");
+  // 6d: a replica with L live items syncs one add to a peer.
+  bool orset_shape = true;
+  size_t prev_full = 0, prev_delta = 0;
   for (int live : {10, 100, 1000, 10000}) {
     evc::crdt::DeltaOrSet set(0);
     for (int i = 0; i < live; ++i) set.Add("item" + std::to_string(i));
     const evc::crdt::DeltaOrSet delta = set.Add("one-more");
-    std::printf("%-12d %-18zu %-18zu\n", live, set.StateBytes(),
-                delta.StateBytes());
     harness.Row("orset_delta",
                 {evc::obs::Json(live),
                  evc::obs::Json(static_cast<uint64_t>(set.StateBytes())),
                  evc::obs::Json(static_cast<uint64_t>(delta.StateBytes()))});
+    orset_shape = orset_shape && set.StateBytes() > prev_full &&
+                  (prev_delta == 0 || delta.StateBytes() == prev_delta);
+    prev_full = set.StateBytes();
+    prev_delta = delta.StateBytes();
   }
+  harness.Claim("orset_delta_constant", orset_shape,
+                "one OR-set add ships the same delta at every live-set size; "
+                "full state grows with the set");
 
-  std::printf("\n=== Fig. 6e: bytes shipped per update, by replication "
-              "style ===\n");
-  std::printf("(3 WAN members, %d updates at random members, each shipped "
-              "to both peers;\n op = op + origin/seq/deps stamp)\n\n",
-              kStyleUpdates);
-  std::printf("%-10s %-8s %-14s\n", "crdt", "style", "bytes/update");
-  std::printf("--------------------------------\n");
+  // 6e: 3 WAN members, kStyleUpdates updates at random members, each
+  // shipped to both peers; op = op + origin/seq/deps stamp.
   const std::pair<const char*, ShippedBytes> by_crdt[] = {
       {"gcounter", CounterBytes(6)}, {"orset", OrSetBytes(6)}};
   for (const auto& [crdt, shipped] : by_crdt) {
@@ -395,53 +406,44 @@ int main(int argc, char** argv) {
         {"delta", shipped.delta}};
     for (const auto& [style, bytes] : styles) {
       const double per_update = static_cast<double>(bytes) / kStyleUpdates;
-      std::printf("%-10s %-8s %-14.1f\n", crdt, style, per_update);
       harness.Row("replication_bytes", {evc::obs::Json(crdt),
                                         evc::obs::Json(style),
                                         evc::obs::Json(per_update)});
     }
   }
+  const ShippedBytes& counter = by_crdt[0].second;
+  const ShippedBytes& orset = by_crdt[1].second;
+  harness.Claim("delta_ships_least",
+                counter.delta < std::min(counter.op, counter.state) &&
+                    orset.delta < std::min(orset.op, orset.state),
+                "delta ships the fewest bytes per update for both CRDTs");
+  harness.Claim("op_beats_state_only_for_orset",
+                counter.op > counter.state && orset.op < orset.state,
+                "an op's causal stamp is group-sized, so op-based beats full "
+                "state only where state grows with the data (the OR-set)");
 
-  std::printf("\n=== Fig. 6e: op-based replication with and without causal "
-              "delivery ===\n");
-  std::printf("(member 0 publishes 100 ops under heavy WAN jitter: 100 "
-              "counter increments,\n 50 OR-set add-then-remove pairs)\n\n");
-  std::printf("%-7s %-5s %-14s %-18s %-14s\n", "causal", "seed",
-              "min delivered", "counter converged", "OR-set zombies");
-  std::printf("------------------------------------------------------------"
-              "\n");
-  // The claim: every op arrives exactly once either way, so the counter
-  // converges in both arms; zombies appear only without causal order.
-  bool as_claimed = true;
+  // 6e: member 0 publishes 100 ops under heavy WAN jitter: 100 counter
+  // increments, 50 OR-set add-then-remove pairs.
+  bool exactly_once = true, zombies_without_causal_only = true;
   for (bool causal : {true, false}) {
     for (uint64_t seed : {4, 9, 12}) {
       const DeliveryArm arm = RunDeliveryArm(causal, seed);
-      std::printf("%-7s %-5llu %-14llu %-18s %-14zu\n", causal ? "on" : "off",
-                  static_cast<unsigned long long>(seed),
-                  static_cast<unsigned long long>(arm.min_delivered),
-                  arm.counter_converged ? "yes" : "no", arm.zombies);
       harness.Row("causal_delivery",
                   {evc::obs::Json(causal), evc::obs::Json(seed),
                    evc::obs::Json(arm.min_delivered),
                    evc::obs::Json(arm.counter_converged),
                    evc::obs::Json(static_cast<uint64_t>(arm.zombies))});
-      if (!arm.counter_converged || (arm.zombies > 0) == causal) {
-        as_claimed = false;
-        std::printf("ERROR: this arm contradicts the claim below\n");
-      }
+      exactly_once = exactly_once && arm.min_delivered == 100 &&
+                     arm.counter_converged;
+      zombies_without_causal_only =
+          zombies_without_causal_only && (arm.zombies > 0) != causal;
     }
   }
-  EVC_CHECK_OK(harness.Write());
-  std::printf(
-      "\nExpected shape: tombstoned state grows linearly with churn while\n"
-      "the optimized set stays flat (ratio grows unboundedly); delta\n"
-      "replication bytes stay ~constant per op while full-state grows\n"
-      "with the replica count represented in the counter. (6e) Delta ships\n"
-      "least; an op ships little, but its causal stamp carries a vector\n"
-      "the size of the group, so op-based beats full state only where the\n"
-      "state grows with the data (the OR-set). Every op arrives exactly\n"
-      "once with causal delivery on or off, so the counter converges in\n"
-      "both arms; without it, removes that overtake their adds leave\n"
-      "zombie elements, and with it there are none.\n");
-  return as_claimed ? 0 : 1;
+  harness.Claim("counter_converges_either_way", exactly_once,
+                "with causal delivery on or off every op arrives exactly once "
+                "and the op-based counter converges");
+  harness.Claim("zombies_only_without_causal", zombies_without_causal_only,
+                "without causal delivery removes that overtake their adds "
+                "leave zombies in every run; with it there are none");
+  return harness.Finish();
 }

@@ -30,6 +30,7 @@ struct MixResult {
   double p99_ms = 0;
   double ops_per_sec = 0;
   uint64_t aborts = 0;
+  uint64_t invariant_violations = 0;
 };
 
 MixResult RunMix(double red_fraction, uint64_t seed) {
@@ -86,6 +87,7 @@ MixResult RunMix(double red_fraction, uint64_t seed) {
   result.p99_ms = latency_hist.Percentile(0.99) / kMillisecond;
   result.ops_per_sec = (3.0 * ops_per_client) / elapsed_s;
   result.aborts = bank.stats().red_aborts;
+  result.invariant_violations = bank.stats().invariant_violations;
   return result;
 }
 
@@ -97,24 +99,29 @@ int main() {
                           "aborts"});
   std::printf(
       "=== Table 1: RedBlue bank, latency/throughput vs red fraction ===\n"
-      "(3 WAN sites, sequencer at US-East, closed-loop clients)\n\n");
-  std::printf("%-12s %-12s %-12s %-14s %-8s\n", "red %", "mean ms", "p99 ms",
-              "ops/s (virt)", "aborts");
-  std::printf("----------------------------------------------------------\n");
+      "(3 WAN sites, sequencer at US-East, closed-loop clients)\n");
+  bool all_blue_local = true, smooth = true, invariant_holds = true;
+  MixResult prev;
   for (double red : {0.0, 0.1, 0.25, 0.5, 1.0}) {
     const MixResult r = RunMix(red, 11 + static_cast<uint64_t>(red * 100));
-    std::printf("%-12.0f %-12.2f %-12.2f %-14.1f %llu\n", red * 100,
-                r.mean_ms, r.p99_ms, r.ops_per_sec,
-                static_cast<unsigned long long>(r.aborts));
     harness.Row("mixes",
                 {obs::Json(red), obs::Json(r.mean_ms), obs::Json(r.p99_ms),
                  obs::Json(r.ops_per_sec), obs::Json(r.aborts)});
+    if (red == 0.0) {
+      all_blue_local = r.mean_ms < 1.0;
+    } else {
+      smooth = smooth && r.mean_ms > prev.mean_ms &&
+               r.ops_per_sec < prev.ops_per_sec;
+    }
+    invariant_holds = invariant_holds && r.invariant_violations == 0;
+    prev = r;
   }
-  EVC_CHECK_OK(harness.Write());
-  std::printf(
-      "\nExpected shape: at 0%% red every op is local (sub-ms mean, high\n"
-      "throughput); mean latency climbs roughly linearly with the red\n"
-      "fraction toward the WAN round-trip at 100%% red; throughput falls\n"
-      "correspondingly (closed loop). The invariant holds at every mix.\n");
-  return 0;
+  harness.Claim("all_blue_is_local", all_blue_local,
+                "at 0% red every op is local: mean latency under 1 ms");
+  harness.Claim("red_fraction_costs", smooth,
+                "mean latency rises and closed-loop throughput falls at "
+                "every step up in the red fraction");
+  harness.Claim("invariant_holds", invariant_holds,
+                "no site ever sees a negative balance, at every mix");
+  return harness.Finish();
 }

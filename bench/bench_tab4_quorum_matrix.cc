@@ -9,6 +9,7 @@
 //   * consistency: reads see the latest completed write iff R+W > N.
 // One row per (R, W), all three columns measured.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -109,36 +110,46 @@ int main() {
                  "read_survives_f1", "p_fresh_at_0", "classification"});
   std::printf(
       "=== Table 4: N=3 quorum matrix — latency / availability(f=1) / "
-      "consistency ===\n\n");
-  std::printf("%-8s %-10s %-10s %-12s %-12s %-14s %s\n", "(R,W)", "put p50",
-              "get p50", "write ok?", "read ok?", "P(fresh@t=0)",
-              "classification");
-  std::printf("---------------------------------------------------------------"
-              "---------------\n");
+      "consistency ===\n");
+  MatrixRow rows[4][4];  // rows[r][w], 1-based
+  bool latency_grows = true, availability = true, fresh_iff_strict = true;
   for (int r = 1; r <= 3; ++r) {
     for (int w = 1; w <= 3; ++w) {
-      const MatrixRow row = RunConfig(r, w, 50 + static_cast<uint64_t>(r * 3 + w));
+      const MatrixRow& row = rows[r][w] =
+          RunConfig(r, w, 50 + static_cast<uint64_t>(r * 3 + w));
       const char* klass =
           (r + w > 3) ? "strict (read-latest)"
                       : "partial (eventual)";
-      std::printf("(%d,%d)    %-10.1f %-10.1f %-12s %-12s %-14.4f %s\n", r, w,
-                  row.put_p50_ms, row.get_p50_ms,
-                  row.write_survives_one_failure ? "yes" : "NO",
-                  row.read_survives_one_failure ? "yes" : "NO",
-                  row.prob_fresh_read_at_0, klass);
       harness.Row("matrix",
                   {obs::Json(r), obs::Json(w), obs::Json(row.put_p50_ms),
                    obs::Json(row.get_p50_ms),
                    obs::Json(row.write_survives_one_failure),
                    obs::Json(row.read_survives_one_failure),
                    obs::Json(row.prob_fresh_read_at_0), obs::Json(klass)});
+      latency_grows =
+          latency_grows &&
+          (w == 1 || row.put_p50_ms > rows[r][w - 1].put_p50_ms) &&
+          (r == 1 || row.get_p50_ms > rows[r - 1][w].get_p50_ms);
+      availability = availability &&
+                     row.write_survives_one_failure == (w < 3) &&
+                     row.read_survives_one_failure == (r < 3);
+      fresh_iff_strict =
+          fresh_iff_strict && (row.prob_fresh_read_at_0 == 1.0) == (r + w > 3);
     }
   }
-  EVC_CHECK_OK(harness.Write());
-  std::printf(
-      "\nExpected shape: latency grows with quorum size (W or R of 3 waits\n"
-      "for the farthest replica); any quorum of 3 dies with one failure\n"
-      "(availability NO); P(fresh)=1.0 exactly when R+W>3, and rises with\n"
-      "R and W below that. Pick your row: that is the tutorial's point.\n");
-  return 0;
+  harness.Claim("latency_grows_with_quorum", latency_grows,
+                "put p50 rises with W at every R, and get p50 with R at every "
+                "W: a bigger quorum waits for a farther replica");
+  harness.Claim("quorum_of_three_dies_with_one_failure", availability,
+                "with one replica down an op survives exactly when its "
+                "quorum is under 3");
+  harness.Claim("fresh_iff_strict", fresh_iff_strict,
+                "P(fresh read at t=0) is exactly 1.0 when R+W>3 and below "
+                "1.0 otherwise");
+  harness.Claim("freshness_rises_below_strict",
+                std::min(rows[1][2].prob_fresh_read_at_0,
+                         rows[2][1].prob_fresh_read_at_0) >
+                    rows[1][1].prob_fresh_read_at_0,
+                "below R+W>3, raising R or W raises P(fresh read at t=0)");
+  return harness.Finish();
 }

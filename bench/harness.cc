@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
@@ -8,6 +9,48 @@
 #include "sim/simulator.h"
 
 namespace evc::bench {
+
+namespace {
+
+std::string Cell(const obs::Json& v) {
+  if (v.is_string()) return v.AsString();
+  if (v.type() == obs::Json::Type::kDouble) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.6g", v.AsDouble());
+    return buf;
+  }
+  return v.Dump();  // integers and booleans
+}
+
+/// Appends `title`, then `rows` under `columns`, each column padded to its
+/// widest cell.
+void AppendTable(std::string* out, const std::string& title,
+                 const std::vector<std::string>& columns,
+                 const std::vector<std::vector<obs::Json>>& rows) {
+  std::vector<std::vector<std::string>> lines = {columns};
+  for (const auto& row : rows) {
+    std::vector<std::string>& cells = lines.emplace_back();
+    for (const auto& v : row) cells.push_back(Cell(v));
+  }
+  std::vector<size_t> width(columns.size(), 0);
+  for (const auto& cells : lines) {
+    for (size_t c = 0; c < cells.size(); ++c) {
+      width[c] = std::max(width[c], cells[c].size());
+    }
+  }
+  *out += "\n--- " + title + " ---\n";
+  for (const auto& cells : lines) {
+    for (size_t c = 0; c < cells.size(); ++c) {
+      *out += cells[c];
+      if (c + 1 < cells.size()) {
+        out->append(width[c] - cells[c].size() + 2, ' ');
+      }
+    }
+    *out += "\n";
+  }
+}
+
+}  // namespace
 
 Harness::Harness(std::string name) : name_(std::move(name)) {
   EVC_CHECK(!name_.empty());
@@ -24,9 +67,10 @@ void Harness::Note(const std::string& key, std::string value) {
 void Harness::Table(const std::string& table,
                     std::vector<std::string> columns) {
   EVC_CHECK(!columns.empty());
-  TableData& data = tables_[table];
-  data.columns = std::move(columns);
-  data.rows.clear();
+  auto [it, inserted] = tables_.try_emplace(table);
+  if (inserted) table_order_.push_back(table);
+  it->second.columns = std::move(columns);
+  it->second.rows.clear();
 }
 
 void Harness::Row(const std::string& table, std::vector<obs::Json> values) {
@@ -34,6 +78,13 @@ void Harness::Row(const std::string& table, std::vector<obs::Json> values) {
   EVC_CHECK(it != tables_.end());
   EVC_CHECK(values.size() == it->second.columns.size());
   it->second.rows.push_back(std::move(values));
+}
+
+void Harness::Claim(const std::string& name, bool holds, std::string text) {
+  EVC_CHECK(!name.empty());
+  const bool inserted =
+      claims_.try_emplace(name, ClaimData{holds, std::move(text)}).second;
+  EVC_CHECK(inserted);
 }
 
 void Harness::AttachSim(const sim::Simulator& sim) {
@@ -70,8 +121,38 @@ std::string Harness::ToJson() const {
   }
   root["tables"] = obs::Json(std::move(tables));
 
+  if (!claims_.empty()) {
+    obs::Json::Object claims;
+    for (const auto& [name, claim] : claims_) {
+      obs::Json::Object entry;
+      entry["holds"] = obs::Json(claim.holds);
+      entry["text"] = obs::Json(claim.text);
+      claims[name] = obs::Json(std::move(entry));
+    }
+    root["claims"] = obs::Json(std::move(claims));
+  }
+
   if (!sim_.is_null()) root["sim"] = sim_;
   return obs::Json(std::move(root)).Dump(2) + "\n";
+}
+
+std::string Harness::ToText() const {
+  std::string out;
+  for (const auto& [k, v] : notes_) out += k + ": " + v + "\n";
+  for (const std::string& name : table_order_) {
+    const TableData& data = tables_.at(name);
+    AppendTable(&out, name, data.columns, data.rows);
+  }
+  if (!metrics_.empty()) {
+    std::vector<std::vector<obs::Json>> rows;
+    for (const auto& [k, v] : metrics_) rows.push_back({k, v});
+    AppendTable(&out, "metrics", {"metric", "value"}, rows);
+  }
+  if (!claims_.empty()) out += "\n";
+  for (const auto& [name, claim] : claims_) {
+    out += (claim.holds ? "PASS " : "FAIL ") + name + ": " + claim.text + "\n";
+  }
+  return out;
 }
 
 Status Harness::Write() const {
@@ -88,6 +169,14 @@ Status Harness::Write() const {
     std::fprintf(stderr, "bench harness: wrote %s\n", path.c_str());
   }
   return status;
+}
+
+int Harness::Finish() const {
+  std::fputs(ToText().c_str(), stdout);
+  std::fflush(stdout);
+  bool ok = Write().ok();
+  for (const auto& [name, claim] : claims_) ok = ok && claim.holds;
+  return ok ? 0 : 1;
 }
 
 }  // namespace evc::bench

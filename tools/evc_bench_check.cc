@@ -1,13 +1,10 @@
 // evc_bench_check — schema validator for evc-bench-v1 documents.
 //
-// Usage: evc_bench_check [--floor=<metric>=<min>]... BENCH_a.json [...]
+// Usage: evc_bench_check BENCH_a.json [...]
 //
-// Validates every file and exits nonzero if any violates the schema, so CI
-// can gate on bench output staying machine-readable. Each --floor names a
-// metric that must be present (in at least one file) and >= <min> in every
-// file that reports it — the throughput-regression gate for perf benches
-// (e.g. --floor=calendar_scaling_n1000=0.40 fails the simcore bench when
-// events/sec at N=1000 falls under 40% of its N=10 rate):
+// Validates every file and exits nonzero if any violates the schema or
+// records a claim that does not hold, so CI can gate on bench output
+// staying machine-readable and on every figure's claims:
 //   * top level is an object with schema == "evc-bench-v1" and a nonempty
 //     string name;
 //   * metrics is an object of numbers;
@@ -15,37 +12,18 @@
 //   * tables is an object; each table has a nonempty columns array of
 //     strings and a rows array where every row is an array of exactly
 //     columns.size() scalar cells (bool / number / string);
+//   * claims (optional) is an object; each claim is an object with a bool
+//     holds, which must be true, and a string text;
 //   * sim (optional) is an object.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <vector>
 
 #include "obs/json.h"
 
 namespace {
 
 using evc::obs::Json;
-
-struct Floor {
-  std::string metric;
-  double min = 0;
-  bool seen = false;  ///< found in at least one validated file
-};
-
-/// Parses "--floor=<metric>=<min>". Returns false on malformed input.
-bool ParseFloor(const std::string& arg, Floor* out) {
-  const std::string body = arg.substr(8);  // past "--floor="
-  const size_t eq = body.rfind('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= body.size()) {
-    return false;
-  }
-  out->metric = body.substr(0, eq);
-  char* end = nullptr;
-  out->min = std::strtod(body.c_str() + eq + 1, &end);
-  return end != nullptr && *end == '\0';
-}
 
 bool ReadWholeFile(const std::string& path, std::string* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -67,24 +45,24 @@ bool IsScalar(const Json& v) {
   return v.is_bool() || v.is_number() || v.is_string();
 }
 
-/// Applies every floor that names a metric in `doc` (already validated).
-bool CheckFloors(const std::string& path, const Json& doc,
-                 std::vector<Floor>* floors) {
-  bool ok = true;
-  const Json& metrics = *doc.Find("metrics");
-  for (Floor& floor : *floors) {
-    const Json* value = metrics.Find(floor.metric);
-    if (value == nullptr) continue;
-    floor.seen = true;
-    if (value->AsDouble() < floor.min) {
-      ok = Fail(path, "metric " + floor.metric + " = " +
-                          std::to_string(value->AsDouble()) +
-                          " is below the floor " + std::to_string(floor.min));
+/// Fails a claims section that is malformed or records a false claim.
+bool CheckClaims(const std::string& path, const Json& claims) {
+  if (!claims.is_object()) return Fail(path, "claims is not an object");
+  for (const auto& [name, claim] : claims.AsObject()) {
+    const Json* holds = claim.Find("holds");
+    const Json* text = claim.Find("text");
+    if (holds == nullptr || !holds->is_bool() || text == nullptr ||
+        !text->is_string()) {
+      return Fail(path, "claim " + name + " needs a bool holds and a string "
+                                          "text");
+    }
+    if (!holds->AsBool()) {
+      return Fail(path, "claim " + name + " does not hold: " +
+                            text->AsString());
     }
   }
-  return ok;
+  return true;
 }
-
 
 bool CheckTables(const std::string& path, const Json& tables) {
   if (!tables.is_object()) return Fail(path, "tables is not an object");
@@ -126,7 +104,7 @@ bool CheckTables(const std::string& path, const Json& tables) {
   return true;
 }
 
-bool CheckFile(const std::string& path, std::vector<Floor>* floors) {
+bool CheckFile(const std::string& path) {
   std::string text;
   if (!ReadWholeFile(path, &text)) return Fail(path, "cannot read file");
   auto parsed = Json::Parse(text);
@@ -167,6 +145,9 @@ bool CheckFile(const std::string& path, std::vector<Floor>* floors) {
   if (tables == nullptr) return Fail(path, "tables is missing");
   if (!CheckTables(path, *tables)) return false;
 
+  const Json* claims = doc.Find("claims");
+  if (claims != nullptr && !CheckClaims(path, *claims)) return false;
+
   if (const Json* sim = doc.Find("sim")) {
     if (!sim->is_object()) return Fail(path, "sim is not an object");
   }
@@ -175,50 +156,21 @@ bool CheckFile(const std::string& path, std::vector<Floor>* floors) {
   for (const auto& [tname, table] : tables->AsObject()) {
     rows += table.Find("rows")->AsArray().size();
   }
-  if (!CheckFloors(path, doc, floors)) return false;
-
-  std::printf("OK   %s: %zu tables, %zu rows, %zu metrics\n", path.c_str(),
-              tables->AsObject().size(), rows, metrics->AsObject().size());
+  std::printf("OK   %s: %zu tables, %zu rows, %zu metrics, %zu claims\n",
+              path.c_str(), tables->AsObject().size(), rows,
+              metrics->AsObject().size(),
+              claims == nullptr ? size_t{0} : claims->AsObject().size());
   return true;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<Floor> floors;
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--floor=", 0) == 0) {
-      Floor floor;
-      if (!ParseFloor(arg, &floor)) {
-        std::fprintf(stderr, "malformed %s (want --floor=<metric>=<min>)\n",
-                     arg.c_str());
-        return 2;
-      }
-      floors.push_back(floor);
-    } else {
-      paths.push_back(arg);
-    }
-  }
-  if (paths.empty()) {
-    std::fprintf(stderr,
-                 "usage: evc_bench_check [--floor=<metric>=<min>]... "
-                 "BENCH.json [...]\n");
+  if (argc < 2) {
+    std::fprintf(stderr, "usage: evc_bench_check BENCH.json [...]\n");
     return 2;
   }
   bool all_ok = true;
-  for (const std::string& path : paths) {
-    all_ok &= CheckFile(path, &floors);
-  }
-  // A floor naming a metric no file reports is a misconfigured gate, not a
-  // silent pass.
-  for (const Floor& floor : floors) {
-    if (!floor.seen) {
-      std::fprintf(stderr, "FAIL floor metric %s not found in any file\n",
-                   floor.metric.c_str());
-      all_ok = false;
-    }
-  }
+  for (int i = 1; i < argc; ++i) all_ok = CheckFile(argv[i]) && all_ok;
   return all_ok ? 0 : 1;
 }
