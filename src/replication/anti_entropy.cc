@@ -78,7 +78,8 @@ void AntiEntropy::RegisterHandlers(size_t index) {
               reply.divergent_buckets.push_back(b);
             }
           }
-          reply.keys = CollectBuckets(storage, reply.divergent_buckets);
+          reply.keys =
+              storage->store().SiblingsInLeaves(reply.divergent_buckets);
           stats_.buckets_exchanged += reply.divergent_buckets.size();
           stats_.keys_shipped += reply.keys.size();
           Obs().CounterFor("ae.buckets_exchanged")
@@ -94,11 +95,12 @@ void AntiEntropy::RegisterHandlers(size_t index) {
       nodes_[index], t_sync_rsp_, [this, index](sim::Message msg) {
         auto reply = std::move(msg.payload).Take<SyncReply>();
         ReplicaStorage* storage = storages_[index];
-        for (const auto& [key, versions] : reply.keys) {
-          storage->MergeRemote(key, versions);
+        for (const SharedSiblings& shipped : reply.keys) {
+          storage->MergeRemote(shipped);
         }
         if (options_.push_pull && !reply.divergent_buckets.empty()) {
-          auto mine = CollectBuckets(storage, reply.divergent_buckets);
+          auto mine =
+              storage->store().SiblingsInLeaves(reply.divergent_buckets);
           stats_.keys_shipped += mine.size();
           Obs().CounterFor("ae.keys_shipped").Inc(mine.size());
           network_->Send(msg.to, msg.from, t_push_, std::move(mine));
@@ -108,25 +110,12 @@ void AntiEntropy::RegisterHandlers(size_t index) {
   // Receiving pushed keys.
   network_->RegisterHandler(
       nodes_[index], t_push_, [this, index](sim::Message msg) {
-        auto keys = std::move(msg.payload)
-                        .Take<std::vector<
-                            std::pair<std::string, std::vector<Version>>>>();
-        for (const auto& [key, versions] : keys) {
-          storages_[index]->MergeRemote(key, versions);
+        auto keys =
+            std::move(msg.payload).Take<std::vector<SharedSiblings>>();
+        for (const SharedSiblings& shipped : keys) {
+          storages_[index]->MergeRemote(shipped);
         }
       });
-}
-
-std::vector<std::pair<std::string, std::vector<Version>>>
-AntiEntropy::CollectBuckets(ReplicaStorage* storage,
-                            const std::vector<size_t>& buckets) {
-  std::vector<std::pair<std::string, std::vector<Version>>> out;
-  storage->store().ForEachKeyInLeaves(
-      buckets, [&out](const std::string& key,
-                      const std::vector<Version>& versions) {
-        out.emplace_back(key, versions);
-      });
-  return out;
 }
 
 void AntiEntropy::GossipRound(size_t index) {
@@ -231,16 +220,16 @@ bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
   stats_.buckets_exchanged += divergent.size();
   Obs().CounterFor("ae.digests_shipped").Inc(compared);
   Obs().CounterFor("ae.buckets_exchanged").Inc(divergent.size());
-  auto from_a = CollectBuckets(a, divergent);
-  auto from_b = CollectBuckets(b, divergent);
+  const auto from_a = a->store().SiblingsInLeaves(divergent);
+  const auto from_b = b->store().SiblingsInLeaves(divergent);
   stats_.keys_shipped += from_a.size() + from_b.size();
   Obs().CounterFor("ae.keys_shipped").Inc(from_a.size() + from_b.size());
   bool changed = false;
-  for (const auto& [key, versions] : from_a) {
-    changed |= b->MergeRemote(key, versions);
+  for (const SharedSiblings& shipped : from_a) {
+    changed |= b->MergeRemote(shipped);
   }
-  for (const auto& [key, versions] : from_b) {
-    changed |= a->MergeRemote(key, versions);
+  for (const SharedSiblings& shipped : from_b) {
+    changed |= a->MergeRemote(shipped);
   }
   return changed;
 }

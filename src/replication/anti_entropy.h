@@ -6,9 +6,12 @@
 // grows logarithmically in cluster size — and sync cost is proportional to
 // divergence rather than database size (Fig. 3 measures both claims). That
 // holds for host CPU as well as for what is shipped: a leaf-digest compare
-// is O(leaves), the store hands over the divergent leaves' keys without
-// walking the others, and merging a key the receiver already has costs one
-// lookup with no digest work.
+// is O(leaves), and the store hands over the divergent leaves' keys without
+// walking the others. A key travels as the sender's immutable sibling-set
+// object, never a copy. Merging a set the receiver already holds costs one
+// lookup. Merging one the receiver's result equals makes the receiver adopt
+// that object and its digest, so a converged cluster keeps one set per
+// version however many replicas hold the key.
 
 #ifndef EVC_REPLICATION_ANTI_ENTROPY_H_
 #define EVC_REPLICATION_ANTI_ENTROPY_H_
@@ -93,9 +96,9 @@ class AntiEntropy {
     std::vector<uint64_t> leaf_digests;  // sender's leaves
   };
   struct SyncReply {
-    // Keys + versions for buckets where the receiver differs, plus the list
-    // of divergent buckets so the initiator can push back its versions.
-    std::vector<std::pair<std::string, std::vector<Version>>> keys;
+    // Keys + sibling sets for buckets where the receiver differs, plus the
+    // list of divergent buckets so the initiator can push back its sets.
+    std::vector<SharedSiblings> keys;
     std::vector<size_t> divergent_buckets;
   };
 
@@ -104,10 +107,6 @@ class AntiEntropy {
   void GossipTick(size_t index);
   /// Global metrics registry of the owning simulator (ae.* instruments).
   obs::MetricsRegistry& Obs();
-  /// Collects all (key, siblings) pairs of `storage` falling in `buckets`,
-  /// in key order, visiting only those buckets.
-  static std::vector<std::pair<std::string, std::vector<Version>>>
-  CollectBuckets(ReplicaStorage* storage, const std::vector<size_t>& buckets);
 
   sim::Network* network_;
   // Pre-interned RPC methods / message types (resolved in the ctor).

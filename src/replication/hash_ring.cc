@@ -7,6 +7,16 @@
 
 namespace evc::repl {
 
+namespace {
+
+// Orders ring points against a position (std::lower_bound).
+bool PointBefore(const std::pair<uint64_t, sim::NodeId>& point,
+                 uint64_t position) {
+  return point.first < position;
+}
+
+}  // namespace
+
 HashRing::HashRing(int vnodes, uint64_t point_mask)
     : vnodes_(vnodes), point_mask_(point_mask) {
   EVC_CHECK(vnodes >= 1);
@@ -24,18 +34,17 @@ void HashRing::AddServer(sim::NodeId node) {
   EVC_CHECK(point_mask_ >=
             (servers_.size() + 1) * static_cast<uint64_t>(vnodes_));
   servers_.push_back(node);
-  std::vector<uint64_t>& points = points_[node];
-  points.reserve(static_cast<size_t>(vnodes_));
   for (int i = 0; i < vnodes_; ++i) {
     uint64_t p = PointFor(node, i) & point_mask_;
+    auto at = std::lower_bound(ring_.begin(), ring_.end(), p, PointBefore);
     // Re-probe through the mixer on collision: overwriting would hand this
     // arc to `node` and, worse, RemoveServer(node) would then erase the
     // *other* server's surviving point.
-    for (uint64_t probe = 1; ring_.count(p); ++probe) {
+    for (uint64_t probe = 1; at != ring_.end() && at->first == p; ++probe) {
       p = Mix64(PointFor(node, i) + probe) & point_mask_;
+      at = std::lower_bound(ring_.begin(), ring_.end(), p, PointBefore);
     }
-    ring_[p] = node;
-    points.push_back(p);
+    ring_.insert(at, {p, node});
   }
 }
 
@@ -43,10 +52,9 @@ void HashRing::RemoveServer(sim::NodeId node) {
   auto it = std::find(servers_.begin(), servers_.end(), node);
   EVC_CHECK(it != servers_.end());
   servers_.erase(it);
-  auto pts = points_.find(node);
-  EVC_CHECK(pts != points_.end());
-  for (uint64_t p : pts->second) ring_.erase(p);
-  points_.erase(pts);
+  std::erase_if(ring_, [node](const auto& point) {
+    return point.second == node;
+  });
 }
 
 std::vector<sim::NodeId> HashRing::PreferenceList(const std::string& key,
@@ -60,7 +68,9 @@ std::vector<sim::NodeId> HashRing::PreferenceList(const std::string& key,
   // one multiply by the 2^40-sized FNV prime), so every short key lands on
   // the same arc and placement degenerates to a single preference list.
   // Finalize with the bijective mixer to spread positions uniformly.
-  auto it = ring_.lower_bound(Mix64(Fnv1a64(key)));
+  auto it =
+      std::lower_bound(ring_.begin(), ring_.end(), Mix64(Fnv1a64(key)),
+                       PointBefore);
   for (size_t steps = 0; out.size() < n && steps < 2 * ring_.size();
        ++steps) {
     if (it == ring_.end()) it = ring_.begin();

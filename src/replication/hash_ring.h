@@ -11,8 +11,8 @@
 #define EVC_REPLICATION_HASH_RING_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/latency.h"
@@ -52,10 +52,9 @@ class HashRing {
 
   int vnodes_;
   uint64_t point_mask_;
-  std::map<uint64_t, sim::NodeId> ring_;  // position -> server
-  // Points actually placed per server: re-probed points differ from
-  // PointFor(node, i), so removal must erase what AddServer recorded.
-  std::map<sim::NodeId, std::vector<uint64_t>> points_;
+  // (position, server), sorted by position; positions are distinct. A
+  // preference list walks it in order, which a flat array keeps cheap.
+  std::vector<std::pair<uint64_t, sim::NodeId>> ring_;
   std::vector<sim::NodeId> servers_;
 };
 

@@ -54,6 +54,14 @@ bool ReplicaStorage::MergeRemote(const std::string& key,
   return true;
 }
 
+bool ReplicaStorage::MergeRemote(const SharedSiblings& shipped) {
+  uint64_t old_digest = 0;
+  if (!store_.MergeRemote(shipped, &old_digest)) return false;
+  JournalVersions(&wal_, shipped.key, *shipped.siblings);
+  SyncMerkle(shipped.key, old_digest);
+  return true;
+}
+
 Result<size_t> ReplicaStorage::CrashAndRecover() {
   return RecoverFromLog(&wal_);
 }

@@ -61,6 +61,10 @@ class ReplicaStorage {
   /// and no digest work.
   bool MergeRemote(const std::string& key,
                    const std::vector<Version>& remote_versions);
+  /// The same for a set another store shipped (anti-entropy): holding that
+  /// object already costs one lookup, and an equal result adopts it (see
+  /// VersionedStore::MergeRemote).
+  bool MergeRemote(const SharedSiblings& shipped);
 
   const VersionedStore& store() const { return store_; }
   const MerkleTree& merkle() const { return merkle_; }

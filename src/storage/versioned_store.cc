@@ -67,6 +67,17 @@ uint64_t DigestOf(const std::string& key,
   return acc;
 }
 
+// True if some version of `siblings` dominates or equals `v`, so inserting
+// `v` would change nothing.
+bool SiblingSetCovers(std::span<const Version> siblings, const Version& v) {
+  return std::any_of(siblings.begin(), siblings.end(),
+                     [&v](const Version& existing) {
+                       const CausalOrder order = existing.vv.Compare(v.vv);
+                       return order == CausalOrder::kAfter ||
+                              order == CausalOrder::kEqual;
+                     });
+}
+
 }  // namespace
 
 VersionedStore::VersionedStore(uint32_t replica_id,
@@ -96,20 +107,37 @@ VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key) {
 
 bool VersionedStore::Merge(const std::string& key,
                            std::span<const Version> versions,
+                           const SharedSiblings* shipped,
                            uint64_t* old_digest) {
   // Callers pass at least one version, and the first always joins an absent
   // key's empty set, so FindOrInsert never leaves an empty entry behind.
   Entry& entry = FindOrInsert(key);
   if (old_digest != nullptr) *old_digest = entry.digest;
-  bool changed = false;
-  for (const Version& v : versions) {
-    changed |= InsertIntoSiblingSet(&entry.siblings, v);
+  if (shipped != nullptr && entry.siblings == shipped->siblings) return false;
+  std::span<const Version> local;
+  if (entry.siblings != nullptr) local = *entry.siblings;
+  if (std::all_of(versions.begin(), versions.end(), [local](const Version& v) {
+        return SiblingSetCovers(local, v);
+      })) {
+    // Unchanged. An equal shipped set is adopted all the same, so replicas
+    // that converged separately come to share one object.
+    if (shipped != nullptr && std::ranges::equal(local, *shipped->siblings)) {
+      entry.siblings = shipped->siblings;
+    }
+    return false;
   }
-  if (changed) {
-    ApplyConflictPolicy(&entry.siblings);
-    entry.digest = DigestOf(key, entry.siblings);
+  std::vector<Version> merged(local.begin(), local.end());
+  for (const Version& v : versions) InsertIntoSiblingSet(&merged, v);
+  ApplyConflictPolicy(&merged);
+  if (shipped != nullptr && merged == *shipped->siblings) {
+    entry.siblings = shipped->siblings;
+    entry.digest = shipped->digest;
+  } else {
+    entry.digest = DigestOf(key, merged);
+    entry.siblings =
+        std::make_shared<const std::vector<Version>>(std::move(merged));
   }
-  return changed;
+  return true;
 }
 
 Version VersionedStore::Put(const std::string& key, std::string value,
@@ -125,7 +153,7 @@ Version VersionedStore::Put(const std::string& key, std::string value,
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = false;
-  Merge(key, {&v, 1}, old_digest);
+  Merge(key, {&v, 1}, nullptr, old_digest);
   return v;
 }
 
@@ -138,7 +166,7 @@ Version VersionedStore::Delete(const std::string& key,
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = true;
-  Merge(key, {&v, 1}, old_digest);
+  Merge(key, {&v, 1}, nullptr, old_digest);
   return v;
 }
 
@@ -146,7 +174,7 @@ std::vector<Version> VersionedStore::Get(const std::string& key) const {
   std::vector<Version> out;
   const Entry* entry = Find(key);
   if (entry == nullptr) return out;
-  for (const auto& v : entry->siblings) {
+  for (const auto& v : *entry->siblings) {
     if (!v.tombstone) out.push_back(v);
   }
   return out;
@@ -154,25 +182,20 @@ std::vector<Version> VersionedStore::Get(const std::string& key) const {
 
 std::vector<Version> VersionedStore::GetRaw(const std::string& key) const {
   const Entry* entry = Find(key);
-  return entry == nullptr ? std::vector<Version>{} : entry->siblings;
+  return entry == nullptr ? std::vector<Version>{} : *entry->siblings;
 }
 
 VersionVector VersionedStore::ContextFor(const std::string& key) const {
   VersionVector ctx;
   const Entry* entry = Find(key);
   if (entry == nullptr) return ctx;
-  for (const auto& v : entry->siblings) ctx.MergeWith(v.vv);
+  for (const auto& v : *entry->siblings) ctx.MergeWith(v.vv);
   return ctx;
 }
 
 bool InsertIntoSiblingSet(std::vector<Version>* siblings, const Version& v) {
   // Drop the insert if an existing sibling dominates or equals it.
-  for (const auto& existing : *siblings) {
-    const CausalOrder order = existing.vv.Compare(v.vv);
-    if (order == CausalOrder::kAfter || order == CausalOrder::kEqual) {
-      return false;
-    }
-  }
+  if (SiblingSetCovers(*siblings, v)) return false;
   // Remove existing siblings dominated by the new version.
   siblings->erase(
       std::remove_if(siblings->begin(), siblings->end(),
@@ -211,13 +234,19 @@ bool VersionedStore::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions,
                                  uint64_t* old_digest) {
   if (remote_versions.empty()) return false;
-  return Merge(key, remote_versions, old_digest);
+  return Merge(key, remote_versions, nullptr, old_digest);
+}
+
+bool VersionedStore::MergeRemote(const SharedSiblings& shipped,
+                                 uint64_t* old_digest) {
+  EVC_CHECK(shipped.siblings != nullptr && !shipped.siblings->empty());
+  return Merge(shipped.key, *shipped.siblings, &shipped, old_digest);
 }
 
 size_t VersionedStore::version_count() const {
   size_t n = 0;
   for (const Leaf& leaf : leaves_) {
-    for (const Entry& entry : leaf) n += entry.siblings.size();
+    for (const Entry& entry : leaf) n += entry.siblings->size();
   }
   return n;
 }
@@ -227,11 +256,9 @@ uint64_t VersionedStore::KeyDigest(const std::string& key) const {
   return entry == nullptr ? 0 : entry->digest;
 }
 
-void VersionedStore::VisitInKeyOrder(std::vector<const Entry*>* entries,
-                                     const KeyVisitor& fn) {
+void VersionedStore::SortByKey(std::vector<const Entry*>* entries) {
   std::sort(entries->begin(), entries->end(),
             [](const Entry* a, const Entry* b) { return a->key < b->key; });
-  for (const Entry* entry : *entries) fn(entry->key, entry->siblings);
 }
 
 void VersionedStore::ForEachKey(const KeyVisitor& fn) const {
@@ -240,28 +267,35 @@ void VersionedStore::ForEachKey(const KeyVisitor& fn) const {
   for (const Leaf& leaf : leaves_) {
     for (const Entry& entry : leaf) entries.push_back(&entry);
   }
-  VisitInKeyOrder(&entries, fn);
+  SortByKey(&entries);
+  for (const Entry* entry : entries) fn(entry->key, *entry->siblings);
 }
 
-void VersionedStore::ForEachKeyInLeaves(const std::vector<size_t>& leaves,
-                                        const KeyVisitor& fn) const {
+std::vector<SharedSiblings> VersionedStore::SiblingsInLeaves(
+    const std::vector<size_t>& leaves) const {
   std::vector<size_t> wanted = leaves;
   std::sort(wanted.begin(), wanted.end());
   wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
   EVC_CHECK(wanted.empty() || wanted.back() < (size_t{1} << leaf_depth_));
-  if (leaves_.empty()) return;
+  std::vector<SharedSiblings> out;
+  if (leaves_.empty()) return out;
   std::vector<const Entry*> entries;
   for (size_t b : wanted) {
     for (const Entry& entry : leaves_[b]) entries.push_back(&entry);
   }
-  VisitInKeyOrder(&entries, fn);
+  SortByKey(&entries);
+  out.reserve(entries.size());
+  for (const Entry* entry : entries) {
+    out.push_back({entry->key, entry->siblings, entry->digest});
+  }
+  return out;
 }
 
 size_t VersionedStore::PurgeTombstones() {
   size_t removed = 0;
   for (Leaf& leaf : leaves_) {
     auto dead = std::remove_if(leaf.begin(), leaf.end(), [](const Entry& e) {
-      return std::all_of(e.siblings.begin(), e.siblings.end(),
+      return std::all_of(e.siblings->begin(), e.siblings->end(),
                          [](const Version& v) { return v.tombstone; });
     });
     removed += static_cast<size_t>(leaf.end() - dead);

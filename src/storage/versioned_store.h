@@ -14,12 +14,19 @@
 // each leaf a key-sorted vector, and every key keeps its KeyDigest beside
 // its siblings. Anti-entropy can then visit only the divergent leaves, and
 // a merge that changes nothing costs one lookup and no digest work.
+//
+// A key's sibling set is an immutable object (SiblingSet) that stores may
+// share: every write builds a replacement set and none edits one in place.
+// Anti-entropy ships a store's set objects rather than copies, and a merge
+// whose result equals the shipped set adopts that object, so replicas that
+// agree on a key hold one set between them (DESIGN.md §2.2).
 
 #ifndef EVC_STORAGE_VERSIONED_STORE_H_
 #define EVC_STORAGE_VERSIONED_STORE_H_
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -46,6 +53,19 @@ struct Version {
   static Result<Version> DecodeFrom(class Decoder* dec);
 
   std::string ToString() const;
+
+  bool operator==(const Version&) const = default;
+};
+
+/// A key's sibling set, immutable once stored so that stores can share it.
+using SiblingSet = std::shared_ptr<const std::vector<Version>>;
+
+/// One key as anti-entropy ships it: the sending store's set object (shared,
+/// never copied) and its KeyDigest.
+struct SharedSiblings {
+  std::string key;
+  SiblingSet siblings;
+  uint64_t digest = 0;
 };
 
 /// Inserts `v` into a sibling set, maintaining the invariant that no version
@@ -115,6 +135,13 @@ class VersionedStore {
                    const std::vector<Version>& remote_versions,
                    uint64_t* old_digest = nullptr);
 
+  /// MergeRemote for a set another store shipped (SiblingsInLeaves). If the
+  /// key already holds that object it returns at once; if the merged set
+  /// equals the shipped one, the key adopts the shipped object and digest
+  /// instead of a copy.
+  bool MergeRemote(const SharedSiblings& shipped,
+                   uint64_t* old_digest = nullptr);
+
   /// Number of keys with at least one version (including tombstone-only).
   size_t key_count() const { return key_count_; }
 
@@ -133,11 +160,11 @@ class VersionedStore {
   /// `fn` must not modify the store.
   void ForEachKey(const KeyVisitor& fn) const;
 
-  /// Iterates, in key order, exactly the keys whose Merkle leaf is in
-  /// `leaves` (indices below 2^leaf_depth); cost follows the keys visited,
-  /// not the store size. `fn` must not modify the store.
-  void ForEachKeyInLeaves(const std::vector<size_t>& leaves,
-                          const KeyVisitor& fn) const;
+  /// Exactly the keys whose Merkle leaf is in `leaves` (indices below
+  /// 2^leaf_depth), in key order, each with its shared set object; cost
+  /// follows the keys returned, not the store size.
+  std::vector<SharedSiblings> SiblingsInLeaves(
+      const std::vector<size_t>& leaves) const;
 
   /// Removes keys whose every sibling is a tombstone. Returns count removed.
   /// (Safe only once all replicas have seen the tombstone; experiments call
@@ -154,7 +181,7 @@ class VersionedStore {
  private:
   struct Entry {
     std::string key;
-    std::vector<Version> siblings;
+    SiblingSet siblings;  // null only while Merge fills a new entry
     uint64_t digest = 0;  // KeyDigest of `siblings`, kept in step with them
   };
   using Leaf = std::vector<Entry>;  // sorted by key
@@ -162,14 +189,13 @@ class VersionedStore {
   const Entry* Find(const std::string& key) const;
   /// The key's entry, inserted empty (digest 0) when absent.
   Entry& FindOrInsert(const std::string& key);
-  /// MergeRemote for a non-empty set; Put and Delete merge their one new
-  /// version through it too.
+  /// Both MergeRemotes for a non-empty set (`shipped` is null for the
+  /// vector one); Put and Delete merge their one new version through it
+  /// too. Replaces the key's set, never edits it.
   bool Merge(const std::string& key, std::span<const Version> versions,
-             uint64_t* old_digest);
+             const SharedSiblings* shipped, uint64_t* old_digest);
   void ApplyConflictPolicy(std::vector<Version>* siblings);
-  /// Calls `fn` on `entries` sorted by key.
-  static void VisitInKeyOrder(std::vector<const Entry*>* entries,
-                              const KeyVisitor& fn);
+  static void SortByKey(std::vector<const Entry*>* entries);
 
   uint32_t replica_id_;
   VersionedStoreOptions options_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <numeric>
 
 #include "sim/rpc.h"
 
@@ -104,6 +105,48 @@ TEST_F(AntiEntropyTest, GossipConvergesEightReplicas) {
   EXPECT_TRUE(ae_->Converged());
   for (int r = 0; r < 8; ++r) {
     EXPECT_EQ(storages_[r]->key_count(), 20u) << "replica " << r;
+  }
+}
+
+// Anti-entropy ships set objects, and a merge whose result equals the
+// shipped set adopts it, so a converged cluster holds one copy of each
+// version however many replicas hold its key.
+TEST_F(AntiEntropyTest, ConvergedReplicasShareOneCopyPerVersion) {
+  AntiEntropyOptions options;
+  options.interval = 50 * kMillisecond;
+  Build(8, options);
+  uint64_t ts = 0;
+  for (int i = 0; i < 20; ++i) {
+    storages_[0]->Put("key" + std::to_string(i), "v1", {}, Ts(++ts));
+  }
+  ae_->Start();
+  sim_->RunFor(1 * kSecond);
+  // Overwrite half the keys mid-gossip: replicas must move on to the new
+  // sets rather than keep the ones they adopted first.
+  for (int i = 0; i < 20; i += 2) {
+    const std::string key = "key" + std::to_string(i);
+    storages_[0]->Put(key, "v2", storages_[0]->ContextFor(key), Ts(++ts));
+  }
+  sim_->RunFor(5 * kSecond);
+  ASSERT_TRUE(ae_->Converged());
+  std::vector<size_t> leaves(storages_[0]->merkle().leaf_count());
+  std::iota(leaves.begin(), leaves.end(), size_t{0});
+  const auto originals = storages_[0]->store().SiblingsInLeaves(leaves);
+  ASSERT_EQ(originals.size(), 20u);
+  std::vector<uint64_t> wal_bytes;
+  for (int r = 0; r < 8; ++r) {
+    const auto held = storages_[r]->store().SiblingsInLeaves(leaves);
+    ASSERT_EQ(held.size(), originals.size()) << "replica " << r;
+    for (size_t k = 0; k < held.size(); ++k) {
+      EXPECT_EQ(held[k].siblings, originals[k].siblings)
+          << "replica " << r << ", " << held[k].key;
+    }
+    wal_bytes.push_back(storages_[r]->wal()->size_bytes());
+  }
+  for (size_t r = 1; r < 8; ++r) EXPECT_FALSE(ae_->SyncPair(0, r));
+  for (size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(storages_[r]->wal()->size_bytes(), wal_bytes[r])
+        << "replica " << r;
   }
 }
 

@@ -277,10 +277,9 @@ TEST_P(ReplicaStorageLayoutTest, LayoutSurvivesRecoveryAndCheckpoint) {
     ExpectDigestsAndTreeFresh(rs);
     // Leaf 1 holds exactly the keys the tree buckets there.
     std::vector<std::string> in_leaf;
-    rs.store().ForEachKeyInLeaves(
-        {1}, [&](const std::string& key, const std::vector<Version>&) {
-          in_leaf.push_back(key);
-        });
+    for (const SharedSiblings& shipped : rs.store().SiblingsInLeaves({1})) {
+      in_leaf.push_back(shipped.key);
+    }
     std::vector<std::string> want;
     for (const std::string& key : expected) {
       if (rs.merkle().BucketFor(key) == 1) want.push_back(key);

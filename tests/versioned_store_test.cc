@@ -9,6 +9,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "storage/merkle.h"
+#include "storage/replica_storage.h"
 
 namespace evc {
 namespace {
@@ -204,6 +205,82 @@ TEST(VersionedStoreTest, PurgeTombstonesRemovesFullyDeletedKeys) {
   EXPECT_FALSE(store.Get("alive").empty());
 }
 
+// `key`'s set as anti-entropy would ship it from `store` (default depth).
+SharedSiblings Shipped(const VersionedStore& store, const std::string& key) {
+  for (SharedSiblings& shipped : store.SiblingsInLeaves(
+           {MerkleTree::LeafOf(key, MerkleTree::kDefaultDepth)})) {
+    if (shipped.key == key) return shipped;
+  }
+  ADD_FAILURE() << key << " is not stored";
+  return {};
+}
+
+// Stores share set objects: anti-entropy ships them, and a merge whose
+// result equals the shipped set adopts it. So every write must build a
+// replacement set. Each step below changes B's state for a key whose set B
+// adopted from A, and A must not see it.
+TEST(VersionedStoreTest, SharedSetsAreNeverEditedInPlace) {
+  VersionedStoreOptions lww;
+  lww.conflict_policy = ConflictPolicy::kLastWriterWins;
+  VersionedStore a(0), b(1), lww_a(0, lww), lww_b(1, lww);
+  ReplicaStorage durable_a(0), durable_b(1);
+  const std::vector<std::string> keys = {"put", "delete", "merge", "purge"};
+  for (const std::string& key : keys) a.Put(key, "a", {}, Ts(1));
+  a.Delete("purge", a.ContextFor("purge"), Ts(2));
+  lww_a.Put("collapse", "a", {}, Ts(1));
+  durable_a.Put("recover", "a", {}, Ts(1));
+
+  // B adopts each of A's sets: it holds A's object, not a copy.
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(b.MergeRemote(Shipped(a, key)));
+  }
+  ASSERT_TRUE(lww_b.MergeRemote(Shipped(lww_a, "collapse")));
+  ASSERT_TRUE(durable_b.MergeRemote(Shipped(durable_a.store(), "recover")));
+  struct Held {
+    const VersionedStore* store;  // A's side
+    std::string key;
+    std::vector<Version> raw;
+    uint64_t digest;
+  };
+  std::vector<Held> held;
+  auto hold = [&held](const VersionedStore& from, const VersionedStore& to,
+                      const std::string& key) {
+    EXPECT_EQ(Shipped(to, key).siblings, Shipped(from, key).siblings) << key;
+    held.push_back({&from, key, from.GetRaw(key), from.KeyDigest(key)});
+  };
+  for (const std::string& key : keys) hold(a, b, key);
+  hold(lww_a, lww_b, "collapse");
+  hold(durable_a.store(), durable_b.store(), "recover");
+  auto expect_a_unchanged = [&held](const std::string& step) {
+    for (const Held& h : held) {
+      EXPECT_EQ(h.store->GetRaw(h.key), h.raw) << step << ", key " << h.key;
+      EXPECT_EQ(h.store->KeyDigest(h.key), h.digest)
+          << step << ", key " << h.key;
+    }
+  };
+
+  b.Put("put", "b", b.ContextFor("put"), Ts(3, 1));
+  expect_a_unchanged("Put");
+  b.Delete("delete", b.ContextFor("delete"), Ts(3, 1));
+  expect_a_unchanged("Delete");
+  VersionedStore c(2);
+  c.Put("merge", "c", {}, Ts(3, 2));  // concurrent with A's write
+  ASSERT_TRUE(b.MergeRemote("merge", c.GetRaw("merge")));
+  EXPECT_EQ(b.GetRaw("merge").size(), 2u);
+  expect_a_unchanged("concurrent MergeRemote");
+  VersionedStore lww_c(2, lww);
+  lww_c.Put("collapse", "c", {}, Ts(3, 2));
+  ASSERT_TRUE(lww_b.MergeRemote("collapse", lww_c.GetRaw("collapse")));
+  ASSERT_EQ(lww_b.GetRaw("collapse").size(), 1u);
+  EXPECT_EQ(lww_b.GetRaw("collapse")[0].value, "c");
+  expect_a_unchanged("LWW collapse");
+  EXPECT_EQ(b.PurgeTombstones(), 2u);  // "delete" and "purge"
+  expect_a_unchanged("PurgeTombstones");
+  ASSERT_TRUE(durable_b.CrashAndRecover().ok());
+  EXPECT_EQ(durable_b.GetRaw("recover"), durable_a.GetRaw("recover"));
+  expect_a_unchanged("crash-recover");
+}
+
 TEST(VersionedStoreTest, ForEachKeyIteratesInOrder) {
   VersionedStore store(0);
   store.Put("b", "2", VersionVector(), Ts(1));
@@ -352,11 +429,11 @@ TEST_P(VersionedStoreLayoutTest, LeafIterationVisitsExactlyRequestedLeaves) {
     if (wanted.count(tree.BucketFor(key)) > 0) expected.push_back(key);
   }
   std::vector<std::string> visited;
-  store.ForEachKeyInLeaves(
-      leaves, [&](const std::string& key, const std::vector<Version>& sibs) {
-        visited.push_back(key);
-        EXPECT_EQ(sibs.size(), store.GetRaw(key).size());
-      });
+  for (const SharedSiblings& shipped : store.SiblingsInLeaves(leaves)) {
+    visited.push_back(shipped.key);
+    EXPECT_EQ(*shipped.siblings, store.GetRaw(shipped.key));
+    EXPECT_EQ(shipped.digest, store.KeyDigest(shipped.key));
+  }
   EXPECT_EQ(visited, expected);
   EXPECT_FALSE(expected.empty());
   EXPECT_LT(expected.size(), reference.size());
