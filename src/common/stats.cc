@@ -1,41 +1,60 @@
 #include "common/stats.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
+#include "common/status.h"
+
 namespace evc {
+
+namespace {
+constexpr int kBucketsPerOctave = 16;
+
+/// edges[i] = 2^(i/16), computed once: bucket i >= 1 covers
+/// [edges[i - 1], edges[i]). Every 16th edge is an exact power of two.
+const std::array<double, Histogram::kBucketCount + 1>& Edges() {
+  static const auto edges = [] {
+    std::array<double, Histogram::kBucketCount + 1> e{};
+    for (int i = 0; i <= Histogram::kBucketCount; ++i) {
+      e[i] = std::exp2(static_cast<double>(i) / 16.0);
+      // BucketFor picks the octave from the binary exponent.
+      if (i % kBucketsPerOctave == 0) {
+        EVC_CHECK(e[i] == std::ldexp(1.0, i / kBucketsPerOctave));
+      }
+    }
+    return e;
+  }();
+  return edges;
+}
+}  // namespace
 
 Histogram::Histogram() : buckets_(kBucketCount, 0) {}
 
 // Geometric buckets: bucket i >= 1 covers [2^((i-1)/16), 2^(i/16)) and
 // sub-1.0 values land in bucket 0. 512 buckets cover up to ~2^32.
 int Histogram::BucketFor(double value) {
-  if (value < 1.0) return 0;
-  int b = static_cast<int>(std::log2(value) * 16.0) + 1;
-  if (b >= kBucketCount) return kBucketCount - 1;
-  // log2's rounding error can land values at or near a bucket boundary one
-  // bucket off in either direction (e.g. log2(2^(1/16)) * 16 truncates to 0,
-  // and values one ulp below a boundary round up onto it), skewing
-  // percentiles. Settle boundaries against the buckets' own exp2-defined
-  // edges instead of trusting the truncated logarithm.
-  if (value >= BucketUpper(b)) {
-    ++b;
-  } else if (value < BucketLower(b)) {
-    --b;
-  }
-  if (b < 1) b = 1;  // value >= 1.0 always belongs at or above bucket 1
-  if (b >= kBucketCount) b = kBucketCount - 1;
-  return b;
+  if (!(value >= 1.0)) return 0;  // NaN too
+  const auto& edges = Edges();
+  // Everything past the last bucket's lower edge clamps into it.
+  if (value >= edges[kBucketCount - 1]) return kBucketCount - 1;
+  // The binary exponent k names the octave [2^k, 2^(k+1)), which holds
+  // buckets 16k+1 .. 16k+16, and the bucket is the first edge above the
+  // value. Comparing against the edges themselves puts boundary values
+  // exactly where BucketLower/BucketUpper say, with no logarithm to round.
+  const int first = kBucketsPerOctave * std::ilogb(value) + 1;
+  return static_cast<int>(
+      std::upper_bound(edges.begin() + first,
+                       edges.begin() + first + kBucketsPerOctave - 1, value) -
+      edges.begin());
 }
 
 double Histogram::BucketLower(int bucket) {
   if (bucket <= 0) return 0.0;
-  return std::exp2(static_cast<double>(bucket - 1) / 16.0);
+  return Edges()[bucket - 1];
 }
 
-double Histogram::BucketUpper(int bucket) {
-  return std::exp2(static_cast<double>(bucket) / 16.0);
-}
+double Histogram::BucketUpper(int bucket) { return Edges()[bucket]; }
 
 void Histogram::Add(double value) {
   if (value < 0) value = 0;

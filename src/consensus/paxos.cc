@@ -84,7 +84,9 @@ bool InsertOpId(std::vector<uint64_t>* ids, uint64_t id) {
 PaxosCluster::PaxosCluster(sim::Rpc* rpc, PaxosOptions options)
     : rpc_(rpc),
       options_(options),
-      rng_(rpc->simulator()->rng().Fork(0x9a905)) {
+      rng_(rpc->simulator()->rng().Fork(0x9a905)),
+      c_commands_applied_(&Obs(), "paxos.commands_applied"),
+      c_proposals_ok_(&Obs(), "paxos.proposals_ok") {
   EVC_CHECK(rpc_ != nullptr);
   m_client_proposal_ = rpc_->InternMethod(kClientProposal);
   m_prepare_ = rpc_->InternMethod(kPrepare);
@@ -666,7 +668,7 @@ void PaxosCluster::ApplyReady(Server* server) {
       }
     }
     ++stats_.commands_applied;
-    Obs().CounterFor("paxos.commands_applied").Inc();
+    c_commands_applied_.Inc();
     ++server->applied_index;
     // Complete the client's proposal if this server coordinated it.
     auto pending_it = server->in_flight.find(slot);
@@ -678,7 +680,7 @@ void PaxosCluster::ApplyReady(Server* server) {
         rpc_->simulator()->Cancel(pending->timeout_event);
         if (pending->op_id == cmd.op_id) {
           ++stats_.proposals_ok;
-          Obs().CounterFor("paxos.proposals_ok").Inc();
+          c_proposals_ok_.Inc();
           pending->done(exec);
         } else {
           // Another leader filled our slot with a different command.

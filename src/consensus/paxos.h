@@ -43,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "resilience/detector.h"
 #include "resilience/retry.h"
 #include "sim/rpc.h"
@@ -308,6 +309,9 @@ class PaxosCluster : private sim::CrashParticipant {
   Rng rng_;
   uint64_t next_op_id_ = 1;
   bool started_ = false;
+  // Counters bumped on every applied command and every decided proposal.
+  obs::LazyCounter c_commands_applied_;
+  obs::LazyCounter c_proposals_ok_;
 };
 
 /// Thin client that tracks the leader hint and retries redirected or

@@ -78,6 +78,27 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
+/// A counter looked up by name on its first Inc() and cached from then on,
+/// for per-event paths that would otherwise build the name and search the
+/// registry on every event. Unlike a lookup in a constructor, it leaves the
+/// registry (and so every export) without the counter until it first
+/// fires. The registry must outlive it.
+class LazyCounter {
+ public:
+  LazyCounter(MetricsRegistry* registry, const char* name)
+      : registry_(registry), name_(name) {}
+
+  void Inc(uint64_t delta = 1) {
+    if (counter_ == nullptr) counter_ = &registry_->CounterFor(name_);
+    counter_->Inc(delta);
+  }
+
+ private:
+  MetricsRegistry* registry_;
+  const char* name_;
+  Counter* counter_ = nullptr;
+};
+
 /// The simulation-wide metrics hub: one global registry for cluster-level
 /// instruments plus a lazily grown registry per node.
 class Metrics {

@@ -19,7 +19,14 @@ AntiEntropy::AntiEntropy(sim::Network* network, std::vector<sim::NodeId> nodes,
       nodes_(std::move(nodes)),
       storages_(std::move(storages)),
       options_(options),
-      rng_(network->simulator()->rng().Fork(0xae0ae0)) {
+      rng_(network->simulator()->rng().Fork(0xae0ae0)),
+      c_rounds_(&Obs(), "ae.rounds"),
+      c_peer_skips_(&Obs(), "ae.peer_skips"),
+      c_load_yields_(&Obs(), "ae.load_yields"),
+      c_digests_shipped_(&Obs(), "ae.digests_shipped"),
+      c_buckets_exchanged_(&Obs(), "ae.buckets_exchanged"),
+      c_keys_shipped_(&Obs(), "ae.keys_shipped"),
+      c_syncs_skipped_(&Obs(), "ae.syncs_skipped") {
   EVC_CHECK(nodes_.size() == storages_.size());
   EVC_CHECK(!nodes_.empty());
   // Leaf digests and per-leaf key lists are compared index by index.
@@ -82,9 +89,8 @@ void AntiEntropy::RegisterHandlers(size_t index) {
               storage->store().SiblingsInLeaves(reply.divergent_buckets);
           stats_.buckets_exchanged += reply.divergent_buckets.size();
           stats_.keys_shipped += reply.keys.size();
-          Obs().CounterFor("ae.buckets_exchanged")
-              .Inc(reply.divergent_buckets.size());
-          Obs().CounterFor("ae.keys_shipped").Inc(reply.keys.size());
+          c_buckets_exchanged_.Inc(reply.divergent_buckets.size());
+          c_keys_shipped_.Inc(reply.keys.size());
         }
         network_->Send(msg.to, msg.from, t_sync_rsp_, std::move(reply));
       });
@@ -102,7 +108,7 @@ void AntiEntropy::RegisterHandlers(size_t index) {
           auto mine =
               storage->store().SiblingsInLeaves(reply.divergent_buckets);
           stats_.keys_shipped += mine.size();
-          Obs().CounterFor("ae.keys_shipped").Inc(mine.size());
+          c_keys_shipped_.Inc(mine.size());
           network_->Send(msg.to, msg.from, t_push_, std::move(mine));
         }
       });
@@ -125,7 +131,7 @@ void AntiEntropy::GossipRound(size_t index) {
   // migration that just moved that state off.
   if (departed_[index]) return;
   ++stats_.rounds;
-  Obs().CounterFor("ae.rounds").Inc();
+  c_rounds_.Inc();
   ReplicaStorage* storage = storages_[index];
   for (int f = 0; f < options_.fanout; ++f) {
     if (nodes_.size() < 2) return;
@@ -146,14 +152,14 @@ void AntiEntropy::GossipRound(size_t index) {
       // runs have no departed entries — rng draw order is untouched.)
       if (departed_[candidate]) {
         ++stats_.peers_skipped;
-        Obs().CounterFor("ae.peer_skips").Inc();
+        c_peer_skips_.Inc();
         if (++rejected >= 8) break;
         continue;
       }
       if (options_.peer_usable &&
           !options_.peer_usable(nodes_[index], nodes_[candidate])) {
         ++stats_.peers_skipped;
-        Obs().CounterFor("ae.peer_skips").Inc();
+        c_peer_skips_.Inc();
         if (++rejected >= 8) break;
         continue;
       }
@@ -164,7 +170,7 @@ void AntiEntropy::GossipRound(size_t index) {
                                                nodes_[candidate]) >=
                                   kYieldLoad) {
         ++stats_.peers_yielded;
-        Obs().CounterFor("ae.load_yields").Inc();
+        c_load_yields_.Inc();
         if (++rejected >= 8) break;
         continue;
       }
@@ -181,7 +187,7 @@ void AntiEntropy::GossipRound(size_t index) {
       req.leaf_digests.push_back(storage->merkle().LeafDigest(b));
     }
     stats_.digests_shipped += leaves + 1;
-    Obs().CounterFor("ae.digests_shipped").Inc(leaves + 1);
+    c_digests_shipped_.Inc(leaves + 1);
     network_->Send(nodes_[index], nodes_[peer], t_sync_req_, std::move(req));
   }
 }
@@ -207,10 +213,10 @@ bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
   ReplicaStorage* a = storages_[a_index];
   ReplicaStorage* b = storages_[b_index];
   ++stats_.rounds;
-  Obs().CounterFor("ae.rounds").Inc();
+  c_rounds_.Inc();
   if (a->merkle().RootDigest() == b->merkle().RootDigest()) {
     ++stats_.syncs_skipped;
-    Obs().CounterFor("ae.syncs_skipped").Inc();
+    c_syncs_skipped_.Inc();
     return false;
   }
   uint64_t compared = 0;
@@ -218,12 +224,12 @@ bool AntiEntropy::SyncPair(size_t a_index, size_t b_index) {
       MerkleTree::DiffLeaves(a->merkle(), b->merkle(), &compared);
   stats_.digests_shipped += compared;
   stats_.buckets_exchanged += divergent.size();
-  Obs().CounterFor("ae.digests_shipped").Inc(compared);
-  Obs().CounterFor("ae.buckets_exchanged").Inc(divergent.size());
+  c_digests_shipped_.Inc(compared);
+  c_buckets_exchanged_.Inc(divergent.size());
   const auto from_a = a->store().SiblingsInLeaves(divergent);
   const auto from_b = b->store().SiblingsInLeaves(divergent);
   stats_.keys_shipped += from_a.size() + from_b.size();
-  Obs().CounterFor("ae.keys_shipped").Inc(from_a.size() + from_b.size());
+  c_keys_shipped_.Inc(from_a.size() + from_b.size());
   bool changed = false;
   for (const SharedSiblings& shipped : from_a) {
     changed |= b->MergeRemote(shipped);

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/network.h"
 #include "storage/replica_storage.h"
 
@@ -121,6 +122,14 @@ class AntiEntropy {
   AntiEntropyOptions options_;
   AntiEntropyStats stats_;
   Rng rng_;
+  // ae.* counters, bumped on every gossip round and every sync.
+  obs::LazyCounter c_rounds_;
+  obs::LazyCounter c_peer_skips_;
+  obs::LazyCounter c_load_yields_;
+  obs::LazyCounter c_digests_shipped_;
+  obs::LazyCounter c_buckets_exchanged_;
+  obs::LazyCounter c_keys_shipped_;
+  obs::LazyCounter c_syncs_skipped_;
 };
 
 }  // namespace evc::repl

@@ -15,7 +15,10 @@ constexpr char kAdopt[] = "tl.adopt";
 }  // namespace
 
 TimelineCluster::TimelineCluster(sim::Rpc* rpc, TimelineOptions options)
-    : rpc_(rpc), options_(options) {
+    : rpc_(rpc),
+      options_(options),
+      c_writes_ok_(&Obs(), "tl.writes_ok"),
+      c_reads_local_(&Obs(), "tl.reads_local") {
   EVC_CHECK(rpc_ != nullptr);
   m_write_ = rpc_->InternMethod(kWrite);
   m_read_ = rpc_->InternMethod(kRead);
@@ -187,7 +190,7 @@ void TimelineCluster::ApplyMasterWrite(Server* server, const std::string& key,
   ++rec.seqno;
   JournalApply(server, key, rec.value, rec.seqno);
   ++stats_.writes_ok;
-  Obs().CounterFor("tl.writes_ok").Inc();
+  c_writes_ok_.Inc();
   // Asynchronous in-order propagation to the other replicas. The
   // network may reorder; replicas apply only monotonically.
   for (const sim::NodeId replica : ReplicasOf(key)) {
@@ -222,7 +225,7 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
       result.seqno = it->second.seqno;
     }
     ++stats_.reads_local;
-    Obs().CounterFor("tl.reads_local").Inc();
+    c_reads_local_.Inc();
     // Staleness accounting: compare against the master's current seqno (an
     // omniscient-observer metric, not visible to the protocol itself). A
     // kAtLeast read satisfied locally (seqno >= min_seqno) can still lag

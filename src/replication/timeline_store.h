@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "sim/rpc.h"
 #include "storage/wal.h"
 
@@ -228,6 +229,9 @@ class TimelineCluster : private sim::CrashParticipant {
   MasterMoveHook master_move_hook_;
   TimelineStats stats_;
   sim::CrashRegistrar crash_registrar_;
+  // Counters bumped on every write and every local read.
+  obs::LazyCounter c_writes_ok_;
+  obs::LazyCounter c_reads_local_;
 };
 
 }  // namespace evc::repl

@@ -34,11 +34,10 @@ bool CircuitBreaker::AllowRequest(uint32_t peer, sim::Time now) {
 }
 
 void CircuitBreaker::OnSuccess(uint32_t peer) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  it->second.state = State::kClosed;
-  it->second.consecutive_failures = 0;
-  it->second.probe_in_flight = false;
+  PeerBreaker& b = peers_[peer];
+  b.state = State::kClosed;
+  b.consecutive_failures = 0;
+  b.probe_in_flight = false;
 }
 
 void CircuitBreaker::OnFailure(uint32_t peer, sim::Time now) {
@@ -67,9 +66,7 @@ void CircuitBreaker::OnFailure(uint32_t peer, sim::Time now) {
 
 CircuitBreaker::State CircuitBreaker::StateOf(uint32_t peer,
                                               sim::Time now) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return State::kClosed;
-  const PeerBreaker& b = it->second;
+  const PeerBreaker& b = peers_.Get(peer);
   if (b.state == State::kOpen && now - b.opened_at >= options_.open_duration) {
     return State::kHalfOpen;
   }

@@ -10,8 +10,8 @@
 #define EVC_RESILIENCE_BREAKER_H_
 
 #include <cstdint>
-#include <unordered_map>
 
+#include "sim/node_table.h"
 #include "sim/simulator.h"
 
 namespace evc::resilience {
@@ -56,7 +56,7 @@ class CircuitBreaker {
   };
 
   BreakerOptions options_;
-  std::unordered_map<uint32_t, PeerBreaker> peers_;
+  sim::NodeTable<PeerBreaker> peers_;
   uint64_t trips_ = 0;
   uint64_t rejects_ = 0;
 };

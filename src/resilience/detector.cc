@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/status.h"
-
 namespace evc::resilience {
 
 namespace {
@@ -16,24 +14,24 @@ constexpr sim::Time kFirstIntervalEstimate = 500 * sim::kMillisecond;
 }  // namespace
 
 PhiAccrualDetector::PhiAccrualDetector(DetectorOptions options)
-    : options_(options) {
-  EVC_CHECK(options_.window >= 2);
-}
+    : options_(options) {}
 
 void PhiAccrualDetector::OnArrival(uint32_t peer, sim::Time now) {
   PeerHistory& h = peers_[peer];
   h.consecutive_failures = 0;
   if (h.has_arrival && now >= h.last_arrival) {
     const sim::Time interval = now - h.last_arrival;
-    h.intervals.push_back(interval);
     const double x = static_cast<double>(interval);
     h.sum += x;
     h.sum_sq += x * x;
-    if (h.intervals.size() > options_.window) {
-      const double old = static_cast<double>(h.intervals.front());
-      h.intervals.pop_front();
+    if (h.intervals.size() < kDetectorWindow) {
+      h.intervals.push_back(interval);
+    } else {
+      const double old = static_cast<double>(h.intervals[h.next]);
       h.sum -= old;
       h.sum_sq -= old * old;
+      h.intervals[h.next] = interval;
+      h.next = (h.next + 1) % kDetectorWindow;
     }
   }
   h.last_arrival = now;
@@ -41,8 +39,7 @@ void PhiAccrualDetector::OnArrival(uint32_t peer, sim::Time now) {
 }
 
 void PhiAccrualDetector::OnAlive(uint32_t peer) {
-  auto it = peers_.find(peer);
-  if (it != peers_.end()) it->second.consecutive_failures = 0;
+  peers_[peer].consecutive_failures = 0;
 }
 
 void PhiAccrualDetector::OnFailure(uint32_t peer, sim::Time) {
@@ -50,9 +47,8 @@ void PhiAccrualDetector::OnFailure(uint32_t peer, sim::Time) {
 }
 
 double PhiAccrualDetector::Phi(uint32_t peer, sim::Time now) const {
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || !it->second.has_arrival) return 0.0;
-  const PeerHistory& h = it->second;
+  const PeerHistory& h = peers_.Get(peer);
+  if (!h.has_arrival) return 0.0;
 
   double mean;
   double std_dev;
@@ -84,12 +80,11 @@ bool PhiAccrualDetector::IsSuspected(uint32_t peer, sim::Time now) const {
 }
 
 bool PhiAccrualDetector::ConsecutiveFailuresExceeded(uint32_t peer) const {
-  auto it = peers_.find(peer);
-  return it != peers_.end() && options_.consecutive_failures_to_suspect > 0 &&
-         it->second.consecutive_failures >=
+  return options_.consecutive_failures_to_suspect > 0 &&
+         peers_.Get(peer).consecutive_failures >=
              options_.consecutive_failures_to_suspect;
 }
 
-void PhiAccrualDetector::Forget(uint32_t peer) { peers_.erase(peer); }
+void PhiAccrualDetector::Forget(uint32_t peer) { peers_.Reset(peer); }
 
 }  // namespace evc::resilience

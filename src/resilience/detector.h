@@ -21,10 +21,11 @@
 #ifndef EVC_RESILIENCE_DETECTOR_H_
 #define EVC_RESILIENCE_DETECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/node_table.h"
 #include "sim/simulator.h"
 
 namespace evc::resilience {
@@ -33,9 +34,10 @@ namespace evc::resilience {
 /// this silence is ordinary is one in 10^8" (the Akka default).
 constexpr double kSuspectThreshold = 8.0;
 
+/// Inter-arrival samples kept per peer (sliding window).
+constexpr size_t kDetectorWindow = 100;
+
 struct DetectorOptions {
-  /// Inter-arrival samples kept per peer (sliding window).
-  size_t window = 100;
   /// Fallback: suspect after this many consecutive failed attempts even if
   /// the interval history is too thin for a meaningful phi.
   int consecutive_failures_to_suspect = 3;
@@ -77,7 +79,11 @@ class PhiAccrualDetector {
 
  private:
   struct PeerHistory {
-    std::deque<sim::Time> intervals;
+    /// The last kDetectorWindow intervals as a ring: it fills by appending,
+    /// then each sample overwrites the oldest, at `next`. Storage grows
+    /// only as samples arrive, so a peer with few heartbeats stays small.
+    std::vector<sim::Time> intervals;
+    size_t next = 0;
     double sum = 0.0;
     double sum_sq = 0.0;
     sim::Time last_arrival = 0;
@@ -86,7 +92,7 @@ class PhiAccrualDetector {
   };
 
   DetectorOptions options_;
-  std::unordered_map<uint32_t, PeerHistory> peers_;
+  sim::NodeTable<PeerHistory> peers_;
 };
 
 }  // namespace evc::resilience

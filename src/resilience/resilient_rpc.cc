@@ -43,7 +43,11 @@ ResilientRpc::ResilientRpc(sim::Rpc* rpc, sim::NodeId self,
       retry_(options.retry, seed ^ 0x52455452ULL),  // "RETR"
       detector_(options.detector),
       breaker_(options.breaker),
-      rng_(seed) {
+      rng_(seed),
+      peers_(PeerState{options.retry_budget.initial_tokens,
+                       options.aimd.initial_limit}),
+      c_attempts_(&Obs(), "resilience.attempts"),
+      c_heartbeats_sent_(&Obs(), "resilience.heartbeats_sent") {
   EVC_CHECK(rpc_ != nullptr);
   ping_method_ = rpc_->InternMethod(kPingMethod);
   // Answer other nodes' heartbeat probes.
@@ -58,25 +62,12 @@ obs::MetricsRegistry& ResilientRpc::Obs() const {
   return rpc_->simulator()->metrics().global();
 }
 
-ResilientRpc::DestState& ResilientRpc::DestFor(sim::NodeId dest) {
-  auto [it, inserted] = dests_.try_emplace(dest);
-  if (inserted) {
-    it->second.budget_tokens = options_.retry_budget.initial_tokens;
-    it->second.aimd_limit = options_.aimd.initial_limit;
-  }
-  return it->second;
-}
-
 double ResilientRpc::budget_tokens(sim::NodeId dest) const {
-  const auto it = dests_.find(dest);
-  return it == dests_.end() ? options_.retry_budget.initial_tokens
-                            : it->second.budget_tokens;
+  return peers_.Get(dest).budget_tokens;
 }
 
 double ResilientRpc::concurrency_limit(sim::NodeId dest) const {
-  const auto it = dests_.find(dest);
-  return it == dests_.end() ? options_.aimd.initial_limit
-                            : it->second.aimd_limit;
+  return peers_.Get(dest).aimd_limit;
 }
 
 void ResilientRpc::Call(sim::NodeId to, sim::MethodId method,
@@ -115,7 +106,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
     return;
   }
   if (state->opts.respect_limits && options_.aimd.enabled) {
-    const DestState& dest = DestFor(state->to);
+    const PeerState& dest = peers_[state->to];
     if (static_cast<double>(dest.inflight) + 1.0 > dest.aimd_limit) {
       // Over the adaptive limit: fail fast into the retry path, which backs
       // off and re-checks. Pushing the attempt through anyway is exactly
@@ -129,7 +120,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
   }
 
   ++stats_.attempts;
-  Obs().CounterFor("resilience.attempts").Inc();
+  c_attempts_.Inc();
   state->legs_inflight = 0;
   state->hedge_issued = false;
   state->hedge_timer_armed = false;
@@ -169,7 +160,7 @@ void ResilientRpc::Attempt(const std::shared_ptr<CallState>& state,
             // the failure.
             if (state->opts.respect_limits &&
                 options_.retry_budget.enabled) {
-              DestState& dest = DestFor(hedge_to);
+              PeerState& dest = peers_[hedge_to];
               if (dest.budget_tokens < kRetryCost) {
                 ++stats_.hedges_suppressed_budget;
                 Obs().CounterFor("resilience.hedges_suppressed_budget")
@@ -192,7 +183,7 @@ void ResilientRpc::IssueLeg(const std::shared_ptr<CallState>& state,
                             int attempt, sim::NodeId dest, bool is_hedge,
                             sim::Time timeout) {
   ++state->legs_inflight;
-  ++DestFor(dest).inflight;
+  ++peers_[dest].inflight;
   const sim::Time started = rpc_->simulator()->Now();
   // Retries/hedges re-send a clone; the prototype stays with the call.
   rpc_->Call(self_, dest, state->method, state->request.Clone(), timeout,
@@ -207,7 +198,7 @@ void ResilientRpc::OnLegDone(const std::shared_ptr<CallState>& state,
                              int attempt, sim::NodeId dest, bool is_hedge,
                              sim::Time leg_started, Result<sim::Payload> r) {
   --state->legs_inflight;
-  DestState& dest_state = DestFor(dest);
+  PeerState& dest_state = peers_[dest];
   --dest_state.inflight;
   // A reply — even an application error — proves the peer is alive; only a
   // timeout counts against it. A kResourceExhausted shed in particular is a
@@ -299,7 +290,7 @@ void ResilientRpc::RetryOrFail(const std::shared_ptr<CallState>& state,
   // broadly, per-call retry counts stop mattering and the per-destination
   // budget caps total amplification.
   if (state->opts.respect_limits && options_.retry_budget.enabled) {
-    DestState& dest = DestFor(state->to);
+    PeerState& dest = peers_[state->to];
     if (dest.budget_tokens < kRetryCost) {
       ++stats_.budget_exhausted;
       Obs().CounterFor("resilience.budget_exhausted").Inc();
@@ -385,7 +376,7 @@ bool ResilientRpc::SuspectedNow(sim::NodeId peer, sim::Time now) const {
 void ResilientRpc::NoteSuspicionEdge(sim::NodeId peer) {
   const sim::Time now = rpc_->simulator()->Now();
   const bool suspected = SuspectedNow(peer, now);
-  bool& prev = suspected_[peer];
+  bool& prev = peers_[peer].suspected;
   if (suspected && !prev) {
     ++stats_.suspect_transitions;
     Obs().CounterFor("resilience.detector.suspects").Inc();
@@ -434,7 +425,7 @@ void ResilientRpc::HeartbeatTick(sim::NodeId peer) {
   // A crashed process runs no detector; probing resumes after restart.
   if (!rpc_->network()->IsNodeUp(self_)) return;
   ++stats_.heartbeats_sent;
-  Obs().CounterFor("resilience.heartbeats_sent").Inc();
+  c_heartbeats_sent_.Inc();
   // Probes bypass the breaker on purpose: a healed peer's successful probe
   // is what closes its breaker again.
   rpc_->Call(self_, peer, ping_method_, PingReq{},

@@ -33,13 +33,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
+#include "obs/metrics.h"
 #include "resilience/breaker.h"
 #include "resilience/detector.h"
 #include "resilience/retry.h"
+#include "sim/node_table.h"
 #include "sim/rpc.h"
 
 namespace evc::resilience {
@@ -205,11 +206,14 @@ class ResilientRpc {
  private:
   struct CallState;
 
-  /// Per-destination overload-defense state, created on first use.
-  struct DestState {
+  /// Per-peer state: the overload defenses of calls to the peer and its
+  /// last published suspicion edge. A peer never written reads as the
+  /// initial budget and limit, nothing in flight, not suspected.
+  struct PeerState {
     double budget_tokens = 0.0;
     double aimd_limit = 0.0;
-    int inflight = 0;  ///< legs currently in flight to this destination
+    int inflight = 0;        ///< legs currently in flight to this peer
+    bool suspected = false;  ///< last published suspicion edge
   };
 
   void Attempt(const std::shared_ptr<CallState>& state, int attempt);
@@ -222,7 +226,6 @@ class ResilientRpc {
   void Complete(const std::shared_ptr<CallState>& state, Result<sim::Payload> r);
   void FailDeadline(const std::shared_ptr<CallState>& state);
   sim::Time HedgeDelay() const;
-  DestState& DestFor(sim::NodeId dest);
   bool SuspectedNow(sim::NodeId peer, sim::Time now) const;
   void NoteSuspicionEdge(sim::NodeId peer);
   void HeartbeatTick(sim::NodeId peer);
@@ -238,9 +241,11 @@ class ResilientRpc {
   Rng rng_;
   ResilienceStats stats_;
   Histogram attempt_latency_us_;  ///< successful attempts, feeds HedgeDelay
-  std::unordered_map<sim::NodeId, bool> suspected_;  ///< last published edge
-  std::unordered_map<sim::NodeId, DestState> dests_;  ///< lookup-only
+  sim::NodeTable<PeerState> peers_;
   bool heartbeats_started_ = false;
+  // Counters bumped on every attempt and every heartbeat.
+  obs::LazyCounter c_attempts_;
+  obs::LazyCounter c_heartbeats_sent_;
 };
 
 }  // namespace evc::resilience

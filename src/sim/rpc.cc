@@ -64,10 +64,23 @@ void Rpc::SetRequestGate(NodeId node, RequestGate* gate) {
 }
 
 uint32_t Rpc::PeerLoad(NodeId observer, NodeId peer) const {
-  const auto it = peer_load_.find((uint64_t{observer} << 32) | peer);
-  if (it == peer_load_.end()) return 0;
-  if (network_->simulator()->Now() - it->second.at > kLoadSignalTtl) return 0;
-  return it->second.load;
+  const LoadSample& sample = peer_load_.Get(observer).Get(peer);
+  if (network_->simulator()->Now() - sample.at > kLoadSignalTtl) return 0;
+  return sample.load;
+}
+
+bool Rpc::TakeCall(uint64_t call_id, Pending* out) {
+  const auto slot = static_cast<uint32_t>(call_id);
+  if (slot >= slots_.size() || slots_[slot].gen != call_id >> 32) {
+    return false;
+  }
+  CallSlot& s = slots_[slot];
+  *out = std::move(s.pending);
+  s.pending.cb = nullptr;
+  // gen 0 is skipped on wraparound, as in CalendarQueue.
+  if (++s.gen == 0) s.gen = 1;
+  free_slots_.push_back(slot);
+  return true;
 }
 
 void Rpc::Call(NodeId from, NodeId to, MethodId method, Payload request,
@@ -75,7 +88,16 @@ void Rpc::Call(NodeId from, NodeId to, MethodId method, Payload request,
   // Ensure the caller can receive replies.
   HookReplies(from);
 
-  const uint64_t call_id = next_call_id_++;
+  ++calls_issued_;
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const uint64_t call_id = (uint64_t{slots_[slot].gen} << 32) | slot;
   Simulator* sim = simulator();
   obs::Tracer& tracer = sim->tracer();
   calls_->Inc();
@@ -87,10 +109,8 @@ void Rpc::Call(NodeId from, NodeId to, MethodId method, Payload request,
       tracer.Begin(from, client_span_names_[method], sim->Now());
 
   const EventId timeout_event = sim->ScheduleAfter(timeout, [this, call_id] {
-    auto it = pending_.find(call_id);
-    if (it == pending_.end()) return;
-    Pending pending = std::move(it->second);
-    pending_.erase(it);
+    Pending pending;
+    if (!TakeCall(call_id, &pending)) return;
     Simulator* s = simulator();
     timeouts_->Inc();
     s->tracer().End(pending.span, s->Now(), outcome_timeout_);
@@ -99,7 +119,7 @@ void Rpc::Call(NodeId from, NodeId to, MethodId method, Payload request,
     obs::Tracer::Scope scope(&s->tracer(), pending.span_parent);
     pending.cb(Status::TimedOut("rpc timeout"));
   });
-  pending_[call_id] =
+  slots_[slot].pending =
       Pending{std::move(cb), timeout_event, span, span_parent, sim->Now()};
 
   RequestEnvelope env{call_id, method, std::move(request), span};
@@ -179,22 +199,20 @@ void Rpc::OnRequest(Message msg) {
 
 void Rpc::OnReply(Message msg) {
   auto env = std::move(msg.payload).Take<ReplyEnvelope>();
-  auto it = pending_.find(env.call_id);
-  if (it == pending_.end()) {
+  Pending pending;
+  if (!TakeCall(env.call_id, &pending)) {
     // Late reply after timeout (or a network duplicate of a reply already
-    // consumed): ignored, but counted — hedging win/loss accounting needs
-    // the number of replies that raced a timeout to balance.
+    // consumed), even when a newer call reuses the slot: ignored, but
+    // counted — hedging win/loss accounting needs the number of replies
+    // that raced a timeout to balance.
     late_replies_->Inc();
     return;
   }
-  Pending pending = std::move(it->second);
   Simulator* sim = simulator();
   sim->Cancel(pending.timeout_event);
-  pending_.erase(it);
   // Remember the peer's piggybacked load for this (caller, replier) pair;
   // background subsystems poll it via PeerLoad before adding traffic.
-  peer_load_[(uint64_t{msg.to} << 32) | msg.from] =
-      LoadSample{env.load, sim->Now()};
+  peer_load_[msg.to][msg.from] = LoadSample{env.load, sim->Now()};
   call_latency_us_->Add(static_cast<double>(sim->Now() - pending.started_at));
   sim->tracer().End(pending.span, sim->Now(),
                     env.status.ok()

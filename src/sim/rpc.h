@@ -8,7 +8,9 @@
 // MethodId ids (with the client/server trace-span names precomputed at
 // intern time, so no per-call string concatenation), dispatch indexes flat
 // vectors, request/reply values ride slab-backed Payload boxes, and the
-// metric instruments are resolved once in the constructor.
+// metric instruments are resolved once in the constructor. In-flight calls
+// sit in a slot table addressed by their call id, and piggybacked peer
+// load in one row per observer: a reply finds both without hashing.
 
 #ifndef EVC_SIM_RPC_H_
 #define EVC_SIM_RPC_H_
@@ -16,13 +18,13 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/interner.h"
 #include "common/status.h"
 #include "sim/network.h"
+#include "sim/node_table.h"
 #include "sim/payload.h"
 
 namespace evc::sim {
@@ -154,7 +156,7 @@ class Rpc {
   Simulator* simulator() { return network_->simulator(); }
 
   /// Total RPCs issued (diagnostic).
-  uint64_t calls_issued() const { return next_call_id_ - 1; }
+  uint64_t calls_issued() const { return calls_issued_; }
 
  private:
   struct RequestEnvelope {
@@ -179,12 +181,23 @@ class Rpc {
   };
   struct Pending {
     RpcCallback cb;
-    EventId timeout_event;
+    EventId timeout_event = 0;
     uint64_t span = 0;        ///< client-side span of this call
     uint64_t span_parent = 0; ///< restored as ambient parent around `cb`
     Time started_at = 0;
   };
+  struct CallSlot {
+    /// Generation of the slot's current (or next) call. A call id is
+    /// (gen << 32) | slot, and freeing the slot bumps gen, so the id of a
+    /// completed call stops matching, even once a newer call reuses the
+    /// slot (the scheme CalendarQueue's EventIds use).
+    uint32_t gen = 1;
+    Pending pending;
+  };
 
+  /// Moves the in-flight call `call_id` names into `*out` and frees its
+  /// slot. False when that call already completed or timed out.
+  bool TakeCall(uint64_t call_id, Pending* out);
   void OnRequest(Message msg);
   void OnReply(Message msg);
   void HookRequests(NodeId node);
@@ -193,9 +206,10 @@ class Rpc {
   Network* network_;
   MsgType request_type_;
   MsgType reply_type_;
-  uint64_t next_call_id_ = 1;
-  // Lookup-only map (never iterated); keyed by monotonically growing call id.
-  std::unordered_map<uint64_t, Pending> pending_;
+  uint64_t calls_issued_ = 0;
+  // In-flight calls by slot; free slots are reused LIFO (deterministic).
+  std::vector<CallSlot> slots_;
+  std::vector<uint32_t> free_slots_;
   KeyInterner method_interner_;
   // Precomputed tracer name ids, indexed by MethodId
   // ("rpc.<m>"/"rpc.server.<m>"): opening a span never builds a string.
@@ -207,13 +221,13 @@ class Rpc {
   std::vector<std::vector<RpcHandler>> handlers_;
   // gates_[node]: admission gate, nullptr = dispatch directly (the default).
   std::vector<RequestGate*> gates_;
-  // Last piggybacked load sample per (observer, peer) pair. Lookup-only map
-  // (never iterated); keyed (observer << 32) | peer.
+  // Last piggybacked load sample per (observer, peer) pair: one row per
+  // observer, indexed by peer. A pair never sampled reads as load 0.
   struct LoadSample {
     uint32_t load = 0;
     Time at = 0;
   };
-  std::unordered_map<uint64_t, LoadSample> peer_load_;
+  NodeTable<NodeTable<LoadSample>> peer_load_;
   // Which nodes have the rpc.request / rpc.reply network dispatchers
   // installed (the seed re-registered a fresh reply closure on every Call).
   std::vector<bool> req_hooked_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/hash.h"
@@ -175,6 +176,45 @@ TEST(HistogramTest, BucketForAgreesWithBucketEdgesEverywhere) {
     EXPECT_EQ(Histogram::BucketFor(lo), b) << "lower edge of bucket " << b;
     EXPECT_EQ(Histogram::BucketFor(just_below_hi), b)
         << "upper edge of bucket " << b;
+  }
+}
+
+// BucketFor as it was before the bucket edges moved into a table: a
+// truncated log2 settled against edges computed with exp2 per call.
+int ReferenceBucketFor(double value) {
+  if (value < 1.0) return 0;
+  int b = static_cast<int>(std::log2(value) * 16.0) + 1;
+  if (b >= Histogram::kBucketCount) return Histogram::kBucketCount - 1;
+  if (value >= std::exp2(static_cast<double>(b) / 16.0)) {
+    ++b;
+  } else if (value < std::exp2(static_cast<double>(b - 1) / 16.0)) {
+    --b;
+  }
+  if (b < 1) b = 1;
+  if (b >= Histogram::kBucketCount) b = Histogram::kBucketCount - 1;
+  return b;
+}
+
+TEST(HistogramTest, EdgeTableMatchesExp2AndTheLog2Bucketing) {
+  EXPECT_EQ(Histogram::BucketLower(0), 0.0);
+  for (int b = 0; b < Histogram::kBucketCount; ++b) {
+    if (b > 0) {
+      EXPECT_EQ(Histogram::BucketLower(b),
+                std::exp2(static_cast<double>(b - 1) / 16.0))
+          << "bucket " << b;
+    }
+    EXPECT_EQ(Histogram::BucketUpper(b),
+              std::exp2(static_cast<double>(b) / 16.0))
+        << "bucket " << b;
+  }
+  // Every edge 2^(i/16), i = 0..512, and one ulp either side of it.
+  for (int i = 0; i <= Histogram::kBucketCount; ++i) {
+    const double edge = std::exp2(static_cast<double>(i) / 16.0);
+    for (const double v : {std::nextafter(edge, 0.0), edge,
+                           std::nextafter(edge, HUGE_VAL)}) {
+      EXPECT_EQ(Histogram::BucketFor(v), ReferenceBucketFor(v))
+          << "edge " << i << " value " << v;
+    }
   }
 }
 

@@ -623,6 +623,53 @@ TEST_F(ResilientRpcTest, FlakyLinkSuspicionCountsAsOracleDisagreement) {
       a->stats().false_positives);
 }
 
+// Per-peer state lives in tables indexed by node id. An id above every id
+// the tables hold, and a peer the detector forgot, must read exactly as a
+// peer never heard from.
+TEST_F(ResilientRpcTest, UnseenAndForgottenPeersReadAsNeverHeardFrom) {
+  ResilienceOptions options;
+  options.heartbeat_interval = 100 * kMillisecond;
+  options.heartbeat_timeout = 80 * kMillisecond;
+  options.retry_budget.enabled = true;
+  options.retry_budget.initial_tokens = 7.5;
+  options.aimd.enabled = true;
+  options.aimd.initial_limit = 12.0;
+  auto a = MakeClient(options);
+  ResilientRpc b(&rpc_, server2_, options, 4321);  // answers pings
+
+  // Write rows up to server2_, the highest id: heartbeats to it, and a
+  // successful call to server_ that moves its budget and limit.
+  a->StartHeartbeats({server2_});
+  bool ok = false;
+  a->Call(server_, "echo", EchoReq{"x"}, CallOptions{},
+          [&](Result<sim::Payload> r) { ok = r.ok(); });
+  sim_.RunFor(2 * kSecond);
+  ASSERT_TRUE(ok);
+  ASSERT_NE(a->budget_tokens(server_), 7.5);
+  ASSERT_NE(a->concurrency_limit(server_), 12.0);
+
+  for (const sim::NodeId unseen : {server2_ + 1, server2_ + 1000}) {
+    const sim::Time now = sim_.Now();
+    EXPECT_EQ(a->detector().Phi(unseen, now), 0.0) << unseen;
+    EXPECT_FALSE(a->detector().IsSuspected(unseen, now)) << unseen;
+    EXPECT_EQ(a->breaker().StateOf(unseen, now),
+              CircuitBreaker::State::kClosed)
+        << unseen;
+    EXPECT_TRUE(a->PeerUsable(unseen)) << unseen;
+    EXPECT_EQ(a->budget_tokens(unseen), 7.5) << unseen;
+    EXPECT_EQ(a->concurrency_limit(unseen), 12.0) << unseen;
+  }
+
+  // Silence raises server2_'s phi past the threshold; forgetting it
+  // returns phi to 0.
+  net_.SetNodeUp(server2_, false);
+  sim_.RunFor(2 * kSecond);
+  ASSERT_GE(a->detector().Phi(server2_, sim_.Now()), kSuspectThreshold);
+  a->detector().Forget(server2_);
+  EXPECT_EQ(a->detector().Phi(server2_, sim_.Now()), 0.0);
+  EXPECT_FALSE(a->detector().IsSuspected(server2_, sim_.Now()));
+}
+
 // Satellite: a reply landing after its caller timed out is now visible as
 // rpc.late_replies instead of vanishing silently.
 TEST_F(ResilientRpcTest, LateReplyAfterTimeoutIsCounted) {

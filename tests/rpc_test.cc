@@ -111,6 +111,53 @@ TEST_F(RpcTest, LateReplyAfterTimeoutIsIgnored) {
   EXPECT_TRUE(first.IsTimedOut());
 }
 
+// A call id names a slot and that slot's generation. Call B is issued from
+// A's timeout, while A's slot is the only free one, so B reuses it; A's
+// reply then arrives while B is in flight. Matching by slot alone would
+// hand A's reply to B.
+TEST_F(RpcTest, ReplyForAReusedCallSlotIsLate) {
+  // Each request names how long the server waits before answering it.
+  rpc_.RegisterHandler(
+      server_, "wait", [this](NodeId, Payload req, RpcResponder respond) {
+        const std::string text = std::move(req).Take<EchoReq>().text;
+        const Time wait = text == "A" ? 150 * kMillisecond
+                                      : 200 * kMillisecond;
+        sim_.ScheduleAfter(wait, [respond, text] { respond(text); });
+      });
+  const obs::Counter& late =
+      sim_.metrics().global().CounterFor("rpc.late_replies");
+  Status a_status;
+  int b_callbacks = 0;
+  std::string b_reply;
+  Time b_completed_at = -1;
+  uint64_t late_when_b_completed = 0;
+  rpc_.Call(client_, server_, "wait", EchoReq{"A"}, 100 * kMillisecond,
+            [&](Result<Payload> a) {
+              a_status = a.status();
+              rpc_.Call(client_, server_, "wait", EchoReq{"B"}, kSecond,
+                        [&](Result<Payload> b) {
+                          ++b_callbacks;
+                          ASSERT_TRUE(b.ok());
+                          b_reply = std::move(*b).Take<std::string>();
+                          b_completed_at = sim_.Now();
+                          late_when_b_completed = late.value();
+                        });
+            });
+  // A times out at 100 ms; its reply is sent at 155 ms and lands at 160 ms.
+  sim_.RunUntil(161 * kMillisecond);
+  EXPECT_TRUE(a_status.IsTimedOut());
+  EXPECT_EQ(late.value(), 1u);
+  EXPECT_EQ(b_callbacks, 0);
+  // B (issued at 100 ms) is answered at 305 ms and completes at 310 ms.
+  sim_.Run();
+  EXPECT_EQ(b_callbacks, 1);
+  EXPECT_EQ(b_reply, "B");
+  EXPECT_EQ(b_completed_at, 310 * kMillisecond);
+  EXPECT_EQ(late_when_b_completed, 1u);
+  EXPECT_EQ(late.value(), 1u);
+  EXPECT_EQ(rpc_.calls_issued(), 2u);
+}
+
 TEST_F(RpcTest, AsynchronousServerReplyWorks) {
   rpc_.RegisterHandler(
       server_, "defer", [this](NodeId, Payload, RpcResponder respond) {
