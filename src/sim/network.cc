@@ -154,7 +154,9 @@ void Network::Send(NodeId from, NodeId to, MsgType type, Payload payload) {
     metrics_.drop_loss->Inc();
     return;
   }
-  if (const double flaky = LinkDropRate(from, to);
+  // Most runs set no gray fault; Send then reads none of their tables.
+  const bool gray = HasGrayFaults();
+  if (const double flaky = gray ? LinkDropRate(from, to) : 0.0;
       flaky > 0 && rng_.NextBool(flaky)) {
     ++messages_dropped_;
     metrics_.drop_flaky->Inc();
@@ -170,10 +172,12 @@ void Network::Send(NodeId from, NodeId to, MsgType type, Payload payload) {
   // Gray faults stretch delivery: slow links scale the sampled latency,
   // slow nodes add processing delay at both sender and receiver.
   Time latency = latency_->Sample(from, to, rng_);
-  if (const double factor = LinkLatencyFactor(from, to); factor != 1.0) {
-    latency = static_cast<Time>(static_cast<double>(latency) * factor);
+  if (gray) {
+    if (const double factor = LinkLatencyFactor(from, to); factor != 1.0) {
+      latency = static_cast<Time>(static_cast<double>(latency) * factor);
+    }
+    latency += NodeProcessingDelay(from) + NodeProcessingDelay(to);
   }
-  latency += NodeProcessingDelay(from) + NodeProcessingDelay(to);
   const bool duplicate = duplicate_rate_ > 0 && rng_.NextBool(duplicate_rate_);
   if (duplicate) {
     metrics_.duplicated->Inc();

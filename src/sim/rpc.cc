@@ -77,7 +77,7 @@ bool Rpc::TakeCall(uint64_t call_id, Pending* out) {
   CallSlot& s = slots_[slot];
   *out = std::move(s.pending);
   s.pending.cb = nullptr;
-  // gen 0 is skipped on wraparound, as in CalendarQueue.
+  // gen 0 is skipped on wraparound, as in EventQueue.
   if (++s.gen == 0) s.gen = 1;
   free_slots_.push_back(slot);
   return true;

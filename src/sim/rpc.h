@@ -190,7 +190,7 @@ class Rpc {
     /// Generation of the slot's current (or next) call. A call id is
     /// (gen << 32) | slot, and freeing the slot bumps gen, so the id of a
     /// completed call stops matching, even once a newer call reuses the
-    /// slot (the scheme CalendarQueue's EventIds use).
+    /// slot (the scheme EventQueue's EventIds use).
     uint32_t gen = 1;
     Pending pending;
   };

@@ -2,12 +2,12 @@
 
 namespace evc::sim {
 
-bool Simulator::Cancel(EventId id) { return calq_.Cancel(id); }
+bool Simulator::Cancel(EventId id) { return queue_.Cancel(id); }
 
 bool Simulator::Step() {
-  if (calq_.empty()) return false;
+  if (queue_.empty()) return false;
   Time when = 0;
-  Task fn = calq_.PopMin(&when);
+  Task fn = queue_.PopMin(&when);
   now_ = when;
   ++events_executed_;
   fn.Run();
@@ -47,7 +47,7 @@ void Simulator::NotifyRestart(uint32_t node) {
 
 void Simulator::RunUntil(Time deadline) {
   Time when = 0;
-  while (calq_.PeekWhen(&when) && when <= deadline) Step();
+  while (queue_.PeekWhen(&when) && when <= deadline) Step();
   if (now_ < deadline) now_ = deadline;
 }
 

@@ -6,13 +6,13 @@
 // identical. This replaces the real geo-distributed testbeds used by the
 // systems the tutorial surveys (see DESIGN.md, substitution table).
 //
-// The scheduler is a calendar queue (bucketed timing wheel + sorted overflow
-// heap, sim/calendar_queue.h) with slab-backed event closures. It runs
-// events in strict (when, seq) order with seq assigned at schedule time, so
-// same-time events are FIFO. EventIds are opaque and always nonzero,
-// preserving callers' `id == 0` "no event" sentinels. Behaviour is pinned
-// byte for byte by the golden export digests (tests/golden_digest_test.cc);
-// calendar_queue_test checks the queue against a naive sorted model.
+// The scheduler is an indexed 4-ary min-heap (sim/event_queue.h) with
+// slab-backed event closures. It runs events in strict (when, seq) order
+// with seq assigned at schedule time, so same-time events are FIFO.
+// EventIds are opaque and always nonzero, preserving callers' `id == 0`
+// "no event" sentinels. Behaviour is pinned byte for byte by the golden
+// export digests (tests/golden_digest_test.cc); event_queue_test checks the
+// queue against a naive sorted model.
 
 #ifndef EVC_SIM_SIMULATOR_H_
 #define EVC_SIM_SIMULATOR_H_
@@ -29,7 +29,7 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/calendar_queue.h"
+#include "sim/event_queue.h"
 #include "sim/task.h"
 
 namespace evc::sim {
@@ -67,7 +67,7 @@ class CrashParticipant {
 class Simulator {
  public:
   /// `seed` drives the simulator-owned RNG; forked per component.
-  explicit Simulator(uint64_t seed = 1) : calq_(&slab_), rng_(seed) {}
+  explicit Simulator(uint64_t seed = 1) : rng_(seed) {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -81,7 +81,7 @@ class Simulator {
   template <typename F>
   EventId ScheduleAt(Time when, F&& fn) {
     EVC_CHECK(when >= now_);
-    return calq_.Push(when, Task(&slab_, std::forward<F>(fn)));
+    return queue_.Push(when, Task(&slab_, std::forward<F>(fn)));
   }
 
   /// Schedules `fn` to run `delay` after Now().
@@ -90,8 +90,8 @@ class Simulator {
     return ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Cancels a pending event. Returns true if the event had not yet run and
-  /// was not already cancelled.
+  /// Cancels a pending event and destroys its closure. Returns true if the
+  /// event had not yet run and was not already cancelled.
   bool Cancel(EventId id);
 
   /// Executes the next pending event, advancing the clock. Returns false if
@@ -113,16 +113,13 @@ class Simulator {
   /// Number of events executed so far (diagnostic).
   uint64_t events_executed() const { return events_executed_; }
   /// Number of events currently pending: scheduled, not yet executed, not
-  /// cancelled (the calendar queue counts live slots).
-  size_t pending_events() const { return calq_.pending(); }
+  /// cancelled (the size of the event heap).
+  size_t pending_events() const { return queue_.pending(); }
 
   /// Event-closure and payload arena. Network/RPC box message payloads here;
   /// the allocator is freed wholesale when the simulator dies, so anything
   /// boxed must not outlive the simulation.
   Slab& slab() { return slab_; }
-
-  /// Calendar-queue internals (adaptation counters), for tests and benches.
-  const CalendarQueue::Stats& scheduler_stats() const { return calq_.stats(); }
 
   /// Simulator-level RNG; components should Fork() their own stream.
   Rng& rng() { return rng_; }
@@ -163,10 +160,10 @@ class Simulator {
   Time now_ = 0;
   uint64_t events_executed_ = 0;
 
-  // slab_ must outlive calq_ (declared first): pending closures free into
+  // slab_ must outlive queue_ (declared first): pending closures free into
   // it when the queue destructs.
   Slab slab_;
-  CalendarQueue calq_;
+  EventQueue queue_;
 
   Rng rng_;
   obs::Metrics metrics_;

@@ -109,9 +109,8 @@ TEST(SimulatorTest, RunUntilEndsAtDeadlineWhenQueueDrainsEarly) {
 
 TEST(SimulatorTest, ScheduleAfterRunUntilSkippedAheadStillFires) {
   // RunUntil can advance the clock far past the last executed event. A
-  // subsequent schedule close to Now() must fire on the next run — this is
-  // the cursor-pull-back case in the calendar queue (the event's bucket
-  // index is behind the cursor's resting position).
+  // subsequent schedule close to Now() must fire on the next run: the queue
+  // orders it by its time alone, not by where earlier pops left off.
   auto sim = NewSim();
   sim->ScheduleAt(10, [] {});
   sim->RunUntil(1'000'000);
@@ -254,7 +253,7 @@ TEST(SimulatorTest, EventMayDestroyItsOwnCapturedState) {
 
 TEST(SimulatorTest, EventMayReallocateTheQueueWhileRunning) {
   // Schedule enough events from inside a running event to force the backing
-  // containers (wheel buckets / slab chunks) to grow. The
+  // containers (event heap, slot table, slab chunks) to grow. The
   // running closure's captures must stay intact across that growth.
   auto sim = NewSim();
   int fired = 0;

@@ -111,7 +111,9 @@ TEST(WorkloadTest, KeyIdsRoundTripAndAreInjective) {
     // Injective per run: an id never maps to two different keys, and a
     // repeated key always gets its original id.
     auto [it, inserted] = seen.emplace(op.key_id, op.key);
-    if (!inserted) EXPECT_EQ(it->second, op.key);
+    if (!inserted) {
+      EXPECT_EQ(it->second, op.key);
+    }
   }
   EXPECT_EQ(gen.interned_keys(), seen.size());
 }
