@@ -6,12 +6,16 @@
 // grows logarithmically in cluster size — and sync cost is proportional to
 // divergence rather than database size (Fig. 3 measures both claims). That
 // holds for host CPU as well as for what is shipped: a leaf-digest compare
-// is O(leaves), and the store hands over the divergent leaves' keys without
-// walking the others. A key travels as the sender's immutable sibling-set
-// object, never a copy. Merging a set the receiver already holds costs one
-// lookup. Merging one the receiver's result equals makes the receiver adopt
-// that object and its digest, so a converged cluster keeps one set per
-// version however many replicas hold the key.
+// is O(leaves), and the store hands over the divergent leaves' keys leaf by
+// leaf, in the order it files them, without walking or sorting anything
+// else. A key travels as the sender's immutable sibling-set object, never a
+// copy, with its digest and the leaf it is filed under. Merging a record
+// costs one search of that leaf: a set the receiver already holds stops
+// there, one that changes nothing costs a few version-vector compares, and
+// one that strictly dominates the local versions is adopted, object and
+// digest, at the cost of one key hash for the Merkle update and one WAL
+// record. So a converged cluster keeps one set per version however many
+// replicas hold the key.
 
 #ifndef EVC_REPLICATION_ANTI_ENTROPY_H_
 #define EVC_REPLICATION_ANTI_ENTROPY_H_

@@ -4,6 +4,7 @@
 
 #include "common/hash.h"
 #include "common/status.h"
+#include "sim/node_table.h"
 
 namespace evc::repl {
 
@@ -63,6 +64,9 @@ std::vector<sim::NodeId> HashRing::PreferenceList(const std::string& key,
   n = std::min(n, servers_.size());
   std::vector<sim::NodeId> out;
   out.reserve(n);
+  // Members already listed, by id: a walk over every member would otherwise
+  // rescan its own output at each of the ring's points.
+  sim::NodeTable<uint8_t> listed;
   // FNV-1a alone is unusable as a ring position for short keys: an n-byte
   // input only reaches ~2^(40+lg n) of the 2^64 space (each byte contributes
   // one multiply by the 2^40-sized FNV prime), so every short key lands on
@@ -74,7 +78,8 @@ std::vector<sim::NodeId> HashRing::PreferenceList(const std::string& key,
   for (size_t steps = 0; out.size() < n && steps < 2 * ring_.size();
        ++steps) {
     if (it == ring_.end()) it = ring_.begin();
-    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
+    if (listed.Get(it->second) == 0) {
+      listed[it->second] = 1;
       out.push_back(it->second);
     }
     ++it;

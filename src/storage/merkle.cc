@@ -16,10 +16,9 @@ MerkleTree::MerkleTree(int depth)
   }
 }
 
-void MerkleTree::UpdateKey(const std::string& key, uint64_t old_digest,
+void MerkleTree::UpdateKey(uint64_t key_hash, uint64_t old_digest,
                            uint64_t new_digest) {
-  const size_t bucket = BucketFor(key);
-  const uint64_t key_hash = Fnv1a64(key);
+  const size_t bucket = LeafOfHash(key_hash, depth_);
   uint64_t delta = 0;
   if (old_digest != 0) delta ^= Mix64(key_hash ^ old_digest);
   if (new_digest != 0) delta ^= Mix64(key_hash ^ new_digest);

@@ -31,17 +31,22 @@ class MerkleTree {
   /// of its FNV-1a hash. VersionedStore files its keys by the same rule, so
   /// a store's per-leaf key lists line up with a tree of its depth.
   static size_t LeafOf(const std::string& key, int depth) {
-    return Fnv1a64(key) & ((size_t{1} << depth) - 1);
+    return LeafOfHash(Fnv1a64(key), depth);
+  }
+  /// The same leaf from the key's Fnv1a64 hash.
+  static size_t LeafOfHash(uint64_t key_hash, int depth) {
+    return key_hash & ((size_t{1} << depth) - 1);
   }
 
   int depth() const { return depth_; }
   size_t leaf_count() const { return leaf_count_; }
 
-  /// Reflects a change to `key`'s digest: pass 0 for old_digest when the key
-  /// is new, 0 for new_digest when the key is removed. Digests must be the
-  /// store's KeyDigest values (never 0 for a live key; callers guard this).
-  void UpdateKey(const std::string& key, uint64_t old_digest,
-                 uint64_t new_digest);
+  /// Reflects a change to a key's digest, given the key's Fnv1a64 hash (its
+  /// leaf is the hash's low `depth` bits, as in LeafOf): pass 0 for
+  /// old_digest when the key is new, 0 for new_digest when the key is
+  /// removed. Digests must be the store's KeyDigest values (never 0 for a
+  /// live key; callers guard this).
+  void UpdateKey(uint64_t key_hash, uint64_t old_digest, uint64_t new_digest);
 
   /// Root digest; equal roots <=> (with overwhelming probability) equal
   /// contents.

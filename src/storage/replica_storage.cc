@@ -13,52 +13,52 @@ ReplicaStorage::ReplicaStorage(uint32_t replica_id,
       merkle_(options.merkle_depth) {}
 
 void ReplicaStorage::JournalVersions(WriteAheadLog* log, const std::string& key,
-                                     const std::vector<Version>& versions) {
+                                     std::span<const Version> versions) {
   if (!options_.durable || versions.empty()) return;
-  std::string record;
-  PutLengthPrefixed(&record, key);
-  PutVarint64(&record, versions.size());
-  for (const auto& v : versions) v.EncodeTo(&record);
-  log->Append(record);
+  record_.clear();
+  PutLengthPrefixed(&record_, key);
+  PutVarint64(&record_, versions.size());
+  for (const auto& v : versions) v.EncodeTo(&record_);
+  log->Append(record_);
 }
 
-void ReplicaStorage::SyncMerkle(const std::string& key, uint64_t old_digest) {
-  merkle_.UpdateKey(key, old_digest, store_.KeyDigest(key));
+void ReplicaStorage::SyncMerkle(const KeyDigestChange& change) {
+  merkle_.UpdateKey(change.key_hash, change.old_digest, change.new_digest);
 }
 
 Version ReplicaStorage::Put(const std::string& key, std::string value,
                             const VersionVector& context, LamportTimestamp ts) {
-  uint64_t old_digest = 0;
-  Version v = store_.Put(key, std::move(value), context, ts, &old_digest);
-  JournalVersions(&wal_, key, {v});
-  SyncMerkle(key, old_digest);
+  KeyDigestChange change;
+  Version v = store_.Put(key, std::move(value), context, ts, &change);
+  JournalVersions(&wal_, key, {&v, 1});
+  SyncMerkle(change);
   return v;
 }
 
 Version ReplicaStorage::Delete(const std::string& key,
                                const VersionVector& context,
                                LamportTimestamp ts) {
-  uint64_t old_digest = 0;
-  Version v = store_.Delete(key, context, ts, &old_digest);
-  JournalVersions(&wal_, key, {v});
-  SyncMerkle(key, old_digest);
+  KeyDigestChange change;
+  Version v = store_.Delete(key, context, ts, &change);
+  JournalVersions(&wal_, key, {&v, 1});
+  SyncMerkle(change);
   return v;
 }
 
 bool ReplicaStorage::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions) {
-  uint64_t old_digest = 0;
-  if (!store_.MergeRemote(key, remote_versions, &old_digest)) return false;
+  KeyDigestChange change;
+  if (!store_.MergeRemote(key, remote_versions, &change)) return false;
   JournalVersions(&wal_, key, remote_versions);
-  SyncMerkle(key, old_digest);
+  SyncMerkle(change);
   return true;
 }
 
 bool ReplicaStorage::MergeRemote(const SharedSiblings& shipped) {
-  uint64_t old_digest = 0;
-  if (!store_.MergeRemote(shipped, &old_digest)) return false;
+  KeyDigestChange change;
+  if (!store_.MergeRemote(shipped, &change)) return false;
   JournalVersions(&wal_, shipped.key, *shipped.siblings);
-  SyncMerkle(shipped.key, old_digest);
+  SyncMerkle(change);
   return true;
 }
 
@@ -105,10 +105,8 @@ Result<size_t> ReplicaStorage::RecoverFromLog(WriteAheadLog* wal) {
       if (own > max_own_counter) max_own_counter = own;
       versions.push_back(std::move(v));
     }
-    uint64_t old_digest = 0;
-    if (store_.MergeRemote(key, versions, &old_digest)) {
-      SyncMerkle(key, old_digest);
-    }
+    KeyDigestChange change;
+    if (store_.MergeRemote(key, versions, &change)) SyncMerkle(change);
     ++replayed;
   }
   store_.RestoreCounterFloor(max_own_counter);

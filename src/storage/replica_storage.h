@@ -10,6 +10,7 @@
 #define EVC_STORAGE_REPLICA_STORAGE_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,10 @@ class ReplicaStorage {
   /// and no digest work.
   bool MergeRemote(const std::string& key,
                    const std::vector<Version>& remote_versions);
-  /// The same for a set another store shipped (anti-entropy): holding that
-  /// object already costs one lookup, and an equal result adopts it (see
-  /// VersionedStore::MergeRemote).
+  /// The same for a set another store shipped (anti-entropy): one search of
+  /// the leaf the record names, and at most one hash of its key. Holding
+  /// that object already costs the search alone, and a dominating or equal
+  /// set is adopted (see VersionedStore::MergeRemote).
   bool MergeRemote(const SharedSiblings& shipped);
 
   const VersionedStore& store() const { return store_; }
@@ -93,13 +95,16 @@ class ReplicaStorage {
   /// Appends one (key, versions) record to `log` (the live WAL, or the
   /// snapshot a checkpoint writes); no-op when not durable.
   void JournalVersions(WriteAheadLog* log, const std::string& key,
-                       const std::vector<Version>& versions);
-  void SyncMerkle(const std::string& key, uint64_t old_digest);
+                       std::span<const Version> versions);
+  void SyncMerkle(const KeyDigestChange& change);
 
   ReplicaStorageOptions options_;
   VersionedStore store_;
   MerkleTree merkle_;
   WriteAheadLog wal_;
+  // JournalVersions encodes each record here, so appending one allocates
+  // nothing once the buffer has grown to the largest record.
+  std::string record_;
 };
 
 }  // namespace evc

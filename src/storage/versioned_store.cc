@@ -59,9 +59,7 @@ constexpr auto kKeyLess = [](const auto& entry, const std::string& key) {
 
 // KeyDigest of a sibling set: XOR of per-version digests mixed with the key
 // hash, so it does not depend on sibling order.
-uint64_t DigestOf(const std::string& key,
-                  const std::vector<Version>& siblings) {
-  const uint64_t key_hash = Fnv1a64(key);
+uint64_t DigestOf(uint64_t key_hash, const std::vector<Version>& siblings) {
   uint64_t acc = 0;
   for (const auto& v : siblings) acc ^= Mix64(key_hash ^ v.Digest());
   return acc;
@@ -76,6 +74,23 @@ bool SiblingSetCovers(std::span<const Version> siblings, const Version& v) {
                        return order == CausalOrder::kAfter ||
                               order == CausalOrder::kEqual;
                      });
+}
+
+// True if every version of `local` is strictly older than some version of
+// `shipped`. Merging a shipped set (an antichain, as every stored set is)
+// into such a `local` then yields `shipped` itself, version for version and
+// in order: no local version covers a shipped one (it would be older than
+// another shipped version), so each shipped version is appended in turn,
+// and each local one is dropped by the version that dominates it.
+bool StrictlyDominated(std::span<const Version> local,
+                       std::span<const Version> shipped) {
+  const auto older = [shipped](const Version& old) {
+    return std::any_of(shipped.begin(), shipped.end(),
+                       [&old](const Version& v) {
+                         return v.vv.Dominates(old.vv);
+                       });
+  };
+  return std::all_of(local.begin(), local.end(), older);
 }
 
 }  // namespace
@@ -94,9 +109,10 @@ const VersionedStore::Entry* VersionedStore::Find(
   return it != leaf.end() && it->key == key ? &*it : nullptr;
 }
 
-VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key) {
+VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key,
+                                                    size_t leaf_index) {
   if (leaves_.empty()) leaves_.resize(size_t{1} << leaf_depth_);
-  Leaf& leaf = leaves_[MerkleTree::LeafOf(key, leaf_depth_)];
+  Leaf& leaf = leaves_[leaf_index];
   auto it = std::lower_bound(leaf.begin(), leaf.end(), key, kKeyLess);
   if (it == leaf.end() || it->key != key) {
     it = leaf.insert(it, Entry{key, {}, 0});
@@ -105,44 +121,61 @@ VersionedStore::Entry& VersionedStore::FindOrInsert(const std::string& key) {
   return *it;
 }
 
-bool VersionedStore::Merge(const std::string& key,
+bool VersionedStore::Merge(const std::string& key, size_t leaf,
+                           std::optional<uint64_t> key_hash,
                            std::span<const Version> versions,
                            const SharedSiblings* shipped,
-                           uint64_t* old_digest) {
+                           KeyDigestChange* change) {
   // Callers pass at least one version, and the first always joins an absent
   // key's empty set, so FindOrInsert never leaves an empty entry behind.
-  Entry& entry = FindOrInsert(key);
-  if (old_digest != nullptr) *old_digest = entry.digest;
+  Entry& entry = FindOrInsert(key, leaf);
   if (shipped != nullptr && entry.siblings == shipped->siblings) return false;
+  const uint64_t old_digest = entry.digest;
+  const auto hash = [&key, &key_hash] {
+    if (!key_hash.has_value()) key_hash = Fnv1a64(key);
+    return *key_hash;
+  };
   std::span<const Version> local;
   if (entry.siblings != nullptr) local = *entry.siblings;
-  if (std::all_of(versions.begin(), versions.end(), [local](const Version& v) {
-        return SiblingSetCovers(local, v);
-      })) {
+  // For a shipped set, `versions` is that set.
+  if (shipped != nullptr &&
+      (options_.conflict_policy == ConflictPolicy::kSiblings ||
+       versions.size() == 1) &&
+      StrictlyDominated(local, versions)) {
+    // The merge would rebuild the shipped set (and the conflict policy
+    // leaves it be), so take the object and the sender's digest as they are.
+    entry.siblings = shipped->siblings;
+    entry.digest = shipped->digest;
+  } else if (std::all_of(versions.begin(), versions.end(),
+                         [local](const Version& v) {
+                           return SiblingSetCovers(local, v);
+                         })) {
     // Unchanged. An equal shipped set is adopted all the same, so replicas
     // that converged separately come to share one object.
     if (shipped != nullptr && std::ranges::equal(local, *shipped->siblings)) {
       entry.siblings = shipped->siblings;
     }
     return false;
-  }
-  std::vector<Version> merged(local.begin(), local.end());
-  for (const Version& v : versions) InsertIntoSiblingSet(&merged, v);
-  ApplyConflictPolicy(&merged);
-  if (shipped != nullptr && merged == *shipped->siblings) {
-    entry.siblings = shipped->siblings;
-    entry.digest = shipped->digest;
   } else {
-    entry.digest = DigestOf(key, merged);
-    entry.siblings =
-        std::make_shared<const std::vector<Version>>(std::move(merged));
+    std::vector<Version> merged(local.begin(), local.end());
+    for (const Version& v : versions) InsertIntoSiblingSet(&merged, v);
+    ApplyConflictPolicy(&merged);
+    if (shipped != nullptr && merged == *shipped->siblings) {
+      entry.siblings = shipped->siblings;
+      entry.digest = shipped->digest;
+    } else {
+      entry.digest = DigestOf(hash(), merged);
+      entry.siblings =
+          std::make_shared<const std::vector<Version>>(std::move(merged));
+    }
   }
+  if (change != nullptr) *change = {hash(), old_digest, entry.digest};
   return true;
 }
 
 Version VersionedStore::Put(const std::string& key, std::string value,
                             const VersionVector& context, LamportTimestamp ts,
-                            uint64_t* old_digest) {
+                            KeyDigestChange* change) {
   Version v;
   v.value = std::move(value);
   v.vv = context;
@@ -153,20 +186,24 @@ Version VersionedStore::Put(const std::string& key, std::string value,
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = false;
-  Merge(key, {&v, 1}, nullptr, old_digest);
+  const uint64_t key_hash = Fnv1a64(key);
+  Merge(key, MerkleTree::LeafOfHash(key_hash, leaf_depth_), key_hash, {&v, 1},
+        nullptr, change);
   return v;
 }
 
 Version VersionedStore::Delete(const std::string& key,
                                const VersionVector& context,
-                               LamportTimestamp ts, uint64_t* old_digest) {
+                               LamportTimestamp ts, KeyDigestChange* change) {
   Version v;
   v.vv = context;
   write_counter_ = std::max(write_counter_, context.Get(replica_id_)) + 1;
   v.vv.Set(replica_id_, write_counter_);
   v.lww_ts = ts;
   v.tombstone = true;
-  Merge(key, {&v, 1}, nullptr, old_digest);
+  const uint64_t key_hash = Fnv1a64(key);
+  Merge(key, MerkleTree::LeafOfHash(key_hash, leaf_depth_), key_hash, {&v, 1},
+        nullptr, change);
   return v;
 }
 
@@ -232,15 +269,19 @@ void VersionedStore::ApplyConflictPolicy(std::vector<Version>* siblings) {
 
 bool VersionedStore::MergeRemote(const std::string& key,
                                  const std::vector<Version>& remote_versions,
-                                 uint64_t* old_digest) {
+                                 KeyDigestChange* change) {
   if (remote_versions.empty()) return false;
-  return Merge(key, remote_versions, nullptr, old_digest);
+  const uint64_t key_hash = Fnv1a64(key);
+  return Merge(key, MerkleTree::LeafOfHash(key_hash, leaf_depth_), key_hash,
+               remote_versions, nullptr, change);
 }
 
 bool VersionedStore::MergeRemote(const SharedSiblings& shipped,
-                                 uint64_t* old_digest) {
+                                 KeyDigestChange* change) {
   EVC_CHECK(shipped.siblings != nullptr && !shipped.siblings->empty());
-  return Merge(shipped.key, *shipped.siblings, &shipped, old_digest);
+  EVC_CHECK(shipped.leaf < (size_t{1} << leaf_depth_));
+  return Merge(shipped.key, shipped.leaf, std::nullopt, *shipped.siblings,
+               &shipped, change);
 }
 
 size_t VersionedStore::version_count() const {
@@ -256,18 +297,14 @@ uint64_t VersionedStore::KeyDigest(const std::string& key) const {
   return entry == nullptr ? 0 : entry->digest;
 }
 
-void VersionedStore::SortByKey(std::vector<const Entry*>* entries) {
-  std::sort(entries->begin(), entries->end(),
-            [](const Entry* a, const Entry* b) { return a->key < b->key; });
-}
-
 void VersionedStore::ForEachKey(const KeyVisitor& fn) const {
   std::vector<const Entry*> entries;
   entries.reserve(key_count_);
   for (const Leaf& leaf : leaves_) {
     for (const Entry& entry : leaf) entries.push_back(&entry);
   }
-  SortByKey(&entries);
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry* a, const Entry* b) { return a->key < b->key; });
   for (const Entry* entry : entries) fn(entry->key, *entry->siblings);
 }
 
@@ -279,14 +316,13 @@ std::vector<SharedSiblings> VersionedStore::SiblingsInLeaves(
   EVC_CHECK(wanted.empty() || wanted.back() < (size_t{1} << leaf_depth_));
   std::vector<SharedSiblings> out;
   if (leaves_.empty()) return out;
-  std::vector<const Entry*> entries;
+  size_t count = 0;
+  for (size_t b : wanted) count += leaves_[b].size();
+  out.reserve(count);
   for (size_t b : wanted) {
-    for (const Entry& entry : leaves_[b]) entries.push_back(&entry);
-  }
-  SortByKey(&entries);
-  out.reserve(entries.size());
-  for (const Entry* entry : entries) {
-    out.push_back({entry->key, entry->siblings, entry->digest});
+    for (const Entry& entry : leaves_[b]) {
+      out.push_back({entry.key, entry.siblings, entry.digest, b});
+    }
   }
   return out;
 }

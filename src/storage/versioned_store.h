@@ -17,9 +17,10 @@
 //
 // A key's sibling set is an immutable object (SiblingSet) that stores may
 // share: every write builds a replacement set and none edits one in place.
-// Anti-entropy ships a store's set objects rather than copies, and a merge
-// whose result equals the shipped set adopts that object, so replicas that
-// agree on a key hold one set between them (DESIGN.md §2.2).
+// Anti-entropy ships a store's set objects rather than copies. A shipped set
+// that strictly dominates every local version is adopted as it is, object
+// and digest, and so is one a merge's result equals, so replicas that agree
+// on a key hold one set between them (DESIGN.md §2.2).
 
 #ifndef EVC_STORAGE_VERSIONED_STORE_H_
 #define EVC_STORAGE_VERSIONED_STORE_H_
@@ -27,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -61,11 +63,24 @@ struct Version {
 using SiblingSet = std::shared_ptr<const std::vector<Version>>;
 
 /// One key as anti-entropy ships it: the sending store's set object (shared,
-/// never copied) and its KeyDigest.
+/// never copied), its KeyDigest and the Merkle leaf the key is filed under
+/// (stores that exchange records share one depth, so the receiver files it
+/// there without hashing the key).
 struct SharedSiblings {
   std::string key;
   SiblingSet siblings;
   uint64_t digest = 0;
+  size_t leaf = 0;
+};
+
+/// What a write did to one key, for the owner's Merkle tree
+/// (MerkleTree::UpdateKey): the key's Fnv1a64 hash and its KeyDigest before
+/// and after the write (0 for an absent key). The default, all zeros, is a
+/// no-op update.
+struct KeyDigestChange {
+  uint64_t key_hash = 0;
+  uint64_t old_digest = 0;
+  uint64_t new_digest = 0;
 };
 
 /// Inserts `v` into a sibling set, maintaining the invariant that no version
@@ -106,16 +121,16 @@ class VersionedStore {
   /// Writes a new version. `context` is the causal context the writer read
   /// (its version vector); the new version's vv is context ⊔ {replica: next}.
   /// Siblings causally dominated by the new version are discarded. Returns
-  /// the stored version. If `old_digest` is set, it receives the key's
-  /// KeyDigest from before the write (0 for a new key); so do Delete's and
-  /// MergeRemote's.
+  /// the stored version. If `change` is set and the key changed, it receives
+  /// the key's hash and digests; so do Delete's and MergeRemote's (which
+  /// returns true exactly then). Otherwise it is left as it was.
   Version Put(const std::string& key, std::string value,
               const VersionVector& context, LamportTimestamp ts,
-              uint64_t* old_digest = nullptr);
+              KeyDigestChange* change = nullptr);
 
   /// Writes a tombstone with the same rules as Put.
   Version Delete(const std::string& key, const VersionVector& context,
-                 LamportTimestamp ts, uint64_t* old_digest = nullptr);
+                 LamportTimestamp ts, KeyDigestChange* change = nullptr);
 
   /// Returns the live (non-tombstone) sibling versions of `key`.
   /// Empty if unknown or fully deleted.
@@ -133,14 +148,16 @@ class VersionedStore {
   /// applies the conflict policy. Returns true if local state changed.
   bool MergeRemote(const std::string& key,
                    const std::vector<Version>& remote_versions,
-                   uint64_t* old_digest = nullptr);
+                   KeyDigestChange* change = nullptr);
 
-  /// MergeRemote for a set another store shipped (SiblingsInLeaves). If the
-  /// key already holds that object it returns at once; if the merged set
-  /// equals the shipped one, the key adopts the shipped object and digest
-  /// instead of a copy.
+  /// MergeRemote for a set another store shipped (SiblingsInLeaves), filed
+  /// under its `leaf`. If the key already holds that object it returns at
+  /// once. If the shipped set strictly dominates every local version and
+  /// the conflict policy cannot rewrite it (kSiblings, or one version), the
+  /// key adopts the shipped object and digest without merging; otherwise it
+  /// merges, and adopts them when the result equals the shipped set.
   bool MergeRemote(const SharedSiblings& shipped,
-                   uint64_t* old_digest = nullptr);
+                   KeyDigestChange* change = nullptr);
 
   /// Number of keys with at least one version (including tombstone-only).
   size_t key_count() const { return key_count_; }
@@ -161,8 +178,10 @@ class VersionedStore {
   void ForEachKey(const KeyVisitor& fn) const;
 
   /// Exactly the keys whose Merkle leaf is in `leaves` (indices below
-  /// 2^leaf_depth), in key order, each with its shared set object; cost
-  /// follows the keys returned, not the store size.
+  /// 2^leaf_depth, in any order, repeats allowed), leaf by leaf in ascending
+  /// leaf order and in key order within a leaf, each with its shared set
+  /// object. No key is sorted: cost follows the keys returned, not the
+  /// store size.
   std::vector<SharedSiblings> SiblingsInLeaves(
       const std::vector<size_t>& leaves) const;
 
@@ -187,15 +206,19 @@ class VersionedStore {
   using Leaf = std::vector<Entry>;  // sorted by key
 
   const Entry* Find(const std::string& key) const;
-  /// The key's entry, inserted empty (digest 0) when absent.
-  Entry& FindOrInsert(const std::string& key);
+  /// The key's entry in `leaf`, inserted empty (digest 0) when absent.
+  Entry& FindOrInsert(const std::string& key, size_t leaf);
   /// Both MergeRemotes for a non-empty set (`shipped` is null for the
   /// vector one); Put and Delete merge their one new version through it
-  /// too. Replaces the key's set, never edits it.
-  bool Merge(const std::string& key, std::span<const Version> versions,
-             const SharedSiblings* shipped, uint64_t* old_digest);
+  /// too. Replaces the key's set, never edits it. `key_hash` is the key's
+  /// Fnv1a64 when the caller has it (it found `leaf` that way); a shipped
+  /// record names its leaf instead, and its hash is computed only if the
+  /// set changes.
+  bool Merge(const std::string& key, size_t leaf,
+             std::optional<uint64_t> key_hash,
+             std::span<const Version> versions,
+             const SharedSiblings* shipped, KeyDigestChange* change);
   void ApplyConflictPolicy(std::vector<Version>* siblings);
-  static void SortByKey(std::vector<const Entry*>* entries);
 
   uint32_t replica_id_;
   VersionedStoreOptions options_;

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -263,6 +265,64 @@ TEST(HashRingTest, RemapDeltaBoundedOnLeave) {
   const double fair = static_cast<double>(kKeys) / 8;
   EXPECT_GT(moved, 0);
   EXPECT_LE(moved, static_cast<int>(fair * 1.5));
+}
+
+// The preference-list walk as it was before it kept a table of listed
+// members: it deduplicated with std::find over the list it was building.
+// `ring` is the (position, server) points sorted by position.
+std::vector<sim::NodeId> RescanningWalk(
+    const std::vector<std::pair<uint64_t, sim::NodeId>>& ring, size_t servers,
+    const std::string& key, size_t n) {
+  n = std::min(n, servers);
+  std::vector<sim::NodeId> out;
+  auto it = std::lower_bound(ring.begin(), ring.end(), Mix64(Fnv1a64(key)),
+                             [](const auto& point, uint64_t position) {
+                               return point.first < position;
+                             });
+  for (size_t steps = 0; out.size() < n && steps < 2 * ring.size();
+       ++steps) {
+    if (it == ring.end()) it = ring.begin();
+    if (std::find(out.begin(), out.end(), it->second) == out.end()) {
+      out.push_back(it->second);
+    }
+    ++it;
+  }
+  return out;
+}
+
+// Full walks (every member, as DynamoCluster::RingWalkAt asks for) and short
+// ones equal the rescanning walk's lists, on 50 servers x 64 vnodes whose
+// ids are spread out, so the table of listed members is indexed sparsely.
+TEST(HashRingTest, ListedMemberTableMatchesRescanningWalk) {
+  constexpr int kVnodes = 64;
+  HashRing ring(kVnodes);
+  std::vector<std::pair<uint64_t, sim::NodeId>> points;
+  for (sim::NodeId i = 0; i < 50; ++i) {
+    const sim::NodeId node = 3 * i + 7;
+    ring.AddServer(node);
+    // AddServer's point formula; the full 64-bit space has no collisions
+    // here, so no point was re-probed (checked below).
+    for (int v = 0; v < kVnodes; ++v) {
+      points.emplace_back(Mix64((static_cast<uint64_t>(node) << 20) ^
+                                static_cast<uint64_t>(v) ^ 0x5ca1ab1eULL),
+                          node);
+    }
+  }
+  std::sort(points.begin(), points.end());
+  ASSERT_EQ(std::adjacent_find(points.begin(), points.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.first == b.first;
+                               }),
+            points.end());
+  ASSERT_EQ(ring.point_count(), points.size());
+  for (int i = 0; i < 1000; ++i) {
+    const std::string key = "key" + std::to_string(i);
+    for (size_t n : {size_t{1}, size_t{3}, size_t{50}}) {
+      const std::vector<sim::NodeId> walk = ring.PreferenceList(key, n);
+      ASSERT_EQ(walk, RescanningWalk(points, 50, key, n)) << key << " n=" << n;
+      ASSERT_EQ(walk.size(), n);
+    }
+  }
 }
 
 // A static cluster is epoch 0 of the elastic one: its placement is cached per

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -206,7 +208,7 @@ void ExpectDigestsAndTreeFresh(const ReplicaStorage& rs) {
       digest ^= Mix64(Fnv1a64(key) ^ v.Digest());
     }
     EXPECT_EQ(rs.store().KeyDigest(key), digest) << key;
-    rebuilt.UpdateKey(key, 0, digest);
+    rebuilt.UpdateKey(Fnv1a64(key), 0, digest);
   });
   EXPECT_EQ(rs.merkle().RootDigest(), rebuilt.RootDigest());
 }
@@ -321,6 +323,126 @@ TEST_P(CrashRecoveryPropertyTest, RecoveryIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest,
                          ::testing::Range(uint64_t{1}, uint64_t{9}));
+
+// Property: adopting a shipped set object is exact. One replica merges the
+// set another store shipped (MergeRemote(SharedSiblings), which adopts the
+// object when it strictly dominates every local version); its twin, with
+// the same history, merges a vector of the same versions, which always
+// builds its own set. Both must report the same change and end with the
+// same GetRaw, KeyDigest, Merkle root and WAL bytes. Three writers build
+// each key's histories from causal overwrites, blind (concurrent) writes
+// and syncs, so local and shipped sets meet as equal, dominated and
+// concurrent versions, under both conflict policies at the receivers.
+class AdoptionPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AdoptionPropertyTest, AdoptingEqualsMergingTheSameVersions) {
+  Rng rng(GetParam());
+  int dominated = 0;   // every local version strictly older than a shipped
+  int concurrent = 0;  // some local version concurrent with a shipped one
+  int equal = 0;       // the local set equals the shipped one
+  for (ConflictPolicy policy :
+       {ConflictPolicy::kSiblings, ConflictPolicy::kLastWriterWins}) {
+    ReplicaStorageOptions options;
+    options.store.conflict_policy = policy;
+    ReplicaStorage adopting(0, options), merging(0, options);
+    std::vector<VersionedStore> writers;
+    for (uint32_t w = 1; w <= 3; ++w) writers.emplace_back(w);
+    uint64_t ts = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::string key = "k" + std::to_string(trial);
+      const auto write = [&](VersionedStore& w, bool blind) {
+        const LamportTimestamp stamp = Ts(++ts, w.replica_id());
+        const VersionVector context =
+            blind ? VersionVector() : w.ContextFor(key);
+        w.Put(key, std::to_string(ts), context, stamp);
+      };
+      const auto sync = [&key](VersionedStore& to,
+                               const VersionedStore& from) {
+        const std::vector<Version> versions = from.GetRaw(key);
+        if (!versions.empty()) to.MergeRemote(key, versions);
+      };
+      for (int op = 0, ops = 1 + static_cast<int>(rng.NextBounded(6));
+           op < ops; ++op) {
+        VersionedStore& w = writers[rng.NextBounded(writers.size())];
+        const uint64_t pick = rng.NextBounded(4);
+        if (pick < 2) {  // a blind write is concurrent with what others hold
+          write(w, /*blind=*/pick == 0);
+        } else {
+          sync(w, writers[rng.NextBounded(writers.size())]);
+        }
+      }
+      const size_t local_index = rng.NextBounded(writers.size());
+      const size_t sender_index = rng.NextBounded(writers.size());
+      const VersionedStore& local = writers[local_index];
+      VersionedStore& sender = writers[sender_index];
+      const uint64_t ending = rng.NextBounded(3);
+      if (ending > 0 && local_index != sender_index) {
+        // The sender catches up with the local set and writes over it, so
+        // its set strictly dominates the local one; a third writer's blind
+        // write may then join it as a concurrent sibling.
+        sync(sender, local);
+        write(sender, /*blind=*/false);
+        if (ending == 2) {
+          VersionedStore& third = writers[3 - local_index - sender_index];
+          write(third, /*blind=*/true);
+          sync(sender, third);
+        }
+      }
+      const std::vector<Version> local_versions = local.GetRaw(key);
+      if (!local_versions.empty()) {
+        adopting.MergeRemote(key, local_versions);
+        merging.MergeRemote(key, local_versions);
+      }
+      std::vector<SharedSiblings> leaf = sender.SiblingsInLeaves(
+          {MerkleTree::LeafOf(key, MerkleTree::kDefaultDepth)});
+      const auto shipped = std::find_if(
+          leaf.begin(), leaf.end(),
+          [&key](const SharedSiblings& s) { return s.key == key; });
+      if (shipped == leaf.end()) continue;  // the sender never saw the key
+      const std::vector<Version> held = adopting.GetRaw(key);
+      const std::vector<Version>& sent = *shipped->siblings;
+      const auto older = [&sent](const Version& mine) {
+        return std::any_of(sent.begin(), sent.end(), [&mine](const Version& v) {
+          return v.vv.Dominates(mine.vv);
+        });
+      };
+      const auto concurrent_with_sent = [&sent](const Version& mine) {
+        return std::any_of(sent.begin(), sent.end(), [&mine](const Version& v) {
+          return v.vv.ConcurrentWith(mine.vv);
+        });
+      };
+      if (!held.empty() && std::all_of(held.begin(), held.end(), older)) {
+        ++dominated;
+      }
+      if (std::any_of(held.begin(), held.end(), concurrent_with_sent)) {
+        ++concurrent;
+      }
+      if (held == sent) ++equal;
+      // Twice: the second merge finds the adopted object (or an equal set).
+      for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(adopting.MergeRemote(*shipped),
+                  merging.MergeRemote(key, *shipped->siblings))
+            << key << " round " << round;
+        EXPECT_EQ(adopting.GetRaw(key), merging.GetRaw(key)) << key;
+        EXPECT_EQ(adopting.store().KeyDigest(key),
+                  merging.store().KeyDigest(key))
+            << key;
+        EXPECT_EQ(adopting.merkle().RootDigest(),
+                  merging.merkle().RootDigest())
+            << key;
+        EXPECT_EQ(adopting.wal()->buffer(), merging.wal()->buffer()) << key;
+      }
+    }
+    ExpectDigestsAndTreeFresh(adopting);
+  }
+  // The generator must keep reaching the adoption, merge and no-op paths.
+  EXPECT_GE(dominated, 50);
+  EXPECT_GE(concurrent, 50);
+  EXPECT_GE(equal, 50);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AdoptionPropertyTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{5}));
 
 }  // namespace
 }  // namespace evc

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/encoding.h"
@@ -326,12 +327,15 @@ TEST(VersionedStoreTest, CachedKeyDigestMatchesRecomputationAfterEveryWrite) {
   peer.Put("a", "2", VersionVector(), Ts(4, 1));
   peer.Put("b", "3", VersionVector(), Ts(5, 1));
   const uint64_t before = store.KeyDigest("a");
-  uint64_t old_digest = 0;
-  EXPECT_TRUE(store.MergeRemote("a", peer.GetRaw("a"), &old_digest));
-  EXPECT_EQ(old_digest, before);
+  KeyDigestChange change;
+  EXPECT_TRUE(store.MergeRemote("a", peer.GetRaw("a"), &change));
+  EXPECT_EQ(change.key_hash, Fnv1a64("a"));
+  EXPECT_EQ(change.old_digest, before);
+  EXPECT_EQ(change.new_digest, store.KeyDigest("a"));
   EXPECT_NE(store.KeyDigest("a"), before);  // a sibling joined
-  EXPECT_TRUE(store.MergeRemote("b", peer.GetRaw("b"), &old_digest));
-  EXPECT_EQ(old_digest, 0u);  // new key
+  EXPECT_TRUE(store.MergeRemote("b", peer.GetRaw("b"), &change));
+  EXPECT_EQ(change.old_digest, 0u);  // new key
+  EXPECT_EQ(change.new_digest, store.KeyDigest("b"));
   ExpectDigestsFresh(store, probes);
   const uint64_t settled = store.KeyDigest("a");
   EXPECT_FALSE(store.MergeRemote("a", peer.GetRaw("a")));  // no-op
@@ -424,16 +428,35 @@ TEST_P(VersionedStoreLayoutTest, LeafIterationVisitsExactlyRequestedLeaves) {
   leaves.push_back(leaves.front());
   std::reverse(leaves.begin(), leaves.end());
   const std::set<size_t> wanted(leaves.begin(), leaves.end());
-  std::vector<std::string> expected;
+  // The store returns leaf by leaf in ascending leaf order, each leaf's keys
+  // in key order: the reference's keys regrouped under an ordered map of
+  // leaves.
+  std::map<size_t, std::vector<std::string>> by_leaf;
+  std::set<std::string> members;
   for (const std::string& key : reference) {
-    if (wanted.count(tree.BucketFor(key)) > 0) expected.push_back(key);
+    const size_t leaf = tree.BucketFor(key);
+    if (wanted.count(leaf) == 0) continue;
+    by_leaf[leaf].push_back(key);
+    members.insert(key);
+  }
+  std::vector<std::string> expected;
+  for (const auto& [leaf, keys] : by_leaf) {
+    expected.insert(expected.end(), keys.begin(), keys.end());
   }
   std::vector<std::string> visited;
+  std::vector<size_t> visited_leaves;
   for (const SharedSiblings& shipped : store.SiblingsInLeaves(leaves)) {
     visited.push_back(shipped.key);
+    visited_leaves.push_back(shipped.leaf);
+    EXPECT_EQ(shipped.leaf, tree.BucketFor(shipped.key));
     EXPECT_EQ(*shipped.siblings, store.GetRaw(shipped.key));
     EXPECT_EQ(shipped.digest, store.KeyDigest(shipped.key));
   }
+  // Exactly the wanted leaves' keys, each once, whatever the order.
+  EXPECT_EQ(std::set<std::string>(visited.begin(), visited.end()), members);
+  EXPECT_EQ(visited.size(), members.size());
+  // And in the order of the contract.
+  EXPECT_TRUE(std::is_sorted(visited_leaves.begin(), visited_leaves.end()));
   EXPECT_EQ(visited, expected);
   EXPECT_FALSE(expected.empty());
   EXPECT_LT(expected.size(), reference.size());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "storage/merkle.h"
 #include "storage/wal.h"
@@ -170,7 +171,7 @@ TEST(MerkleTest, EmptyTreesHaveEqualRoots) {
 
 TEST(MerkleTest, SingleKeyChangesRoot) {
   MerkleTree a(8), b(8);
-  a.UpdateKey("k", 0, 123);
+  a.UpdateKey(Fnv1a64("k"), 0, 123);
   EXPECT_NE(a.RootDigest(), b.RootDigest());
   auto diff = MerkleTree::DiffLeaves(a, b);
   ASSERT_EQ(diff.size(), 1u);
@@ -179,29 +180,29 @@ TEST(MerkleTest, SingleKeyChangesRoot) {
 
 TEST(MerkleTest, SameContentsSameRootRegardlessOfOrder) {
   MerkleTree a(8), b(8);
-  a.UpdateKey("x", 0, 1);
-  a.UpdateKey("y", 0, 2);
-  b.UpdateKey("y", 0, 2);
-  b.UpdateKey("x", 0, 1);
+  a.UpdateKey(Fnv1a64("x"), 0, 1);
+  a.UpdateKey(Fnv1a64("y"), 0, 2);
+  b.UpdateKey(Fnv1a64("y"), 0, 2);
+  b.UpdateKey(Fnv1a64("x"), 0, 1);
   EXPECT_EQ(a.RootDigest(), b.RootDigest());
 }
 
 TEST(MerkleTest, UpdateThenRevertRestoresRoot) {
   MerkleTree a(8);
   const uint64_t empty_root = a.RootDigest();
-  a.UpdateKey("k", 0, 5);
-  a.UpdateKey("k", 5, 0);  // remove
+  a.UpdateKey(Fnv1a64("k"), 0, 5);
+  a.UpdateKey(Fnv1a64("k"), 5, 0);  // remove
   EXPECT_EQ(a.RootDigest(), empty_root);
 }
 
 TEST(MerkleTest, ModifyExistingKey) {
   MerkleTree a(8), b(8);
-  a.UpdateKey("k", 0, 5);
-  b.UpdateKey("k", 0, 5);
+  a.UpdateKey(Fnv1a64("k"), 0, 5);
+  b.UpdateKey(Fnv1a64("k"), 0, 5);
   EXPECT_EQ(a.RootDigest(), b.RootDigest());
-  a.UpdateKey("k", 5, 9);
+  a.UpdateKey(Fnv1a64("k"), 5, 9);
   EXPECT_NE(a.RootDigest(), b.RootDigest());
-  b.UpdateKey("k", 5, 9);
+  b.UpdateKey(Fnv1a64("k"), 5, 9);
   EXPECT_EQ(a.RootDigest(), b.RootDigest());
 }
 
@@ -210,12 +211,12 @@ TEST(MerkleTest, DiffFindsExactlyDivergentBuckets) {
   // 100 shared keys.
   for (int i = 0; i < 100; ++i) {
     const std::string key = "shared" + std::to_string(i);
-    a.UpdateKey(key, 0, static_cast<uint64_t>(i + 1));
-    b.UpdateKey(key, 0, static_cast<uint64_t>(i + 1));
+    a.UpdateKey(Fnv1a64(key), 0, static_cast<uint64_t>(i + 1));
+    b.UpdateKey(Fnv1a64(key), 0, static_cast<uint64_t>(i + 1));
   }
   // 3 keys only in a.
   std::vector<std::string> extra = {"only-a-1", "only-a-2", "only-a-3"};
-  for (const auto& key : extra) a.UpdateKey(key, 0, 42);
+  for (const auto& key : extra) a.UpdateKey(Fnv1a64(key), 0, 42);
   auto diff = MerkleTree::DiffLeaves(a, b);
   // Every extra key's bucket is reported.
   for (const auto& key : extra) {
@@ -229,10 +230,10 @@ TEST(MerkleTest, DescentCostLogarithmicInDivergence) {
   MerkleTree a(12), b(12);
   for (int i = 0; i < 5000; ++i) {
     const std::string key = "k" + std::to_string(i);
-    a.UpdateKey(key, 0, static_cast<uint64_t>(i + 1));
-    b.UpdateKey(key, 0, static_cast<uint64_t>(i + 1));
+    a.UpdateKey(Fnv1a64(key), 0, static_cast<uint64_t>(i + 1));
+    b.UpdateKey(Fnv1a64(key), 0, static_cast<uint64_t>(i + 1));
   }
-  a.UpdateKey("divergent", 0, 7);
+  a.UpdateKey(Fnv1a64("divergent"), 0, 7);
   uint64_t compared = 0;
   auto diff = MerkleTree::DiffLeaves(a, b, &compared);
   EXPECT_EQ(diff.size(), 1u);
@@ -250,9 +251,9 @@ TEST_P(MerkleDepthTest, RandomizedDiffMatchesGroundTruth) {
   for (int i = 0; i < 500; ++i) {
     const std::string key = "key" + std::to_string(i);
     const uint64_t digest = rng.NextU64() | 1;  // nonzero
-    a.UpdateKey(key, 0, digest);
+    a.UpdateKey(Fnv1a64(key), 0, digest);
     if (rng.NextBool(0.9)) {
-      b.UpdateKey(key, 0, digest);
+      b.UpdateKey(Fnv1a64(key), 0, digest);
     } else {
       divergent_keys.push_back(key);
     }
