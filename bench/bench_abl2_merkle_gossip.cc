@@ -5,6 +5,11 @@
 //     precision: a shallow tree ships whole buckets of clean keys, a deep
 //     one a long digest list. Over depths 6..16 on a 50k-key database the
 //     key volume dominates, so the combined cost proxy keeps falling.
+//     The digests counted are one AntiEntropy::SyncPair's tree descent
+//     (MerkleTree::DiffLeaves), 109 at depth 6 and 949 at depth 16. A
+//     gossip round ships a flat SyncRequest instead: every leaf digest plus
+//     the root, 2^depth + 1, which is 65,537 at depth 16. Priced at that
+//     request, the proxy would bottom out at depth 12 (16,209).
 // (b) Push-pull gossip converges faster than push-only for the same round
 //     budget (rumors travel both directions per pairing).
 

@@ -9,6 +9,13 @@
 // Output: (a) virtual time to full convergence for cluster sizes 4..64 and
 // fanouts 1..3; (b) digests/keys shipped to reconcile d dirty keys out of a
 // 20k-key database.
+//
+// (b) counts the digests of one AntiEntropy::SyncPair, which descends the
+// depth-14 tree into differing subtrees only (MerkleTree::DiffLeaves): 29
+// for one dirty key. A gossip round does not descend. Its SyncRequest
+// carries all 2^14 leaf digests plus the root, 16,385 digests whatever the
+// divergence, and that flat request is what bench/stack's
+// ae.digests_shipped_per_op counts.
 
 #include <algorithm>
 #include <cstdio>

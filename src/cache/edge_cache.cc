@@ -139,48 +139,15 @@ EdgeCacheTier::EdgeCacheTier(sim::Rpc* rpc, repl::TimelineCluster* cluster,
   c_revokes_expired_ = &g.CounterFor("cache.revokes_expired");
   c_writes_gated_ = &g.CounterFor("cache.writes_gated");
   c_writes_fenced_ = &g.CounterFor("cache.writes_fenced");
-  c_master_move_fences_ = &g.CounterFor("cache.master_move_fences");
   h_hit_age_us_ = &g.HistogramFor("cache.hit_age_us");
   for (sim::NodeId node : cluster_->Servers()) AttachServer(node);
   cluster_->SetWriteGate([this](sim::NodeId master, const std::string& key,
                                 std::function<void(Status)> release) {
     GateWrite(master, key, std::move(release));
   });
-  cluster_->SetMasterMoveHook([this](const std::string& key,
-                                     sim::NodeId old_master,
-                                     sim::NodeId new_master) {
-    OnMasterMove(key, old_master, new_master);
-  });
 }
 
-EdgeCacheTier::~EdgeCacheTier() {
-  cluster_->SetWriteGate(nullptr);
-  cluster_->SetMasterMoveHook(nullptr);
-}
-
-void EdgeCacheTier::OnMasterMove(const std::string& key,
-                                 sim::NodeId old_master,
-                                 sim::NodeId new_master) {
-  if (!options_.fence_on_master_move) return;
-  // The old master's book for this key stops being the book of record. Its
-  // entries must not linger: a later move BACK would treat them as live
-  // holders and revoke ghosts.
-  if (ServerState* old_st = FindServer(old_master)) {
-    old_st->registry.DropKey(key);
-  }
-  // The holders themselves keep serving until expiry, and the new master
-  // has no record of them — so it may not ack a write on the key until one
-  // full ttl has passed (crash-recovery discipline, key-scoped). The fence
-  // is unconditional: when the old master is crashed or partitioned its
-  // registry is not a trustworthy census of outstanding leases.
-  if (ServerState* new_st = FindServer(new_master)) {
-    const sim::Time until = rpc_->simulator()->Now() + options_.lease_ttl;
-    sim::Time& fence = new_st->key_fence_until[key];
-    fence = std::max(fence, until);
-    ++stats_.master_move_fences;
-    c_master_move_fences_->Inc();
-  }
-}
+EdgeCacheTier::~EdgeCacheTier() { cluster_->SetWriteGate(nullptr); }
 
 void EdgeCacheTier::AttachServer(sim::NodeId node) {
   auto st = std::make_unique<ServerState>(options_.lease_ttl);
@@ -283,21 +250,6 @@ void EdgeCacheTier::GateWrite(sim::NodeId master, const std::string& key,
       GateWrite(master, key, std::move(release));
     });
     return;
-  }
-  auto kf = st->key_fence_until.find(key);
-  if (kf != st->key_fence_until.end()) {
-    if (kf->second > now) {
-      // Master-move fence: leases the previous master granted on this key
-      // are invisible to us; wait them out before acking (see OnMasterMove).
-      ++stats_.writes_fenced;
-      c_writes_fenced_->Inc();
-      sim->ScheduleAt(kf->second, [this, master, key,
-                                   release = std::move(release)]() mutable {
-        GateWrite(master, key, std::move(release));
-      });
-      return;
-    }
-    st->key_fence_until.erase(kf);
   }
   auto batch = std::make_shared<RevokeBatch>();
   batch->holders = st->registry.Outstanding(key, now);

@@ -25,6 +25,10 @@
 //     crash has expired by the time the fence lifts, so forgotten holders
 //     are still never served stale acks.
 //
+// Nothing migrates a record's master (TimelineCluster::MasterOf), so the
+// registry of the master that granted a lease stays the key's book of
+// record: no lease is granted by one master and missed by another.
+//
 // The payoff is strong: because a write acks only after every lease on its
 // key is dead, a served cache entry is never behind an acked write — cached
 // reads preserve all four Bayou session guarantees, and the edge-cache fuzz
@@ -61,13 +65,6 @@ struct EdgeCacheOptions {
   /// stop early at the lease's own expiry (deadline propagation).
   sim::Time revoke_timeout = 100 * sim::kMillisecond;
   int revoke_attempts = 4;
-  /// When a record's mastership moves (TimelineCluster::MigrateMaster), the
-  /// NEW master has no record of leases the OLD one granted, so it fences
-  /// writes on that key for one ttl — the key-scoped version of the crash
-  /// fence. Without it a post-move write acks while old-epoch holders still
-  /// serve the overwritten value (the bug this option's regression test
-  /// reproduces by turning it off).
-  bool fence_on_master_move = true;
   /// Retry/backoff tuning for the revoke fan-out ResilientRpc instances.
   resilience::ResilienceOptions resilience;
 };
@@ -85,7 +82,6 @@ struct CacheStats {
   uint64_t revokes_received = 0;
   uint64_t writes_gated = 0;   ///< writes that met >=1 outstanding lease
   uint64_t writes_fenced = 0;  ///< writes delayed by a crash-recovery fence
-  uint64_t master_move_fences = 0;  ///< key fences installed on master moves
 };
 
 /// A read served by the cache tier.
@@ -197,11 +193,6 @@ class EdgeCacheTier : private sim::CrashParticipant {
     /// after restart must keep new grants out until it applies.
     std::map<std::string, int> writes_pending;
     sim::Time fence_until = 0;
-    /// Key-scoped fences installed when this server BECOMES a key's master
-    /// (leases granted by the previous master are invisible to us and must
-    /// expire before we may ack a write). Entries are erased lazily once
-    /// past due.
-    std::map<std::string, sim::Time> key_fence_until;
     std::unique_ptr<resilience::ResilientRpc> resilient;
 
     explicit ServerState(sim::Time ttl) : registry(ttl) {}
@@ -218,10 +209,6 @@ class EdgeCacheTier : private sim::CrashParticipant {
 
   void AttachServer(sim::NodeId node);
   ServerState* FindServer(sim::NodeId node);
-  /// MasterMoveHook body: drop the old master's now-obsolete book for the
-  /// key and fence the new master for one ttl.
-  void OnMasterMove(const std::string& key, sim::NodeId old_master,
-                    sim::NodeId new_master);
   void HandleCacheRead(ServerState* st, sim::NodeId from, CacheReadReq req,
                        sim::RpcResponder respond);
   void GateWrite(sim::NodeId master, const std::string& key,
@@ -254,7 +241,6 @@ class EdgeCacheTier : private sim::CrashParticipant {
   obs::Counter* c_revokes_expired_ = nullptr;
   obs::Counter* c_writes_gated_ = nullptr;
   obs::Counter* c_writes_fenced_ = nullptr;
-  obs::Counter* c_master_move_fences_ = nullptr;
   Histogram* h_hit_age_us_ = nullptr;
   sim::CrashRegistrar crash_registrar_;
 };

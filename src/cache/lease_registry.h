@@ -67,19 +67,6 @@ class LeaseRegistry {
   /// TTL afterwards; see file comment.)
   void DropAll() { leases_.clear(); }
 
-  /// Forgets every lease on one key: the owner stopped being the key's
-  /// master, so its book for the key is no longer the book of record. The
-  /// holders still serve until expiry — the NEW master must fence writes on
-  /// the key for a TTL, exactly like crash recovery but key-scoped. Returns
-  /// the number of entries dropped.
-  size_t DropKey(const std::string& key) {
-    auto it = leases_.find(key);
-    if (it == leases_.end()) return 0;
-    const size_t n = it->second.size();
-    leases_.erase(it);
-    return n;
-  }
-
   /// Outstanding (possibly expired-but-uncollected) entries, all keys.
   size_t size() const;
 

@@ -6,15 +6,6 @@
 
 namespace evc {
 
-UniformDistribution::UniformDistribution(uint64_t item_count)
-    : item_count_(item_count) {
-  EVC_CHECK(item_count > 0);
-}
-
-uint64_t UniformDistribution::Next(Rng& rng) {
-  return rng.NextBounded(item_count_);
-}
-
 ZipfianDistribution::ZipfianDistribution(uint64_t item_count, double theta)
     : item_count_(item_count), theta_(theta) {
   EVC_CHECK(item_count > 0);
@@ -53,38 +44,6 @@ ScrambledZipfianDistribution::ScrambledZipfianDistribution(uint64_t item_count,
 uint64_t ScrambledZipfianDistribution::Next(Rng& rng) {
   const uint64_t rank = zipf_.Next(rng);
   return Mix64(rank) % item_count_;
-}
-
-LatestDistribution::LatestDistribution(uint64_t initial_item_count,
-                                       double theta)
-    : item_count_(initial_item_count), zipf_(initial_item_count, theta) {
-  EVC_CHECK(initial_item_count > 0);
-}
-
-uint64_t LatestDistribution::Next(Rng& rng) {
-  // Distance back from the most recent item, folded into the live range.
-  const uint64_t back = zipf_.Next(rng) % item_count_;
-  return item_count_ - 1 - back;
-}
-
-HotspotDistribution::HotspotDistribution(uint64_t item_count,
-                                         double hot_set_fraction,
-                                         double hot_draw_fraction)
-    : item_count_(item_count),
-      hot_count_(static_cast<uint64_t>(
-          static_cast<double>(item_count) * hot_set_fraction)),
-      hot_draw_fraction_(hot_draw_fraction) {
-  EVC_CHECK(item_count > 0);
-  if (hot_count_ == 0) hot_count_ = 1;
-  if (hot_count_ > item_count_) hot_count_ = item_count_;
-}
-
-uint64_t HotspotDistribution::Next(Rng& rng) {
-  if (rng.NextBool(hot_draw_fraction_)) {
-    return rng.NextBounded(hot_count_);
-  }
-  if (hot_count_ == item_count_) return rng.NextBounded(item_count_);
-  return hot_count_ + rng.NextBounded(item_count_ - hot_count_);
 }
 
 }  // namespace evc

@@ -4,7 +4,6 @@
 #define EVC_COMMON_DISTRIBUTIONS_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.h"
 
@@ -18,17 +17,6 @@ class KeyDistribution {
   virtual uint64_t Next(Rng& rng) = 0;
   /// Number of distinct items this distribution draws from.
   virtual uint64_t item_count() const = 0;
-};
-
-/// Every item equally likely.
-class UniformDistribution : public KeyDistribution {
- public:
-  explicit UniformDistribution(uint64_t item_count);
-  uint64_t Next(Rng& rng) override;
-  uint64_t item_count() const override { return item_count_; }
-
- private:
-  uint64_t item_count_;
 };
 
 /// Zipfian distribution over [0, n) with exponent theta, using the
@@ -65,38 +53,6 @@ class ScrambledZipfianDistribution : public KeyDistribution {
  private:
   ZipfianDistribution zipf_;
   uint64_t item_count_;
-};
-
-/// "Latest" distribution: recently inserted items are most popular. The
-/// caller advances `max_item` as inserts happen; draws are Zipfian distances
-/// back from the newest item.
-class LatestDistribution : public KeyDistribution {
- public:
-  explicit LatestDistribution(uint64_t initial_item_count,
-                              double theta = 0.99);
-  uint64_t Next(Rng& rng) override;
-  uint64_t item_count() const override { return item_count_; }
-  /// Records that a new item was appended; it becomes the most popular.
-  void AdvanceItemCount() { ++item_count_; }
-
- private:
-  uint64_t item_count_;
-  ZipfianDistribution zipf_;
-};
-
-/// Hotspot distribution: `hot_fraction` of draws hit the first
-/// `hot_set_fraction * n` items uniformly; the rest hit the cold set.
-class HotspotDistribution : public KeyDistribution {
- public:
-  HotspotDistribution(uint64_t item_count, double hot_set_fraction,
-                      double hot_draw_fraction);
-  uint64_t Next(Rng& rng) override;
-  uint64_t item_count() const override { return item_count_; }
-
- private:
-  uint64_t item_count_;
-  uint64_t hot_count_;
-  double hot_draw_fraction_;
 };
 
 }  // namespace evc

@@ -82,34 +82,6 @@ Json TraceToJson(const Tracer& tracer) {
   return Json(std::move(out));
 }
 
-std::string RegistryToCsv(const MetricsRegistry& registry) {
-  std::string out = "kind,name,field,value\n";
-  char buf[128];
-  for (const auto& [name, c] : registry.counters()) {
-    std::snprintf(buf, sizeof(buf), "counter,%s,value,%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c.value()));
-    out += buf;
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    std::snprintf(buf, sizeof(buf), "gauge,%s,value,%.17g\n", name.c_str(),
-                  g.value());
-    out += buf;
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    const std::pair<const char*, double> fields[] = {
-        {"count", static_cast<double>(h.count())}, {"mean", h.mean()},
-        {"min", h.min()},                          {"p50", h.Percentile(0.5)},
-        {"p90", h.Percentile(0.9)},                {"p99", h.Percentile(0.99)},
-        {"p999", h.Percentile(0.999)},             {"max", h.max()}};
-    for (const auto& [field, value] : fields) {
-      std::snprintf(buf, sizeof(buf), "histogram,%s,%s,%.17g\n", name.c_str(),
-                    field, value);
-      out += buf;
-    }
-  }
-  return out;
-}
-
 std::string TraceToCsv(const Tracer& tracer) {
   std::string out = "id,parent,node,name,start,end,outcome\n";
   char buf[256];

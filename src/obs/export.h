@@ -40,10 +40,6 @@ Json MetricsToJson(const Metrics& metrics);
 /// The tracer's finished spans (oldest first).
 Json TraceToJson(const Tracer& tracer);
 
-/// CSV with one row per counter/gauge/histogram-percentile, name-sorted:
-/// "kind,name,field,value".
-std::string RegistryToCsv(const MetricsRegistry& registry);
-
 /// CSV of spans: "id,parent,node,name,start,end,outcome".
 std::string TraceToCsv(const Tracer& tracer);
 

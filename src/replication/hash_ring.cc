@@ -38,24 +38,14 @@ void HashRing::AddServer(sim::NodeId node) {
   for (int i = 0; i < vnodes_; ++i) {
     uint64_t p = PointFor(node, i) & point_mask_;
     auto at = std::lower_bound(ring_.begin(), ring_.end(), p, PointBefore);
-    // Re-probe through the mixer on collision: overwriting would hand this
-    // arc to `node` and, worse, RemoveServer(node) would then erase the
-    // *other* server's surviving point.
+    // Re-probe through the mixer on collision: overwriting would hand the
+    // other server's arc to `node` and drop one of its points.
     for (uint64_t probe = 1; at != ring_.end() && at->first == p; ++probe) {
       p = Mix64(PointFor(node, i) + probe) & point_mask_;
       at = std::lower_bound(ring_.begin(), ring_.end(), p, PointBefore);
     }
     ring_.insert(at, {p, node});
   }
-}
-
-void HashRing::RemoveServer(sim::NodeId node) {
-  auto it = std::find(servers_.begin(), servers_.end(), node);
-  EVC_CHECK(it != servers_.end());
-  servers_.erase(it);
-  std::erase_if(ring_, [node](const auto& point) {
-    return point.second == node;
-  });
 }
 
 std::vector<sim::NodeId> HashRing::PreferenceList(const std::string& key,

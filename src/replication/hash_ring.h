@@ -30,10 +30,8 @@ class HashRing {
 
   /// Adds a server's vnodes to the ring. A vnode point that collides with
   /// one already owned by another server is re-probed to a free point, so
-  /// no server ever silently overwrites (and later erases) another's arc.
+  /// no server ever silently takes over another's arc.
   void AddServer(sim::NodeId node);
-  /// Removes a server (its arcs fall to the successors).
-  void RemoveServer(sim::NodeId node);
 
   size_t server_count() const { return servers_.size(); }
   int vnodes() const { return vnodes_; }

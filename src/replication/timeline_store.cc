@@ -11,7 +11,6 @@ namespace {
 constexpr char kWrite[] = "tl.write";
 constexpr char kReplicate[] = "tl.replicate";
 constexpr char kRead[] = "tl.read";
-constexpr char kAdopt[] = "tl.adopt";
 }  // namespace
 
 TimelineCluster::TimelineCluster(sim::Rpc* rpc, TimelineOptions options)
@@ -22,7 +21,6 @@ TimelineCluster::TimelineCluster(sim::Rpc* rpc, TimelineOptions options)
   EVC_CHECK(rpc_ != nullptr);
   m_write_ = rpc_->InternMethod(kWrite);
   m_read_ = rpc_->InternMethod(kRead);
-  m_adopt_ = rpc_->InternMethod(kAdopt);
   t_replicate_ = rpc_->network()->InternType(kReplicate);
   EVC_CHECK(options_.replication_factor >= 1);
 }
@@ -75,15 +73,9 @@ obs::MetricsRegistry& TimelineCluster::Obs() {
   return rpc_->simulator()->metrics().global();
 }
 
-sim::NodeId TimelineCluster::DefaultMasterOf(const std::string& key) const {
+sim::NodeId TimelineCluster::MasterOf(const std::string& key) const {
   EVC_CHECK(!servers_.empty());
   return servers_[Fnv1a64(key) % servers_.size()]->node;
-}
-
-sim::NodeId TimelineCluster::MasterOf(const std::string& key) const {
-  auto it = master_override_.find(key);
-  if (it != master_override_.end()) return it->second;
-  return DefaultMasterOf(key);
 }
 
 std::vector<sim::NodeId> TimelineCluster::ReplicasOf(
@@ -95,11 +87,6 @@ std::vector<sim::NodeId> TimelineCluster::ReplicasOf(
   for (size_t i = 0; i < n; ++i) {
     out.push_back(servers_[(start + i) % servers_.size()]->node);
   }
-  // A migrated-to master outside the ring set joins the replica group.
-  const sim::NodeId master = MasterOf(key);
-  if (std::find(out.begin(), out.end(), master) == out.end()) {
-    out.push_back(master);
-  }
   return out;
 }
 
@@ -108,8 +95,9 @@ void TimelineCluster::RegisterHandlers(Server* server) {
       server->node, m_write_,
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto write = std::move(req).Take<WriteReq>();
-        // Only the master serializes writes; a misrouted write is rejected
-        // so the client retries against the true master.
+        // Only the master serializes writes. MasterOf changes only when a
+        // server joins, so a write routed before a join can reach a server
+        // that is no longer the master: it is rejected, not applied.
         if (MasterOf(write.key) != server->node) {
           respond(Status::FailedPrecondition("not the master"));
           return;
@@ -120,19 +108,15 @@ void TimelineCluster::RegisterHandlers(Server* server) {
           return;
         }
         // The gate may release asynchronously (revoke fan-out, TTL waits,
-        // crash-recovery fences), so re-validate the world at release time:
-        // mastership can have migrated away, and a crashed master must not
-        // apply or journal anything while down.
+        // crash-recovery fences), so re-check at release time that the
+        // master is up: a crashed master must not apply or journal anything
+        // while down.
         write_gate_(
             server->node, write.key,
             [this, server, key = write.key, value = std::move(write.value),
              respond = std::move(respond)](Status st) mutable {
               if (!st.ok()) {
                 respond(std::move(st));
-                return;
-              }
-              if (MasterOf(key) != server->node) {
-                respond(Status::FailedPrecondition("not the master"));
                 return;
               }
               if (!rpc_->network()->IsNodeUp(server->node)) {
@@ -161,24 +145,6 @@ void TimelineCluster::RegisterHandlers(Server* server) {
       [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
         auto read = std::move(req).Take<ReadReq>();
         HandleRead(server, read, std::move(respond));
-      });
-
-  // Mastership adoption: install the shipped record (if newer than our
-  // replica copy) and continue its timeline. With nothing to adopt the
-  // server keeps what it holds, which may be no record at all.
-  rpc_->RegisterHandler(
-      server->node, m_adopt_,
-      [this, server](sim::NodeId, sim::Payload req, sim::RpcResponder respond) {
-        auto adopt = std::move(req).Take<AdoptReq>();
-        auto it = server->data.find(adopt.key);
-        uint64_t held = it == server->data.end() ? 0 : it->second.seqno;
-        if (adopt.has_record && adopt.seqno > held) {
-          Record& rec = server->data[adopt.key];
-          rec.value = std::move(adopt.value);
-          rec.seqno = held = adopt.seqno;
-          JournalApply(server, adopt.key, rec.value, rec.seqno);
-        }
-        respond(held);
       });
 }
 
@@ -271,104 +237,19 @@ void TimelineCluster::HandleRead(Server* server, const ReadReq& req,
 
 void TimelineCluster::Write(sim::NodeId client, const std::string& key,
                             std::string value, WriteCallback done) {
-  WriteAttempt(client, key, std::move(value), /*attempts_left=*/6,
-               std::move(done));
-}
-
-void TimelineCluster::WriteAttempt(sim::NodeId client, const std::string& key,
-                                   std::string value, int attempts_left,
-                                   WriteCallback done) {
-  if (migrating_.count(key)) {
-    // Mastership handoff in progress: back off and retry (PNUTS routers do
-    // the same while a record's master is moving).
-    if (attempts_left <= 0) {
-      ++stats_.writes_unavailable;
-      Obs().CounterFor("tl.writes_unavailable").Inc();
-      done(Status::Unavailable("mastership migration in progress"));
-      return;
-    }
-    rpc_->simulator()->ScheduleAfter(
-        50 * sim::kMillisecond,
-        [this, client, key, value = std::move(value), attempts_left,
-         done]() mutable {
-          WriteAttempt(client, key, std::move(value), attempts_left - 1,
-                       std::move(done));
-        });
-    return;
-  }
   WriteReq req;
   req.key = key;
-  req.value = value;
+  req.value = std::move(value);
   rpc_->Call(client, MasterOf(key), m_write_, std::move(req),
              options_.rpc_timeout,
-             [this, client, key, value = std::move(value), attempts_left,
-              done](Result<sim::Payload> r) mutable {
+             [this, done = std::move(done)](Result<sim::Payload> r) {
                if (r.ok()) {
                  done(std::move(r).value().Take<uint64_t>());
-                 return;
-               }
-               // Retry misroutes (stale master view) and migration races.
-               if (r.status().IsFailedPrecondition() && attempts_left > 0) {
-                 WriteAttempt(client, key, std::move(value),
-                              attempts_left - 1, std::move(done));
                  return;
                }
                ++stats_.writes_unavailable;
                Obs().CounterFor("tl.writes_unavailable").Inc();
                done(r.status());
-             });
-}
-
-void TimelineCluster::MigrateMaster(const std::string& key,
-                                    sim::NodeId new_master,
-                                    MigrateCallback done) {
-  EVC_CHECK(FindServer(new_master) != nullptr);
-  const sim::NodeId old_master = MasterOf(key);
-  if (old_master == new_master) {
-    done(Status::OK());
-    return;
-  }
-  if (!migrating_.insert(key).second) {
-    done(Status::FailedPrecondition("migration already in progress"));
-    return;
-  }
-
-  auto finish = [this, key, old_master, new_master, done](Status status) {
-    migrating_.erase(key);
-    if (status.ok()) {
-      master_override_[key] = new_master;
-      Obs().CounterFor("tl.migrations_ok").Inc();
-      // Repoint first, then notify: the hook may consult MasterOf(key).
-      if (master_move_hook_) master_move_hook_(key, old_master, new_master);
-    }
-    done(std::move(status));
-  };
-
-  // Fetch the old master's record (if reachable), ship it to the adopter.
-  ReadReq fetch;
-  fetch.key = key;
-  fetch.level = static_cast<uint8_t>(TimelineReadLevel::kAny);
-  rpc_->Call(new_master, old_master, m_read_, fetch, options_.rpc_timeout,
-             [this, key, new_master, finish](Result<sim::Payload> r) {
-               AdoptReq adopt;
-               adopt.key = key;
-               if (r.ok()) {
-                 auto read =
-                     std::move(r).value().Take<TimelineRead>();
-                 adopt.has_record = read.found;
-                 adopt.value = std::move(read.value);
-                 adopt.seqno = read.seqno;
-               }
-               // Old master unreachable => failover: adopt from the new
-               // master's own replica state (adopt.has_record stays false;
-               // the handler keeps whatever it already has).
-               rpc_->Call(new_master, new_master, m_adopt_, std::move(adopt),
-                          options_.rpc_timeout,
-                          [finish](Result<sim::Payload> adopted) {
-                            finish(adopted.ok()
-                                       ? Status::OK()
-                                       : adopted.status());
-                          });
              });
 }
 

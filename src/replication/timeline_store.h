@@ -10,6 +10,10 @@
 //   * kAtLeast   — local if fresh enough, else forwarded (the mechanism
 //                  behind per-record session guarantees in PNUTS).
 // Writes are unavailable when the master is unreachable: per-record CP.
+// A record's master is the first server of its ring walk (key hash mod
+// server count); nothing migrates it. PNUTS also moves mastership toward a
+// record's writers; no experiment here measures that, so the store leaves
+// it out.
 
 #ifndef EVC_REPLICATION_TIMELINE_STORE_H_
 #define EVC_REPLICATION_TIMELINE_STORE_H_
@@ -18,7 +22,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -82,8 +85,7 @@ class TimelineCluster : private sim::CrashParticipant {
   /// Node ids of every server, in add order.
   std::vector<sim::NodeId> Servers() const;
 
-  /// The master replica for `key`: the migrated-to master if the record's
-  /// mastership was moved, else the first server on its ring walk.
+  /// The master replica for `key`: the first server on its ring walk.
   sim::NodeId MasterOf(const std::string& key) const;
   /// All replicas holding `key`.
   std::vector<sim::NodeId> ReplicasOf(const std::string& key) const;
@@ -101,21 +103,6 @@ class TimelineCluster : private sim::CrashParticipant {
   void Read(sim::NodeId client, sim::NodeId replica, const std::string& key,
             TimelineReadLevel level, uint64_t min_seqno, ReadCallback done);
 
-  using MigrateCallback = std::function<void(Status)>;
-
-  /// Migrates `key`'s mastership to `new_master` (PNUTS-style record-level
-  /// master handoff). The protocol: the router marks the record as
-  /// migrating (writes are rejected with FailedPrecondition and retried by
-  /// the Write path), the old master ships its (value, seqno) to the new
-  /// master, the new master adopts and continues the SAME timeline (seqno
-  /// continuity), and the router repoints. Works as manual failover too:
-  /// when the old master is unreachable, adoption proceeds from the new
-  /// master's own replica state — any suffix of updates that existed only
-  /// on the dead master is lost (the usual primary-copy failover caveat),
-  /// but the timeline never forks.
-  void MigrateMaster(const std::string& key, sim::NodeId new_master,
-                     MigrateCallback done);
-
   const TimelineStats& stats() const { return stats_; }
 
   /// Write gate: invoked on the master, after the master check but BEFORE
@@ -130,17 +117,6 @@ class TimelineCluster : private sim::CrashParticipant {
   /// At most one gate; installing replaces the previous one. Pass nullptr
   /// to remove.
   void SetWriteGate(WriteGate gate) { write_gate_ = std::move(gate); }
-
-  /// Invoked after a successful MigrateMaster, once the router has
-  /// repointed (so MasterOf(key) already answers new_master). The edge-cache
-  /// tier installs a hook that fences the key for leases the OLD master
-  /// granted and the NEW master has no record of.
-  using MasterMoveHook = std::function<void(
-      const std::string& key, sim::NodeId old_master, sim::NodeId new_master)>;
-  /// At most one hook; nullptr removes.
-  void SetMasterMoveHook(MasterMoveHook hook) {
-    master_move_hook_ = std::move(hook);
-  }
 
   /// Synchronous local lookup at `server` (no RPC, no stats): the read path
   /// for a server-side tier co-located with the replica (edge-cache lease
@@ -179,12 +155,6 @@ class TimelineCluster : private sim::CrashParticipant {
     uint8_t level = 0;
     uint64_t min_seqno = 0;
   };
-  struct AdoptReq {
-    std::string key;
-    std::string value;
-    uint64_t seqno = 0;
-    bool has_record = false;
-  };
 
   Server* FindServer(sim::NodeId node);
   void RegisterHandlers(Server* server);
@@ -196,11 +166,6 @@ class TimelineCluster : private sim::CrashParticipant {
   obs::MetricsRegistry& Obs();
   void HandleRead(Server* server, const ReadReq& req,
                   sim::RpcResponder respond);
-  void WriteAttempt(sim::NodeId client, const std::string& key,
-                    std::string value, int attempts_left,
-                    WriteCallback done);
-  /// Ring-walk master, ignoring overrides.
-  sim::NodeId DefaultMasterOf(const std::string& key) const;
 
   /// Journals one applied record; called after every data mutation. When
   /// the journal is due (WriteAheadLog::CheckpointDue), rewrites it as one
@@ -217,16 +182,11 @@ class TimelineCluster : private sim::CrashParticipant {
   // Pre-interned RPC methods / message types (resolved in the ctor).
   sim::MethodId m_write_ = 0;
   sim::MethodId m_read_ = 0;
-  sim::MethodId m_adopt_ = 0;
   sim::MsgType t_replicate_ = 0;
   TimelineOptions options_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::map<sim::NodeId, Server*> by_node_;
-  // Router state: per-record master overrides and in-flight migrations.
-  std::map<std::string, sim::NodeId> master_override_;
-  std::set<std::string> migrating_;
   WriteGate write_gate_;
-  MasterMoveHook master_move_hook_;
   TimelineStats stats_;
   sim::CrashRegistrar crash_registrar_;
   // Counters bumped on every write and every local read.

@@ -1,10 +1,16 @@
 // Merkle tree over a hashed key space, for efficient anti-entropy.
 //
-// Replicas exchange O(log n) digests to locate the buckets in which they
-// differ, then exchange only those keys — sync cost proportional to the
-// divergence, not the database size (the claim Fig. 3 quantifies). Keys are
-// placed into 2^depth leaf buckets by key hash; bucket digests are
-// order-independent XOR accumulators so point updates are O(depth).
+// Replicas locate the buckets in which they differ, then exchange only
+// those keys, so the keys shipped track the divergence, not the database
+// size (the claim Fig. 3 quantifies). How many digests that takes depends
+// on the exchange. DiffLeaves descends from the root into differing
+// subtrees only, so it compares O(depth) digests per divergent bucket (29
+// for one bucket at depth 14); AntiEntropy::SyncPair counts that descent,
+// and Fig. 3(b) and Ablation 2(a) report it. A gossip round does not
+// descend: its SyncRequest carries every leaf digest plus the root,
+// 2^depth + 1 digests whatever the divergence. Keys are placed into
+// 2^depth leaf buckets by key hash; bucket digests are order-independent
+// XOR accumulators so point updates are O(depth).
 
 #ifndef EVC_STORAGE_MERKLE_H_
 #define EVC_STORAGE_MERKLE_H_

@@ -327,18 +327,4 @@ std::vector<SharedSiblings> VersionedStore::SiblingsInLeaves(
   return out;
 }
 
-size_t VersionedStore::PurgeTombstones() {
-  size_t removed = 0;
-  for (Leaf& leaf : leaves_) {
-    auto dead = std::remove_if(leaf.begin(), leaf.end(), [](const Entry& e) {
-      return std::all_of(e.siblings->begin(), e.siblings->end(),
-                         [](const Version& v) { return v.tombstone; });
-    });
-    removed += static_cast<size_t>(leaf.end() - dead);
-    leaf.erase(dead, leaf.end());
-  }
-  key_count_ -= removed;
-  return removed;
-}
-
 }  // namespace evc

@@ -185,11 +185,6 @@ class VersionedStore {
   std::vector<SharedSiblings> SiblingsInLeaves(
       const std::vector<size_t>& leaves) const;
 
-  /// Removes keys whose every sibling is a tombstone. Returns count removed.
-  /// (Safe only once all replicas have seen the tombstone; experiments call
-  /// this after convergence.)
-  size_t PurgeTombstones();
-
   /// Raises the internal write counter to at least `floor`. Called during
   /// crash recovery so post-recovery writes never reuse a version-vector
   /// slot that was already handed out before the crash.

@@ -1,6 +1,5 @@
 #include "storage/wal.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "common/encoding.h"
@@ -61,30 +60,6 @@ void WriteAheadLog::Checkpoint(WriteAheadLog snapshot) {
 
 void WriteAheadLog::CorruptByteAt(uint64_t offset) {
   if (offset < buffer_.size()) buffer_[offset] ^= 0x5a;
-}
-
-Status WriteAheadLog::SaveToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::InvalidArgument("cannot open " + path);
-  const size_t written = std::fwrite(buffer_.data(), 1, buffer_.size(), f);
-  std::fclose(f);
-  if (written != buffer_.size()) {
-    return Status::Corruption("short write to " + path);
-  }
-  return Status::OK();
-}
-
-Status WriteAheadLog::LoadFromFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("cannot open " + path);
-  buffer_.clear();
-  char chunk[4096];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buffer_.append(chunk, n);
-  }
-  std::fclose(f);
-  return Status::OK();
 }
 
 }  // namespace evc

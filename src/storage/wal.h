@@ -3,9 +3,9 @@
 // Each replica journals its accepted writes so that a crashed replica can
 // recover its pre-crash state — the tutorial's availability arguments assume
 // replicas rejoin with durable state and then anti-entropy fills the gap.
-// The log is a byte buffer (simulated durable medium) that can also be
-// persisted to a real file. Record framing: [crc32c(4)][len varint][payload];
-// recovery stops cleanly at the first torn/corrupt record.
+// The log is a byte buffer standing in for the durable medium. Record
+// framing: [crc32c(4)][len varint][payload]; recovery stops cleanly at the
+// first torn/corrupt record.
 //
 // A log that only grows measures how long its owner has run, not what it
 // holds. So every log follows one checkpoint rule, the trigger Redis uses to
@@ -61,10 +61,6 @@ class WriteAheadLog {
   const std::string& buffer() const { return buffer_; }
   /// Test hook: corrupts the byte at `offset` (simulated media fault).
   void CorruptByteAt(uint64_t offset);
-
-  /// Persists the raw log to a file / loads it back.
-  Status SaveToFile(const std::string& path) const;
-  Status LoadFromFile(const std::string& path);
 
  private:
   std::string buffer_;

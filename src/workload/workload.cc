@@ -1,30 +1,14 @@
 #include "workload/workload.h"
 
+#include <cmath>
+
 namespace evc::workload {
 
 namespace {
-// The YCSB generator's fixed shape: zipfian skew (also the "latest"
-// distribution's), the hotspot split (20% of keys draw 80% of requests) and
-// the record key prefix.
+// The YCSB generator's fixed shape: zipfian skew and the record key prefix.
 constexpr double kZipfTheta = 0.99;
-constexpr double kHotspotSetFraction = 0.2;
-constexpr double kHotspotDrawFraction = 0.8;
 constexpr char kKeyPrefix[] = "user";
 }  // namespace
-
-const char* OpTypeToString(OpType type) {
-  switch (type) {
-    case OpType::kRead:
-      return "read";
-    case OpType::kUpdate:
-      return "update";
-    case OpType::kInsert:
-      return "insert";
-    case OpType::kReadModifyWrite:
-      return "rmw";
-  }
-  return "?";
-}
 
 WorkloadConfig WorkloadConfig::YcsbA() {
   WorkloadConfig c;
@@ -40,53 +24,12 @@ WorkloadConfig WorkloadConfig::YcsbB() {
   return c;
 }
 
-WorkloadConfig WorkloadConfig::YcsbC() {
-  WorkloadConfig c;
-  c.read_proportion = 1.0;
-  c.update_proportion = 0.0;
-  return c;
-}
-
-WorkloadConfig WorkloadConfig::YcsbD() {
-  WorkloadConfig c;
-  c.read_proportion = 0.95;
-  c.update_proportion = 0.0;
-  c.insert_proportion = 0.05;
-  c.distribution = KeyDistributionKind::kLatest;
-  return c;
-}
-
-WorkloadConfig WorkloadConfig::YcsbF() {
-  WorkloadConfig c;
-  c.read_proportion = 0.5;
-  c.update_proportion = 0.0;
-  c.rmw_proportion = 0.5;
-  return c;
-}
-
 WorkloadGenerator::WorkloadGenerator(WorkloadConfig config, uint64_t seed)
     : config_(std::move(config)),
       rng_(seed),
-      live_records_(config_.record_count) {
-  EVC_CHECK(config_.record_count > 0);
-  dist_ = MakeDistribution();
-}
-
-std::unique_ptr<KeyDistribution> WorkloadGenerator::MakeDistribution() const {
-  switch (config_.distribution) {
-    case KeyDistributionKind::kUniform:
-      return std::make_unique<UniformDistribution>(config_.record_count);
-    case KeyDistributionKind::kZipfian:
-      return std::make_unique<ScrambledZipfianDistribution>(
-          config_.record_count, kZipfTheta);
-    case KeyDistributionKind::kLatest:
-      return std::make_unique<LatestDistribution>(config_.record_count,
-                                                  kZipfTheta);
-    case KeyDistributionKind::kHotspot:
-      return std::make_unique<HotspotDistribution>(
-          config_.record_count, kHotspotSetFraction, kHotspotDrawFraction);
-  }
-  return nullptr;
+      dist_(config_.record_count, kZipfTheta) {
+  EVC_CHECK(std::abs(config_.read_proportion + config_.update_proportion -
+                     1.0) <= 1e-9);
 }
 
 std::string WorkloadGenerator::KeyFor(uint64_t index) const {
@@ -114,32 +57,11 @@ KeyId WorkloadGenerator::InternIndex(uint64_t index) {
 
 Op WorkloadGenerator::Next() {
   Op op;
-  const double dice = rng_.NextDouble();
-  double acc = config_.read_proportion;
-  if (dice < acc) {
-    op.type = OpType::kRead;
-  } else if (dice < (acc += config_.update_proportion)) {
-    op.type = OpType::kUpdate;
-  } else if (dice < (acc += config_.insert_proportion)) {
-    op.type = OpType::kInsert;
-  } else {
-    op.type = OpType::kReadModifyWrite;
-  }
-
-  uint64_t index;
-  if (op.type == OpType::kInsert) {
-    index = live_records_++;
-    if (config_.distribution == KeyDistributionKind::kLatest) {
-      static_cast<LatestDistribution*>(dist_.get())->AdvanceItemCount();
-    }
-  } else {
-    index = dist_->Next(rng_);
-  }
-  op.key_id = InternIndex(index);
+  op.type = rng_.NextDouble() < config_.read_proportion ? OpType::kRead
+                                                        : OpType::kUpdate;
+  op.key_id = InternIndex(dist_.Next(rng_));
   op.key = std::string(keys_.NameOf(op.key_id));
-  if (op.type != OpType::kRead) {
-    op.value = ValueFor(op.key);
-  }
+  if (op.type == OpType::kUpdate) op.value = ValueFor(op.key);
   return op;
 }
 

@@ -2,15 +2,13 @@
 //
 // The experiments drive every store through the same synthetic workloads the
 // systems surveyed by the tutorial were evaluated with: a keyspace of
-// `record_count` records, an operation mix (read / update / insert /
-// read-modify-write), and a key-popularity distribution (uniform, Zipfian,
-// latest, hotspot). Presets mirror the standard YCSB core workloads A-D/F.
+// `record_count` records, a read / update mix, and YCSB's scrambled Zipfian
+// key popularity. The presets mirror the YCSB core workloads A and B.
 
 #ifndef EVC_WORKLOAD_WORKLOAD_H_
 #define EVC_WORKLOAD_WORKLOAD_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,11 +22,7 @@ namespace evc::workload {
 enum class OpType {
   kRead,
   kUpdate,
-  kInsert,
-  kReadModifyWrite,
 };
-
-const char* OpTypeToString(OpType type);
 
 /// One generated operation. `key_id` is the key interned in the owning
 /// generator's table (dense, first-draw order, deterministic per seed);
@@ -40,36 +34,25 @@ struct Op {
   std::string value;  // empty for reads
 };
 
-enum class KeyDistributionKind {
-  kUniform,
-  kZipfian,
-  kLatest,
-  kHotspot,
-};
-
 struct WorkloadConfig {
   uint64_t record_count = 1000;
+  /// The two proportions must sum to 1 (the generator checks).
   double read_proportion = 0.95;
   double update_proportion = 0.05;
-  double insert_proportion = 0.0;
-  double rmw_proportion = 0.0;
-  KeyDistributionKind distribution = KeyDistributionKind::kZipfian;
   size_t value_size = 100;
 
   /// Standard YCSB presets.
   static WorkloadConfig YcsbA();  ///< 50/50 read/update, zipfian
   static WorkloadConfig YcsbB();  ///< 95/5 read/update, zipfian
-  static WorkloadConfig YcsbC();  ///< read-only, zipfian
-  static WorkloadConfig YcsbD();  ///< 95/5 read/insert, latest
-  static WorkloadConfig YcsbF();  ///< 50/50 read/RMW, zipfian
 };
 
-/// Deterministic (seeded) operation stream.
+/// Deterministic (seeded) operation stream. Each op draws twice from the
+/// seeded stream: once for its type, once for its key.
 class WorkloadGenerator {
  public:
   WorkloadGenerator(WorkloadConfig config, uint64_t seed);
 
-  /// Next operation. Inserts extend the live keyspace.
+  /// Next operation.
   Op Next();
 
   /// The canonical key string for record index `i`.
@@ -79,7 +62,6 @@ class WorkloadGenerator {
   /// assertions: value embeds the key and a sequence number).
   std::string ValueFor(const std::string& key);
 
-  uint64_t live_record_count() const { return live_records_; }
   const WorkloadConfig& config() const { return config_; }
 
   /// Resolves an Op::key_id back to its canonical key string.
@@ -88,18 +70,16 @@ class WorkloadGenerator {
   size_t interned_keys() const { return keys_.size(); }
 
  private:
-  std::unique_ptr<KeyDistribution> MakeDistribution() const;
   /// Id for record `index`, interning its key string on first draw.
   KeyId InternIndex(uint64_t index);
 
   WorkloadConfig config_;
   Rng rng_;
-  uint64_t live_records_;
   uint64_t value_seq_ = 0;
-  std::unique_ptr<KeyDistribution> dist_;
+  ScrambledZipfianDistribution dist_;
   KeyInterner keys_;
   // Record index -> interned id; repeat draws of a hot key (the common case
-  // under zipfian/latest skew) skip string construction entirely.
+  // under zipfian skew) skip string construction entirely.
   std::vector<KeyId> id_of_index_;
 };
 

@@ -83,27 +83,6 @@ TEST(PileusEdgeTest, GetBeforeProbeFallsBackToLastRow) {
   EXPECT_EQ(read->value, "v");
 }
 
-TEST(WorkloadEdgeTest, RmwOpsCarryValues) {
-  workload::WorkloadConfig config = workload::WorkloadConfig::YcsbF();
-  workload::WorkloadGenerator gen(config, 1);
-  bool saw_rmw = false;
-  for (int i = 0; i < 200; ++i) {
-    const workload::Op op = gen.Next();
-    if (op.type == workload::OpType::kReadModifyWrite) {
-      saw_rmw = true;
-      EXPECT_FALSE(op.value.empty());
-    }
-  }
-  EXPECT_TRUE(saw_rmw);
-}
-
-TEST(WorkloadEdgeTest, OpTypeNamesAreStable) {
-  EXPECT_STREQ(workload::OpTypeToString(workload::OpType::kRead), "read");
-  EXPECT_STREQ(workload::OpTypeToString(workload::OpType::kInsert), "insert");
-  EXPECT_STREQ(workload::OpTypeToString(workload::OpType::kReadModifyWrite),
-               "rmw");
-}
-
 TEST(SlaEdgeTest, ConsistencyNamesAreStable) {
   EXPECT_STREQ(sla::ReadConsistencyToString(sla::ReadConsistency::kStrong),
                "strong");

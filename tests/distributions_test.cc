@@ -8,17 +8,6 @@
 namespace evc {
 namespace {
 
-TEST(UniformDistributionTest, CoversRangeEvenly) {
-  UniformDistribution dist(10);
-  Rng rng(1);
-  std::vector<int> counts(10, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[dist.Next(rng)];
-  for (int c : counts) {
-    EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.01);
-  }
-}
-
 TEST(ZipfianDistributionTest, ItemZeroIsMostPopular) {
   ZipfianDistribution dist(1000, 0.99);
   Rng rng(2);
@@ -74,41 +63,6 @@ TEST(ScrambledZipfianTest, StaysInRange) {
   for (int i = 0; i < 20000; ++i) EXPECT_LT(dist.Next(rng), 37u);
 }
 
-TEST(LatestDistributionTest, NewestItemsMostPopular) {
-  LatestDistribution dist(1000);
-  Rng rng(8);
-  std::vector<int> counts(1000, 0);
-  for (int i = 0; i < 200000; ++i) ++counts[dist.Next(rng)];
-  EXPECT_GT(counts[999], counts[0]);
-  EXPECT_GT(counts[999], counts[500]);
-}
-
-TEST(LatestDistributionTest, AdvanceShiftsHead) {
-  LatestDistribution dist(10);
-  dist.AdvanceItemCount();
-  EXPECT_EQ(dist.item_count(), 11u);
-  Rng rng(9);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(dist.Next(rng), 11u);
-}
-
-TEST(HotspotDistributionTest, HotSetGetsConfiguredFraction) {
-  HotspotDistribution dist(1000, /*hot_set_fraction=*/0.1,
-                           /*hot_draw_fraction=*/0.9);
-  Rng rng(10);
-  int hot = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) {
-    if (dist.Next(rng) < 100) ++hot;
-  }
-  EXPECT_NEAR(static_cast<double>(hot) / n, 0.9, 0.02);
-}
-
-TEST(HotspotDistributionTest, DegenerateAllHot) {
-  HotspotDistribution dist(10, 1.0, 0.5);
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) EXPECT_LT(dist.Next(rng), 10u);
-}
-
 // Property sweep: every distribution respects its domain for many sizes.
 class DistributionDomainTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -116,11 +70,8 @@ TEST_P(DistributionDomainTest, AllDistributionsStayInDomain) {
   const uint64_t n = GetParam();
   Rng rng(n * 31 + 1);
   std::vector<std::unique_ptr<KeyDistribution>> dists;
-  dists.push_back(std::make_unique<UniformDistribution>(n));
   dists.push_back(std::make_unique<ZipfianDistribution>(n, 0.99));
   dists.push_back(std::make_unique<ScrambledZipfianDistribution>(n, 0.7));
-  dists.push_back(std::make_unique<LatestDistribution>(n));
-  dists.push_back(std::make_unique<HotspotDistribution>(n, 0.2, 0.8));
   for (auto& d : dists) {
     EXPECT_EQ(d->item_count(), n);
     for (int i = 0; i < 2000; ++i) {

@@ -620,24 +620,6 @@ TEST(EvcLint, LayersDotExportsTheObservedGraph) {
   EXPECT_EQ(joined.find("UPWARD"), std::string::npos);
 }
 
-TEST(EvcLint, RuntimeWorklistReportsSimReferencesInStoreLayers) {
-  std::vector<std::string> out;
-  EXPECT_EQ(RunCommandLine({"--runtime-worklist",
-                            std::string(EVC_REPO_ROOT_DIR) + "/src"},
-                           &out),
-            0);
-  ASSERT_FALSE(out.empty());
-  EXPECT_EQ(out.back().rfind("runtime-worklist:", 0), 0u)
-      << "summary line missing; got: " << out.back();
-  // The store layers still lean on sim:: today (that is the point of the
-  // worklist); at least one concrete reference must be listed.
-  bool has_sim_ref = false;
-  for (const std::string& l : out) {
-    if (l.find("sim::") != std::string::npos) has_sim_ref = true;
-  }
-  EXPECT_TRUE(has_sim_ref);
-}
-
 // --- intern-table unordered-iteration audit ------------------------------
 //
 // KeyInterner's reverse index is an unordered_map whose exemption stance is

@@ -69,16 +69,6 @@ TEST(RegistryToJson, EmitsAllInstrumentKindsNameSorted) {
   EXPECT_EQ(counters->AsObject().begin()->first, "a.count");
 }
 
-TEST(RegistryToCsv, OneLinePerCounterAndPerHistogramField) {
-  MetricsRegistry reg;
-  reg.CounterFor("ops").Inc(5);
-  reg.HistogramFor("lat").Add(1.0);
-  const std::string csv = RegistryToCsv(reg);
-  EXPECT_NE(csv.find("counter,ops,value,5\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat,count,1\n"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,lat,p99,"), std::string::npos);
-}
-
 // Runs a small RPC workload (some calls succeed, some hit a dead server and
 // time out) and returns the serialized metrics + trace documents.
 struct RunOutput {

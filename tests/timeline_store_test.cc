@@ -226,57 +226,6 @@ TEST_F(TimelineStoreTest, ReplicaNeverAppliesOutOfOrder) {
   }
 }
 
-TEST_F(TimelineStoreTest, MigrationMovesMasterAndContinuesTimeline) {
-  Build();
-  ASSERT_TRUE(WriteSync("k", "v1").ok());
-  ASSERT_TRUE(WriteSync("k", "v2").ok());
-  sim_->RunFor(kSecond);
-  const sim::NodeId old_master = cluster_->MasterOf("k");
-  sim::NodeId new_master = 0;
-  for (const sim::NodeId s : servers_) {
-    if (s != old_master) {
-      new_master = s;
-      break;
-    }
-  }
-  std::optional<Status> migrated;
-  cluster_->MigrateMaster("k", new_master,
-                          [&](Status s) { migrated = std::move(s); });
-  sim_->RunFor(2 * kSecond);
-  ASSERT_TRUE(migrated.has_value());
-  ASSERT_TRUE(migrated->ok()) << migrated->ToString();
-  EXPECT_EQ(cluster_->MasterOf("k"), new_master);
-  // Writes keep flowing and the timeline continues (seqno 3, not 1).
-  auto w3 = WriteSync("k", "v3");
-  ASSERT_TRUE(w3.ok()) << w3.status().ToString();
-  EXPECT_EQ(*w3, 3u);
-  auto read = ReadSync(new_master, "k", TimelineReadLevel::kCritical);
-  ASSERT_TRUE(read.ok());
-  EXPECT_EQ(read->value, "v3");
-}
-
-// Migrating a key no replica holds adopts nothing, so the new master must
-// keep holding nothing rather than a phantom (found, "", seqno 0) record.
-TEST_F(TimelineStoreTest, MigratingAnUnwrittenKeyInventsNoRecord) {
-  Build();
-  const sim::NodeId old_master = cluster_->MasterOf("fresh");
-  const sim::NodeId new_master =
-      servers_[0] == old_master ? servers_[1] : servers_[0];
-  std::optional<Status> migrated;
-  cluster_->MigrateMaster("fresh", new_master,
-                          [&](Status s) { migrated = std::move(s); });
-  sim_->RunFor(2 * kSecond);
-  ASSERT_TRUE(migrated.has_value());
-  ASSERT_TRUE(migrated->ok()) << migrated->ToString();
-  EXPECT_FALSE(cluster_->LocalRecord(new_master, "fresh").found);
-  auto read = ReadSync(new_master, "fresh", TimelineReadLevel::kCritical);
-  ASSERT_TRUE(read.ok());
-  EXPECT_FALSE(read->found);
-  auto first = WriteSync("fresh", "v1");
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(*first, 1u);
-}
-
 // Thousands of 1 KiB overwrites over 20 keys: each journal stays within
 // the checkpoint rule's bound, and an amnesia crash right after any
 // checkpoint, or of every server at the end, restores every record.
@@ -341,71 +290,6 @@ TEST_F(TimelineStoreTest, JournalsStayBoundedUnderOverwrites) {
   for (const sim::NodeId s : servers_) before[s] = records(s);
   for (const sim::NodeId s : servers_) crash_and_restart(s);
   for (const sim::NodeId s : servers_) expect_same(before[s], records(s));
-}
-
-TEST_F(TimelineStoreTest, MigrateToSelfIsNoop) {
-  Build();
-  ASSERT_TRUE(WriteSync("k", "v").ok());
-  std::optional<Status> migrated;
-  cluster_->MigrateMaster("k", cluster_->MasterOf("k"),
-                          [&](Status s) { migrated = std::move(s); });
-  sim_->RunFor(kSecond);
-  ASSERT_TRUE(migrated.has_value());
-  EXPECT_TRUE(migrated->ok());
-}
-
-TEST_F(TimelineStoreTest, WritesDuringMigrationEventuallySucceed) {
-  Build();
-  ASSERT_TRUE(WriteSync("k", "v1").ok());
-  sim_->RunFor(kSecond);
-  const sim::NodeId old_master = cluster_->MasterOf("k");
-  sim::NodeId new_master = 0;
-  for (const sim::NodeId s : servers_) {
-    if (s != old_master) {
-      new_master = s;
-      break;
-    }
-  }
-  // Start the migration and immediately issue a write: the write backs off
-  // while migrating, then lands on the new master.
-  cluster_->MigrateMaster("k", new_master, [](Status) {});
-  std::optional<Result<uint64_t>> write;
-  cluster_->Write(client_, "k", "v2",
-                  [&](Result<uint64_t> r) { write = std::move(r); });
-  sim_->RunFor(5 * kSecond);
-  ASSERT_TRUE(write.has_value());
-  ASSERT_TRUE(write->ok()) << write->status().ToString();
-  EXPECT_EQ(**write, 2u);
-  EXPECT_EQ(cluster_->VisibleSeqno(new_master, "k"), 2u);
-}
-
-TEST_F(TimelineStoreTest, FailoverRestoresWriteAvailability) {
-  Build();
-  ASSERT_TRUE(WriteSync("k", "v1").ok());
-  sim_->RunFor(kSecond);  // replicate v1 everywhere
-  const sim::NodeId old_master = cluster_->MasterOf("k");
-  net_->SetNodeUp(old_master, false);
-  // Writes are dead (the tutorial's per-record CP behaviour)...
-  auto blocked = WriteSync("k", "v2");
-  EXPECT_FALSE(blocked.ok());
-  // ...until the admin fails mastership over to a live replica.
-  sim::NodeId new_master = 0;
-  for (const sim::NodeId s : cluster_->ReplicasOf("k")) {
-    if (s != old_master) {
-      new_master = s;
-      break;
-    }
-  }
-  std::optional<Status> migrated;
-  cluster_->MigrateMaster("k", new_master,
-                          [&](Status s) { migrated = std::move(s); });
-  sim_->RunFor(3 * kSecond);
-  ASSERT_TRUE(migrated.has_value());
-  ASSERT_TRUE(migrated->ok()) << migrated->ToString();
-  // Availability restored, timeline continued from the replicated prefix.
-  auto w2 = WriteSync("k", "v2-again");
-  ASSERT_TRUE(w2.ok()) << w2.status().ToString();
-  EXPECT_EQ(*w2, 2u);
 }
 
 TEST_F(TimelineStoreTest, MissingKeyReadsNotFoundShape) {

@@ -196,16 +196,6 @@ TEST(VersionedStoreTest, CountsTrackState) {
   EXPECT_EQ(store.version_count(), 3u);
 }
 
-TEST(VersionedStoreTest, PurgeTombstonesRemovesFullyDeletedKeys) {
-  VersionedStore store(0);
-  store.Put("gone", "v", VersionVector(), Ts(1));
-  store.Delete("gone", store.ContextFor("gone"), Ts(2));
-  store.Put("alive", "v", VersionVector(), Ts(3));
-  EXPECT_EQ(store.PurgeTombstones(), 1u);
-  EXPECT_EQ(store.key_count(), 1u);
-  EXPECT_FALSE(store.Get("alive").empty());
-}
-
 // `key`'s set as anti-entropy would ship it from `store` (default depth).
 SharedSiblings Shipped(const VersionedStore& store, const std::string& key) {
   for (SharedSiblings& shipped : store.SiblingsInLeaves(
@@ -225,9 +215,8 @@ TEST(VersionedStoreTest, SharedSetsAreNeverEditedInPlace) {
   lww.conflict_policy = ConflictPolicy::kLastWriterWins;
   VersionedStore a(0), b(1), lww_a(0, lww), lww_b(1, lww);
   ReplicaStorage durable_a(0), durable_b(1);
-  const std::vector<std::string> keys = {"put", "delete", "merge", "purge"};
+  const std::vector<std::string> keys = {"put", "delete", "merge"};
   for (const std::string& key : keys) a.Put(key, "a", {}, Ts(1));
-  a.Delete("purge", a.ContextFor("purge"), Ts(2));
   lww_a.Put("collapse", "a", {}, Ts(1));
   durable_a.Put("recover", "a", {}, Ts(1));
 
@@ -275,8 +264,6 @@ TEST(VersionedStoreTest, SharedSetsAreNeverEditedInPlace) {
   ASSERT_EQ(lww_b.GetRaw("collapse").size(), 1u);
   EXPECT_EQ(lww_b.GetRaw("collapse")[0].value, "c");
   expect_a_unchanged("LWW collapse");
-  EXPECT_EQ(b.PurgeTombstones(), 2u);  // "delete" and "purge"
-  expect_a_unchanged("PurgeTombstones");
   ASSERT_TRUE(durable_b.CrashAndRecover().ok());
   EXPECT_EQ(durable_b.GetRaw("recover"), durable_a.GetRaw("recover"));
   expect_a_unchanged("crash-recover");
@@ -340,9 +327,6 @@ TEST(VersionedStoreTest, CachedKeyDigestMatchesRecomputationAfterEveryWrite) {
   const uint64_t settled = store.KeyDigest("a");
   EXPECT_FALSE(store.MergeRemote("a", peer.GetRaw("a")));  // no-op
   EXPECT_EQ(store.KeyDigest("a"), settled);
-  ExpectDigestsFresh(store, probes);
-  EXPECT_EQ(store.PurgeTombstones(), 1u);
-  EXPECT_EQ(store.KeyDigest("gone"), 0u);
   ExpectDigestsFresh(store, probes);
 }
 

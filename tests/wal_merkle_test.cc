@@ -95,25 +95,6 @@ TEST(WalTest, CorruptMiddleTruncateThenReappendIsClean) {
   EXPECT_EQ(valid, wal.size_bytes());  // whole log valid again
 }
 
-TEST(WalTest, SaveAndLoadFile) {
-  WriteAheadLog wal;
-  wal.Append("persisted");
-  const std::string path = ::testing::TempDir() + "/evc_wal_test.log";
-  ASSERT_TRUE(wal.SaveToFile(path).ok());
-  WriteAheadLog loaded;
-  ASSERT_TRUE(loaded.LoadFromFile(path).ok());
-  std::vector<std::string> records;
-  ASSERT_TRUE(loaded.ReadAll(&records).ok());
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0], "persisted");
-  std::remove(path.c_str());
-}
-
-TEST(WalTest, LoadMissingFileIsNotFound) {
-  WriteAheadLog wal;
-  EXPECT_TRUE(wal.LoadFromFile("/nonexistent/evc.log").IsNotFound());
-}
-
 // The checkpoint rule: no log below 64 KiB is due; above it, a log is due
 // at twice the size its last checkpoint left, and each checkpoint resets
 // that reference.

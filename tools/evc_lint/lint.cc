@@ -986,16 +986,6 @@ const std::map<std::string, int>& LayerRanks() {
   return *ranks;
 }
 
-/// Store-layer set: the code the Runtime port (ROADMAP: threads/sockets
-/// runtime backend) must lift off the simulator; --runtime-worklist reports
-/// its direct sim:: references.
-const std::set<std::string>& StoreLayers() {
-  static const std::set<std::string>* layers = new std::set<std::string>{
-      "cache", "causal", "consensus",  "core", "membership", "replication",
-      "resilience", "session", "sla", "stale", "txn"};
-  return *layers;
-}
-
 int RankOf(const std::string& layer) {
   auto it = LayerRanks().find(layer);
   return it == LayerRanks().end() ? -1 : it->second;
@@ -1136,8 +1126,8 @@ struct IncludeEdge {
   std::string target_layer;  ///< resolved or inferred; may be ""
 };
 
-/// Whole-set include analysis shared by the layering/cycle checks, the DOT
-/// export and the runtime worklist.
+/// Whole-set include analysis shared by the layering/cycle checks and the
+/// DOT export.
 struct IncludeGraph {
   std::vector<std::string> layer;          ///< per file; may be ""
   std::vector<int> rank;                   ///< per file; -1 if unknown
@@ -1599,39 +1589,6 @@ std::vector<std::string> RenderLayerDot(const std::vector<SourceFile>& files) {
   return out;
 }
 
-/// Every direct sim:: reference inside store-layer code: the call sites the
-/// Runtime port (ROADMAP: threads/sockets runtime backend) must route
-/// through the runtime abstraction.
-std::vector<std::string> RenderRuntimeWorklist(
-    const std::vector<SourceFile>& files) {
-  std::vector<std::string> out;
-  static const std::regex kSimRef("\\bsim::([A-Za-z_]\\w*)");
-  int refs = 0;
-  int touched_files = 0;
-  for (const SourceFile& f : files) {
-    if (StoreLayers().count(LayerOfPath(f.path)) == 0) continue;
-    Preprocessed pre = Preprocess(f.path, f.content);
-    std::set<std::pair<int, std::string>> sites;
-    for (std::sregex_iterator it(pre.code.begin(), pre.code.end(), kSimRef),
-         end;
-         it != end; ++it) {
-      sites.emplace(LineAt(pre, static_cast<size_t>(it->position())),
-                    (*it)[1].str());
-    }
-    if (sites.empty()) continue;
-    ++touched_files;
-    for (const auto& [line, sym] : sites) {
-      out.push_back(f.path + ":" + std::to_string(line) + ": sim::" + sym);
-      ++refs;
-    }
-  }
-  out.push_back("runtime-worklist: " + std::to_string(refs) +
-                " sim:: reference(s) across " + std::to_string(touched_files) +
-                " store-layer file(s) to route through the Runtime "
-                "abstraction (ROADMAP: threads/sockets runtime backend)");
-  return out;
-}
-
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
@@ -1688,7 +1645,6 @@ int RunCommandLine(const std::vector<std::string>& args,
   bool werror = false;
   bool json = false;
   bool layers_dot = false;
-  bool runtime_worklist = false;
   std::vector<std::string> paths;
   for (const std::string& arg : args) {
     if (arg == "--werror") {
@@ -1732,13 +1688,11 @@ int RunCommandLine(const std::vector<std::string>& args,
         return 2;
       }
       layers_dot = true;
-    } else if (arg == "--runtime-worklist") {
-      runtime_worklist = true;
     } else if (arg == "--help" || arg == "-h") {
       out->push_back(
           "usage: evc_lint [--werror] [--check=name,...] [--exclude=substr,"
-          "...] [--format=text|json] [--layers=dot] [--runtime-worklist] "
-          "[--list-checks] [paths...]");
+          "...] [--format=text|json] [--layers=dot] [--list-checks] "
+          "[paths...]");
       out->push_back(
           "scans .cc/.cpp/.h files (default paths: src bench tools "
           "examples) for determinism, layering, thread-readiness, "
@@ -1746,9 +1700,6 @@ int RunCommandLine(const std::vector<std::string>& args,
       out->push_back(
           "  --layers=dot         print the observed layer graph as "
           "Graphviz DOT and exit");
-      out->push_back(
-          "  --runtime-worklist   list sim:: references in store-layer code "
-          "(the Runtime-port migration worklist) and exit");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       out->push_back("evc_lint: unknown flag '" + arg + "'");
@@ -1766,12 +1717,6 @@ int RunCommandLine(const std::vector<std::string>& args,
 
   if (layers_dot) {
     for (std::string& line : RenderLayerDot(files)) {
-      out->push_back(std::move(line));
-    }
-    return 0;
-  }
-  if (runtime_worklist) {
-    for (std::string& line : RenderRuntimeWorklist(files)) {
       out->push_back(std::move(line));
     }
     return 0;

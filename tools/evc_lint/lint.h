@@ -89,15 +89,10 @@
 // exception: pointer-taint inspects string literals for "%p", since format
 // strings are exactly where that bug lives.)
 //
-// Beyond findings, the CLI exposes two architecture reports:
+// Beyond findings, the CLI exposes one architecture report:
 //
 //   --layers=dot         emit the observed layer graph as Graphviz DOT,
 //                        ranks grouped, upward edges highlighted.
-//   --runtime-worklist   list every `sim::` reference inside store-layer
-//                        code — the exact call sites the Runtime port
-//                        (ROADMAP: threads/sockets runtime backend) must
-//                        route through the runtime abstraction instead of
-//                        the simulator.
 
 #ifndef EVC_TOOLS_EVC_LINT_LINT_H_
 #define EVC_TOOLS_EVC_LINT_LINT_H_
